@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .types import (
     BOTTOM,
@@ -375,77 +375,62 @@ def _typable_bottom(ctx: Context, t: CTerm) -> bool:
     return isinstance(root, Bottom)
 
 
-def _local_rules(node: CTerm) -> list[str]:
-    rules = []
+def _local_rules(node: CTerm) -> tuple[str, ...]:
+    """The rules other than simp that match at node, in priority order."""
     match node:
         case App(App(Comb("K", _), _), _):
-            rules.append("k")
+            return ("k",)
         case App(App(App(Comb("S", _), _), _), _):
-            rules.append("s")
+            return ("s",)
         case App(App(Comb("C", _), App(Comb("K", _), _)), i) if is_identity(i):
-            rules.append("e_r")
+            return ("e_r",)
         case App(App(Comb("C", _), i), App(Comb("K", _), _)) if is_identity(i):
-            rules.append("e_l")
-    match node:
-        case CStar(l, r):
-            match l:
-                case App(App(Comb("C", _), _), _):
-                    rules.append("c_r")
-                case App(App(Comb("P", _), _), _):
-                    match r:
-                        case App(Comb("Q1", _), _):
-                            rules.append("pq1")
-                        case App(Comb("Q2", _), _):
-                            rules.append("pq2")
-            match r:
-                case App(App(Comb("C", _), _), _):
-                    rules.append("c_l")
-                case App(App(Comb("P", _), _), _):
-                    match l:
-                        case App(Comb("Q1", _), _):
-                            rules.append("qp1")
-                        case App(Comb("Q2", _), _):
-                            rules.append("qp2")
-    rules.sort(key=C_RULES.index)
-    return rules
+            return ("e_l",)
+        case CStar(App(App(Comb("C", _), _), _), App(App(Comb("C", _), _), _)):
+            return ("c_r", "c_l")
+        case CStar(App(App(Comb("C", _), _), _), _):
+            return ("c_r",)
+        case CStar(_, App(App(Comb("C", _), _), _)):
+            return ("c_l",)
+        case CStar(App(App(Comb("P", _), _), _), App(Comb("Q1", _), _)):
+            return ("pq1",)
+        case CStar(App(App(Comb("P", _), _), _), App(Comb("Q2", _), _)):
+            return ("pq2",)
+        case CStar(App(Comb("Q1", _), _), App(App(Comb("P", _), _), _)):
+            return ("qp1",)
+        case CStar(App(Comb("Q2", _), _), App(App(Comb("P", _), _), _)):
+            return ("qp2",)
+    return ()
 
 
-_SIMP_SHAPE = None  # documented by the match in _find_simp
+def iter_redexes_c(ctx: Optional[Context], t: CTerm) -> Iterator[CRedex]:
+    """Every redex of t, lazily: pre-order by path, then rule priority.
+
+    simp needs a typing derivation of the whole term with conclusion
+    bottom, so it is only offered when a context is given, and t is typed
+    once, when the walk first meets a simp-shaped node below the root.
+    """
+    typable = None
+    stack = [((), t)]
+    while stack:
+        path, node = stack.pop()
+        for rule in _local_rules(node):
+            yield CRedex(rule, path)
+        match node:
+            case App(App(Comb("C", _), App(Comb("K", _), _)), App(Comb("K", _), _)) if path:
+                if typable is None:
+                    typable = ctx is not None and _typable_bottom(ctx, t)
+                if typable:
+                    yield CRedex("simp", path)
+        match node:
+            case App(l, r) | CStar(l, r):
+                stack.append((path + (1,), r))
+                stack.append((path + (0,), l))
 
 
 def find_redexes_c(ctx: Optional[Context], t: CTerm) -> list[CRedex]:
-    """Every redex, outermost-first, rule-priority order within a path.
-
-    simp needs a typing derivation with conclusion bottom, so it is only
-    scanned for when a context is given and t qualifies.
-    """
-    found: list[tuple[int, int, CRedex]] = []
-    order: dict[tuple[int, ...], int] = {}
-
-    def walk(node: CTerm, path: tuple[int, ...]):
-        order[path] = len(order)
-        for rule in _local_rules(node):
-            found.append((order[path], C_RULES.index(rule), CRedex(rule, path)))
-        for i, c in enumerate(children(node)):
-            walk(c, path + (i,))
-
-    walk(t, ())
-
-    if ctx is not None and _typable_bottom(ctx, t):
-        def scan(node: CTerm, path: tuple[int, ...]):
-            if path:
-                match node:
-                    case App(App(Comb("C", _), App(Comb("K", _), _)), App(Comb("K", _), _)):
-                        found.append(
-                            (order[path], C_RULES.index("simp"), CRedex("simp", path))
-                        )
-            for i, c in enumerate(children(node)):
-                scan(c, path + (i,))
-
-        scan(t, ())
-
-    found.sort(key=lambda e: (e[0], e[1]))
-    return [r for _, _, r in found]
+    """Every redex of t, in the order of iter_redexes_c."""
+    return list(iter_redexes_c(ctx, t))
 
 
 def reduce_at_c(t: CTerm, redex: CRedex) -> CTerm:

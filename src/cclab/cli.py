@@ -4,9 +4,10 @@ Subcommands: check (typing, of a literal term or a claims file), reduce,
 step (interactive redex picker), graph (DOT export), translate, gen
 (typable-term enumeration), verify (the metatheory suites).
 
-Exit codes: 0 on success, 1 when a check/claim/suite fails or a reduction
-runs out of fuel, 2 on usage or parse errors.  Timing goes to stderr so
-stdout stays byte-identical across runs of the same invocation.
+Exit codes: 0 on success, 1 when a check/claim/suite fails, a reduction
+runs out of fuel or a term grows too deep to process, 2 on usage or parse
+errors.  Timing goes to stderr so stdout stays byte-identical across runs
+of the same invocation.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .syntax import (
 )
 from .translate import TranslationError, phi, psi
 from .types import TypingError
-from .verify import SUITES, run_suite
+from .verify import SUITES, resolve_suite, run_suite
 
 
 def _merge_ctx(chunks: list[str]) -> Optional[dict]:
@@ -77,13 +78,6 @@ def _parse_term(args, src: str):
 
 def _fmt_path(path: tuple) -> str:
     return "/" + "/".join(str(i) for i in path)
-
-
-def _subterm_at(engine, t, path: tuple):
-    node = t
-    for i in path:
-        node = engine.children(node)[i]
-    return node
 
 
 def _emit(obj) -> None:
@@ -203,7 +197,7 @@ def cmd_step(args) -> int:
             print("normal form")
             return 0
         for i, r in enumerate(rds):
-            sub = _subterm_at(eng, cur, r.path)
+            sub = eng.subterm_at(cur, r.path)
             print(f"  [{i}] {r.rule:9s} @ {_fmt_path(r.path)}  {eng.show(sub)}")
         try:
             line = input("step> ").strip()
@@ -278,7 +272,6 @@ def cmd_verify(args) -> int:
         names = list(SUITES)
     else:
         try:
-            from .verify import resolve_suite
             names = [resolve_suite(args.suite)]
         except KeyError:
             print(f"unknown suite: {args.suite}", file=sys.stderr)
@@ -413,6 +406,9 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: the term is nested too deeply to process", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .types import BOTTOM, Bottom, Conj, Disj, MType, Ty, TypingError, negate
 
@@ -266,6 +266,7 @@ def infer(ctx: Context, t: LsTerm) -> Ty:
 
 
 def _local_redexes(node: LsTerm) -> list[str]:
+    """The rules other than triv that match at node, in priority order."""
     rules = []
     match node:
         case Star(l, r):
@@ -290,48 +291,41 @@ def _local_redexes(node: LsTerm) -> list[str]:
     return rules
 
 
-def find_redexes(ctx: Optional[Context], t: LsTerm) -> list[LsRedex]:
-    """Every redex of t, outermost-first, rule-priority order within a path.
+def iter_redexes(ctx: Optional[Context], t: LsTerm) -> Iterator[LsRedex]:
+    """Every redex of t, lazily: pre-order by path, then rule priority.
 
-    triv detection needs typing, so it only happens when a context is given
-    and t is well-typed with type bottom; otherwise the eight syntactic
-    rules are reported alone.
+    triv needs the whole term well-typed with type bottom, so it is only
+    offered when a context is given, and t is typed once, when the walk
+    first meets a triv-shaped node below the root.
     """
-    found: list[tuple[int, int, LsRedex]] = []
-    order: dict[tuple[int, ...], int] = {}
-
-    def walk(node: LsTerm, path: tuple[int, ...]):
-        order[path] = len(order)
+    typed_bottom = None
+    stack = [((), t, ())]  # path, node, variables bound above the node
+    while stack:
+        path, node, binders = stack.pop()
         for rule in _local_redexes(node):
-            found.append((order[path], LS_RULES.index(rule), LsRedex(rule, path)))
-        for i, c in enumerate(children(node)):
-            walk(c, path + (i,))
+            yield LsRedex(rule, path)
+        match node:
+            case Lam(y, _, body):
+                if (path and ctx is not None and isinstance(body, Star)
+                        and y not in free_vars(body) and free_vars(body).isdisjoint(binders)):
+                    if typed_bottom is None:
+                        try:
+                            typed_bottom = isinstance(infer(ctx, t), Bottom)
+                        except TypingError:
+                            typed_bottom = False
+                    if typed_bottom:
+                        yield LsRedex("triv", path)
+                stack.append((path + (0,), body, binders + (y,)))
+            case Star(l, r) | Pair(l, r):
+                stack.append((path + (1,), r, binders))
+                stack.append((path + (0,), l, binders))
+            case Inj1(b, _) | Inj2(b, _):
+                stack.append((path + (0,), b, binders))
 
-    walk(t, ())
 
-    if ctx is not None:
-        try:
-            ty = infer(ctx, t)
-        except TypingError:
-            ty = None
-        if isinstance(ty, Bottom):
-            def scan(node: LsTerm, path: tuple[int, ...], binders: frozenset[str]):
-                match node:
-                    case Lam(y, _, Star() as body) if path:
-                        if y not in free_vars(body) and not (
-                            free_vars(body) & binders
-                        ):
-                            found.append(
-                                (order[path], LS_RULES.index("triv"), LsRedex("triv", path))
-                            )
-                for i, c in enumerate(children(node)):
-                    inner = binders | {node.var} if isinstance(node, Lam) else binders
-                    scan(c, path + (i,), inner)
-
-            scan(t, (), frozenset())
-
-    found.sort(key=lambda e: (e[0], e[1]))
-    return [r for _, _, r in found]
+def find_redexes(ctx: Optional[Context], t: LsTerm) -> list[LsRedex]:
+    """Every redex of t, in the order of iter_redexes."""
+    return list(iter_redexes(ctx, t))
 
 
 def reduce_at(t: LsTerm, redex: LsRedex) -> LsTerm:

@@ -1,10 +1,12 @@
 """Calculus-generic reduction: strategies, graphs, reachability, SN checks.
 
-Both calculi are non-confluent by design, so a deterministic strategy has
-to impose an order: redexes are ranked by pre-order position of their path
-and then by rule priority (the order the rules are declared in). Leftmost-
-innermost uses post-order position instead. The omega strategy restricts
-to redexes not under any lambda and only exists on the lambda side.
+Both calculi are non-confluent by design, so "reduces to" means reaching a
+term in the reduction graph. Each calculus yields its redexes lazily, by
+pre-order position of the path and then rule priority; leftmost-outermost
+is the first, leftmost-innermost the first in post-order, and omega (lambda
+side only) skips those under a lambda. Every search is built on ``trace``,
+which follows the redexes a pick function chooses, and ``search``, which
+expands each alpha class once, breadth-first or smallest term first.
 
 Because reduction is finitely branching and (for typed terms) strongly
 normalizing, exhaustive exploration modulo alpha-equivalence terminates;
@@ -14,9 +16,11 @@ budgets exist to keep untyped or adversarial inputs from spinning.
 from __future__ import annotations
 
 import enum
-from collections import deque
+import heapq
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from . import ccl, lambda_sym
 from .syntax import print_c, print_ls
@@ -31,37 +35,40 @@ Redex = Union[lambda_sym.LsRedex, ccl.CRedex]
 class Engine:
     name: str
     rules: tuple[str, ...]
-    find: Callable
+    find: Callable  # (ctx, t) -> list of every redex, in the order of redexes
+    redexes: Callable  # (ctx, t) -> the same redexes, lazily
     step: Callable
     canon: Callable
     show: Callable
     typeof: Callable
-    children: Callable
-    is_binder: Callable
+    size: Callable
+    subterm_at: Callable
 
 
 LS_ENGINE = Engine(
     name="ls",
     rules=lambda_sym.LS_RULES,
     find=lambda_sym.find_redexes,
+    redexes=lambda_sym.iter_redexes,
     step=lambda_sym.reduce_at,
     canon=lambda_sym.canonical,
     show=print_ls,
     typeof=lambda_sym.infer,
-    children=lambda_sym.children,
-    is_binder=lambda t: isinstance(t, lambda_sym.Lam),
+    size=lambda_sym.term_size,
+    subterm_at=lambda_sym.subterm_at,
 )
 
 C_ENGINE = Engine(
     name="ccl",
     rules=ccl.C_RULES,
     find=ccl.find_redexes_c,
+    redexes=ccl.iter_redexes_c,
     step=ccl.reduce_at_c,
     canon=lambda t: t,  # no binders, terms are their own alpha class
     show=print_c,
     typeof=ccl.infer_c,
-    children=ccl.children,
-    is_binder=lambda t: False,
+    size=ccl.term_size,
+    subterm_at=ccl.subterm_at,
 )
 
 
@@ -76,7 +83,6 @@ def engine_for(calculus: str) -> Engine:
 class Strategy(enum.Enum):
     LEFTMOST_OUTERMOST = "lo"
     LEFTMOST_INNERMOST = "li"
-    ALL = "all"
     OMEGA = "omega"
 
 
@@ -87,50 +93,41 @@ class FuelExhausted(Exception):
         super().__init__(f"no normal form within {steps} steps")
 
 
-def omega_redexes(engine: Engine, ctx: Optional[Context], t: Term) -> list:
-    """Redexes not in the scope of a lambda (proper ancestors only)."""
-    out = []
-    for r in engine.find(ctx, t):
-        node = t
-        under = False
-        for i in r.path:
-            if engine.is_binder(node):
-                under = True
-                break
-            node = engine.children(node)[i]
-        if not under:
-            out.append(r)
-    return out
-
-
-def _postorder_indices(engine: Engine, t: Term) -> dict[tuple[int, ...], int]:
-    order: dict[tuple[int, ...], int] = {}
-
-    def walk(node, path):
-        for i, c in enumerate(engine.children(node)):
-            walk(c, path + (i,))
-        order[path] = len(order)
-
-    walk(t, ())
-    return order
+def omega_redexes(engine: Engine, ctx: Optional[Context], t: Term) -> Iterator[Redex]:
+    """Redexes not in the scope of a lambda (proper ancestors only), lazily."""
+    for r in engine.redexes(ctx, t):
+        if not any(isinstance(engine.subterm_at(t, r.path[:k]), lambda_sym.Lam)
+                   for k in range(len(r.path))):
+            yield r
 
 
 def pick_redex(engine: Engine, ctx: Optional[Context], t: Term,
                strategy: Strategy) -> Optional[Redex]:
-    if strategy is Strategy.OMEGA:
-        if engine.name != "ls":
-            raise ValueError("omega strategy only applies to the lambda side")
-        rds = omega_redexes(engine, ctx, t)
-        return rds[0] if rds else None
-    rds = engine.find(ctx, t)
-    if not rds:
-        return None
+    """The redex strategy contracts next in t, or None at a normal form."""
     if strategy is Strategy.LEFTMOST_OUTERMOST:
-        return rds[0]
+        return next(engine.redexes(ctx, t), None)
     if strategy is Strategy.LEFTMOST_INNERMOST:
-        post = _postorder_indices(engine, t)
-        return min(rds, key=lambda r: (post[r.path], engine.rules.index(r.rule)))
-    raise ValueError(f"normalize needs a deterministic strategy, not {strategy}")
+        # Post-order puts a path after every extension of it. min keeps the
+        # first of equal paths, which has the highest rule priority.
+        return min(engine.redexes(ctx, t), key=lambda r: r.path + (math.inf,),
+                   default=None)
+    if engine.name != "ls":
+        raise ValueError("omega strategy only applies to the lambda side")
+    return next(omega_redexes(engine, ctx, t), None)
+
+
+def trace(engine: Engine, t: Term, pick: Callable, fuel: int) -> Iterator[tuple[Redex, Term]]:
+    """Follow the redexes pick chooses from t, for at most fuel steps.
+
+    Yields (redex, reduct) per step and stops early at a term where pick
+    returns None.
+    """
+    for _ in range(fuel):
+        r = pick(t)
+        if r is None:
+            return
+        t = engine.step(t, r)
+        yield r, t
 
 
 @dataclass
@@ -143,17 +140,15 @@ class NormalizeResult:
 def normalize(engine: Engine, ctx: Optional[Context], t: Term,
               strategy: Strategy = Strategy.LEFTMOST_OUTERMOST,
               fuel: int = 1000, want_trace: bool = False) -> NormalizeResult:
-    trace: list[tuple[str, tuple[int, ...], Term]] = []
-    cur = t
-    for step_no in range(fuel):
-        r = pick_redex(engine, ctx, cur, strategy)
-        if r is None:
-            return NormalizeResult(cur, step_no, trace)
-        cur = engine.step(cur, r)
+    pick = lambda u: pick_redex(engine, ctx, u, strategy)
+    log: list[tuple[str, tuple[int, ...], Term]] = []
+    steps, cur = 0, t
+    for r, cur in trace(engine, t, pick, fuel):
+        steps += 1
         if want_trace:
-            trace.append((r.rule, r.path, cur))
-    if pick_redex(engine, ctx, cur, strategy) is None:
-        return NormalizeResult(cur, fuel, trace)
+            log.append((r.rule, r.path, cur))
+    if steps < fuel or pick(cur) is None:
+        return NormalizeResult(cur, steps, log)
     raise FuelExhausted(cur, fuel)
 
 
@@ -170,46 +165,62 @@ class ReductionGraph:
     engine: Engine
     root: Term  # canonical
     nodes: dict  # canonical -> representative term
-    edges: list[Edge]
-    normal_forms: list  # canonical terms, in discovery order
+    edges: list[Edge] = field(default_factory=list)
+    normal_forms: list = field(default_factory=list)  # canonical, in discovery order
     truncated: bool = False
     reason: Optional[str] = None
+
+    @classmethod
+    def rooted_at(cls, engine: Engine, t: Term) -> "ReductionGraph":
+        root = engine.canon(t)
+        return cls(engine, root, {root: t})
 
     def normal_form_strings(self) -> list[str]:
         return sorted(self.engine.show(n) for n in self.normal_forms)
 
 
+def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
+           depth_budget: Optional[int] = None, by_size: bool = False) -> Iterator[Edge]:
+    """Expand each alpha class reachable from graph.root once.
+
+    Breadth-first, or smallest engine.size first when by_size. Yields an
+    Edge for every contraction of an expanded term; a target missing from
+    graph.nodes is one the node budget kept out. Terms at depth_budget are
+    not expanded. Normal forms go to graph.normal_forms, and a budget that
+    cuts the search sets graph.truncated and graph.reason.
+    """
+    engine = graph.engine
+    tick = itertools.count(1)
+    frontier = [(0, 0, graph.nodes[graph.root], graph.root, 0)]  # priority, tick, term, key, depth
+    while frontier:
+        _, _, t, key, depth = heapq.heappop(frontier)
+        if depth_budget is not None and depth >= depth_budget:
+            graph.truncated, graph.reason = True, "depth budget"
+            continue
+        normal = True
+        for r in engine.redexes(ctx, t):
+            normal = False
+            u = engine.step(t, r)
+            u_key = engine.canon(u)
+            if u_key not in graph.nodes:
+                if len(graph.nodes) < node_budget:
+                    graph.nodes[u_key] = u
+                    priority = engine.size(u) if by_size else depth + 1
+                    heapq.heappush(frontier, (priority, next(tick), u, u_key, depth + 1))
+                else:
+                    graph.truncated, graph.reason = True, "node budget"
+            yield Edge(key, r.rule, r.path, u_key)
+        if normal:
+            graph.normal_forms.append(key)
+
+
 def explore(engine: Engine, ctx: Optional[Context], t: Term,
             node_budget: int = 100_000,
             depth_budget: Optional[int] = None) -> ReductionGraph:
-    root_c = engine.canon(t)
-    nodes = {root_c: t}
-    edges: list[Edge] = []
-    normal_forms = []
-    truncated = False
-    reason = None
-    queue = deque([(t, root_c, 0)])
-    while queue:
-        cur, cur_c, depth = queue.popleft()
-        if depth_budget is not None and depth >= depth_budget:
-            truncated, reason = True, "depth budget"
-            continue
-        rds = engine.find(ctx, cur)
-        if not rds:
-            normal_forms.append(cur_c)
-            continue
-        for r in rds:
-            tgt = engine.step(cur, r)
-            tgt_c = engine.canon(tgt)
-            if tgt_c not in nodes:
-                if len(nodes) >= node_budget:
-                    truncated, reason = True, "node budget"
-                    continue
-                nodes[tgt_c] = tgt
-                queue.append((tgt, tgt_c, depth + 1))
-            edges.append(Edge(cur_c, r.rule, r.path, tgt_c))
-    return ReductionGraph(engine, root_c, nodes, edges, normal_forms,
-                          truncated, reason)
+    graph = ReductionGraph.rooted_at(engine, t)
+    graph.edges = [e for e in search(graph, ctx, node_budget, depth_budget)
+                   if e.target in graph.nodes]
+    return graph
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,43 +237,34 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
 
     Returns (answer, witness); the witness is a list of (rule, path) steps.
     Tries the leftmost-outermost trace first (it usually passes straight
-    through the targets the simulation lemmas predict), then falls back to
-    breadth-first search over alpha classes.
+    through the targets the simulation lemmas predict), then searches
+    breadth-first over alpha classes and gives up when the node budget
+    cuts the search. A search witness follows the edges that first
+    reached each class.
     """
     target_c = engine.canon(q.target)
     if not q.require_nonempty and engine.canon(q.source) == target_c:
         return True, []
 
-    cur = q.source
-    lo_trace: list[tuple[str, tuple[int, ...]]] = []
-    for _ in range(q.max_steps):
-        rds = engine.find(ctx, cur)
-        if not rds:
-            break
-        r = rds[0]
-        cur = engine.step(cur, r)
-        lo_trace.append((r.rule, r.path))
-        if engine.canon(cur) == target_c:
-            return True, lo_trace
+    witness = []
+    lo = lambda u: next(engine.redexes(ctx, u), None)
+    for r, u in trace(engine, q.source, lo, q.max_steps):
+        witness.append((r.rule, r.path))
+        if engine.canon(u) == target_c:
+            return True, witness
 
-    visited = {engine.canon(q.source)}
-    frontier: list[tuple[Term, list]] = [(q.source, [])]
-    for _ in range(q.max_steps):
-        nxt: list[tuple[Term, list]] = []
-        for term, steps in frontier:
-            for r in engine.find(ctx, term):
-                t2 = engine.step(term, r)
-                c2 = engine.canon(t2)
-                if c2 == target_c:
-                    return True, steps + [(r.rule, r.path)]
-                if c2 not in visited:
-                    if len(visited) >= node_budget:
-                        return False, None
-                    visited.add(c2)
-                    nxt.append((t2, steps + [(r.rule, r.path)]))
-        frontier = nxt
-        if not frontier:
-            break
+    graph = ReductionGraph.rooted_at(engine, q.source)
+    parent: dict = {graph.root: None}
+    for e in search(graph, ctx, node_budget, depth_budget=q.max_steps):
+        if e.target == target_c:
+            witness = []
+            while e is not None:
+                witness.append((e.rule, e.path))
+                e = parent[e.source]
+            return True, witness[::-1]
+        if graph.reason == "node budget":
+            return False, None
+        parent.setdefault(e.target, e)
     return False, None
 
 
@@ -274,8 +276,8 @@ class SNResult:
     reason: Optional[str] = None
 
 
-class _Budget(Exception):
-    pass
+class _Stop(Exception):
+    """Ends check_sn early; the message is the reason."""
 
 
 def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
@@ -294,9 +296,9 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
         if key in memo:
             return memo[key]
         if key in on_stack:
-            raise _Cycle()
+            raise _Stop("reduction cycle found")
         if seen >= node_budget:
-            raise _Budget()
+            raise _Stop("node budget exceeded")
         seen += 1
         on_stack.add(key)
         best = 0
@@ -310,14 +312,8 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
     try:
         n = longest(t, engine.canon(t))
         return SNResult(True, n, seen)
-    except _Budget:
-        return SNResult(False, None, seen, "node budget exceeded")
-    except _Cycle:
-        return SNResult(False, None, seen, "reduction cycle found")
-
-
-class _Cycle(Exception):
-    pass
+    except _Stop as stop:
+        return SNResult(False, None, seen, str(stop))
 
 
 def _dot_quote(s: str) -> str:

@@ -163,10 +163,25 @@ def lex(src: str) -> list[Token]:
     return toks
 
 
+# Deeper input is refused with a ParseError rather than left to exhaust
+# the interpreter's stack in the parser, the printers or the checkers.
+MAX_NESTING = 100
+
+
 class _P:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
+
+    def nest(self, rule):
+        """Run rule one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            self.err(f"input nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        out = rule()
+        self.depth -= 1
+        return out
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -206,14 +221,14 @@ class _P:
         left = self.conj()
         if self.peek().kind == "PIPE":
             self.advance()
-            return Disj(left, self.disj())
+            return Disj(left, self.nest(self.disj))
         return left
 
     def conj(self) -> MType:
         left = self.atomic()
         if self.peek().kind == "AMP":
             self.advance()
-            return Conj(left, self.conj())
+            return Conj(left, self.nest(self.conj))
         return left
 
     def atomic(self) -> MType:
@@ -230,7 +245,7 @@ class _P:
             return Atom(t.text)
         if t.kind == "LPAREN":
             self.advance()
-            inner = self.disj()
+            inner = self.nest(self.disj)
             self.expect("RPAREN", "')'")
             if self.peek().kind == "BOT":
                 self.advance()
@@ -260,7 +275,7 @@ class _P:
             self.expect("COLON", "':' and the bound type")
             ann = self.disj()
             self.expect("DOT", "'.' before the body")
-            body = self.ls_term()
+            body = self.nest(self.ls_term)
             return Lam(nm.text, ann, body, span=(t.start, _ep(body) or t.end))
         return self.ls_atom()
 
@@ -270,7 +285,7 @@ class _P:
             if t.text in ("s1", "s2"):
                 self.advance()
                 self.expect("LPAREN", f"'(' after {t.text}")
-                body = self.ls_term()
+                body = self.nest(self.ls_term)
                 self.expect("COLON", "':' and the disjunction type")
                 ann = self.disj()
                 if not isinstance(ann, Disj):
@@ -282,14 +297,14 @@ class _P:
             return Var(t.text, span=(t.start, t.end))
         if t.kind == "LANGLE":
             self.advance()
-            left = self.ls_term()
+            left = self.nest(self.ls_term)
             self.expect("COMMA", "',' between the pair components")
-            right = self.ls_term()
+            right = self.nest(self.ls_term)
             close = self.expect("RANGLE", "'>'")
             return Pair(left, right, span=(t.start, close.end))
         if t.kind == "LPAREN":
             self.advance()
-            inner = self.ls_term()
+            inner = self.nest(self.ls_term)
             self.expect("RPAREN", "')'")
             return inner
         self.err(f"expected a term, found '{t.text or 'end of input'}'", t)
@@ -342,7 +357,7 @@ class _P:
             return Comb(t.text, inst, span=(t.start, t.end))
         if t.kind == "LPAREN":
             self.advance()
-            inner = self.c_term()
+            inner = self.nest(self.c_term)
             self.expect("RPAREN", "')'")
             return inner
         self.err(f"expected a term, found '{t.text or 'end of input'}'", t)

@@ -6,6 +6,12 @@ pass means "no counterexample below the size bound", not a proof. Each
 returns a SuiteResult with the instance count, failures (empty = pass),
 wall time, and free-form notes.
 
+Every reduction sequence a suite follows comes from ``rewrite.trace`` or
+``rewrite.search``. Reachability goes through ``rewrite.reaches``; the
+rule-simulation suite runs a portfolio instead: the leftmost-outermost,
+leftmost-innermost and macro-spine traces, then a smallest-term-first
+search.
+
 Suites are registered under a descriptive name plus short historical
 aliases accepted by the command line.
 """
@@ -31,7 +37,6 @@ from .ccl import (
     substitute_c,
     term_vars,
 )
-from .ccl import term_size as c_term_size
 from .gen import (
     atom_names,
     atom_pool,
@@ -54,15 +59,19 @@ from .lambda_sym import (
     reduce_at,
     substitute,
 )
-from .lambda_sym import term_size as ls_term_size
 from .rewrite import (
     C_ENGINE,
     LS_ENGINE,
     ReachabilityQuery,
+    ReductionGraph,
+    Strategy,
     check_sn,
     explore,
     omega_redexes,
+    pick_redex,
     reaches,
+    search,
+    trace,
 )
 from .syntax import (
     parse_c,
@@ -145,7 +154,7 @@ def suite_involution() -> SuiteResult:
     return r
 
 
-def _suite_subject_reduction(name: str, corpus, ctx, find, step, typeof) -> SuiteResult:
+def _suite_subject_reduction(name: str, corpus, ctx, find, step, typeof, show) -> SuiteResult:
     r = SuiteResult(name)
     n_terms = 0
     for ty, t in corpus:
@@ -155,7 +164,7 @@ def _suite_subject_reduction(name: str, corpus, ctx, find, step, typeof) -> Suit
             r.check(
                 got == ty,
                 lambda t=t, redex=redex, ty=ty, got=got: (
-                    f"{print_ls(t)}: {redex.rule} at {redex.path} changed "
+                    f"{show(t)}: {redex.rule} at {redex.path} changed "
                     f"{print_type(ty)} to {print_type(got)}"
                 ),
             )
@@ -166,14 +175,14 @@ def _suite_subject_reduction(name: str, corpus, ctx, find, step, typeof) -> Suit
 def suite_subject_reduction_ls(max_size: int = 9) -> SuiteResult:
     return _suite_subject_reduction(
         "subject-reduction-ls", _ls_corpus(2, max_size), standard_context(2),
-        find_redexes, reduce_at, infer,
+        find_redexes, reduce_at, infer, print_ls,
     )
 
 
 def suite_subject_reduction_cc(max_size: int = 9) -> SuiteResult:
     return _suite_subject_reduction(
         "subject-reduction-cc", _c_corpus(2, max_size), standard_context(2),
-        find_redexes_c, reduce_at_c, infer_c,
+        find_redexes_c, reduce_at_c, infer_c, print_c,
     )
 
 
@@ -190,36 +199,28 @@ def suite_dichotomy(max_size: int = 9) -> SuiteResult:
     return r
 
 
-def suite_sn_ls(max_size: int = 9, node_budget: int = 100_000) -> SuiteResult:
-    r = SuiteResult("sn-ls")
+def _suite_sn(name: str, engine, corpus, node_budget: int) -> SuiteResult:
+    r = SuiteResult(name)
     ctx = standard_context(2)
     worst = 0
-    for _, t in _ls_corpus(2, max_size):
-        res = check_sn(LS_ENGINE, ctx, t, node_budget=node_budget)
+    for _, t in corpus:
+        res = check_sn(engine, ctx, t, node_budget=node_budget)
         if res.max_path is not None:
             worst = max(worst, res.max_path)
         r.check(
             res.terminating,
-            lambda t=t, res=res: f"{print_ls(t)}: {res.reason or 'cycle found'}",
+            lambda t=t, res=res: f"{engine.show(t)}: {res.reason or 'cycle found'}",
         )
     r.notes.append(f"longest reduction path: {worst}")
     return r
+
+
+def suite_sn_ls(max_size: int = 9, node_budget: int = 100_000) -> SuiteResult:
+    return _suite_sn("sn-ls", LS_ENGINE, _ls_corpus(2, max_size), node_budget)
 
 
 def suite_sn_cc(max_size: int = 9, node_budget: int = 100_000) -> SuiteResult:
-    r = SuiteResult("sn-cc")
-    ctx = standard_context(2)
-    worst = 0
-    for _, t in _c_corpus(2, max_size):
-        res = check_sn(C_ENGINE, ctx, t, node_budget=node_budget)
-        if res.max_path is not None:
-            worst = max(worst, res.max_path)
-        r.check(
-            res.terminating,
-            lambda t=t, res=res: f"{print_c(t)}: {res.reason or 'cycle found'}",
-        )
-    r.notes.append(f"longest reduction path: {worst}")
-    return r
+    return _suite_sn("sn-cc", C_ENGINE, _c_corpus(2, max_size), node_budget)
 
 
 def suite_bracket_typing(max_size: int = 5) -> SuiteResult:
@@ -442,12 +443,6 @@ def suite_application(max_size: int = 7, v_size: int = 3) -> SuiteResult:
     return r
 
 
-def _term_size(t) -> int:
-    if isinstance(t, (CVar, Comb, App, CStar)):
-        return c_term_size(t)
-    return ls_term_size(t)
-
-
 def _macro_spine(t: LsTerm, at: tuple = ()) -> list[tuple]:
     """Beta positions along the application-macro spine, innermost first.
 
@@ -475,99 +470,59 @@ _CLEANUP_RULES = frozenset(
 )
 
 
-def _follow_macro_path(engine, ctx, source, target_c, max_steps: int = 100) -> bool:
+def _macro_pick(engine, ctx, source):
     """Contract the macro spine, then projections and eta steps only.
 
     This is the reduction order the simulation argument prescribes: feed
     each macro its argument pair, then let the projections dig the
-    components out, leaving inner macros intact.
+    components out, leaving inner macros intact. A spine position without
+    a beta redex is skipped.
     """
-    cur = source
-    steps = 0
-    for path in _macro_spine(source):
-        rds = [
-            r for r in engine.find(ctx, cur)
-            if tuple(r.path) == path and r.rule in ("beta", "beta_perp")
-        ]
-        if not rds:
-            continue
-        cur = engine.step(cur, rds[0])
-        steps += 1
-        if engine.canon(cur) == target_c:
-            return True
-    while steps < max_steps:
-        rds = [r for r in engine.find(ctx, cur) if r.rule in _CLEANUP_RULES]
-        if not rds:
-            return False
-        cur = engine.step(cur, rds[0])
-        steps += 1
-        if engine.canon(cur) == target_c:
-            return True
-    return False
+    spine = iter(_macro_spine(source))
 
+    def pick(t):
+        for path in spine:
+            for r in engine.redexes(ctx, t):
+                if r.path == path and r.rule in ("beta", "beta_perp"):
+                    return r
+        return next((r for r in engine.redexes(ctx, t) if r.rule in _CLEANUP_RULES), None)
 
-def _best_first(engine, ctx, source, target_c, max_steps: int = 100,
-                max_expansions: int = 4000) -> bool:
-    """Size-greedy search of the reduction graph, smallest terms first."""
-    import heapq
-    import itertools
-
-    tick = itertools.count()
-    heap = [(_term_size(source), next(tick), source, 0)]
-    seen = {engine.canon(source)}
-    expansions = 0
-    while heap and expansions < max_expansions:
-        _, _, t, depth = heapq.heappop(heap)
-        expansions += 1
-        if depth >= max_steps:
-            continue
-        for r in engine.find(ctx, t):
-            t2 = engine.step(t, r)
-            c2 = engine.canon(t2)
-            if c2 == target_c:
-                return True
-            if c2 not in seen:
-                seen.add(c2)
-                heapq.heappush(heap, (_term_size(t2), next(tick), t2, depth + 1))
-    return False
+    return pick
 
 
 def _simulates(engine, ctx, source, target, max_steps: int = 100) -> bool:
     """Does source reduce to target in at least one step?
 
     A portfolio of searches, cheap ones first: the leftmost-outermost
-    trace, the innermost trace, the macro-spine path, and finally a
-    size-greedy search. Every step is an engine step, so any hit is an
-    honest reduction sequence.
+    trace, the leftmost-innermost trace, the macro-spine trace, and
+    finally a search that expands the smallest terms first, within 4,000
+    alpha classes. Every step is an engine step, so any hit is an honest
+    reduction sequence.
     """
     target_c = engine.canon(target)
-    outermost = lambda rds: rds[0]
-    innermost = lambda rds: max(rds, key=lambda r: (len(r.path), tuple(r.path)))
-    for pick in (outermost, innermost):
-        cur = source
-        for _ in range(max_steps):
-            rds = engine.find(ctx, cur)
-            if not rds:
-                break
-            cur = engine.step(cur, pick(rds))
-            if engine.canon(cur) == target_c:
-                return True
-    if _follow_macro_path(engine, ctx, source, target_c, max_steps):
-        return True
-    return _best_first(engine, ctx, source, target_c, max_steps)
+    for pick in (
+        lambda u: pick_redex(engine, ctx, u, Strategy.LEFTMOST_OUTERMOST),
+        lambda u: pick_redex(engine, ctx, u, Strategy.LEFTMOST_INNERMOST),
+        _macro_pick(engine, ctx, source),
+    ):
+        if any(engine.canon(u) == target_c for _, u in trace(engine, source, pick, max_steps)):
+            return True
+    graph = ReductionGraph.rooted_at(engine, source)
+    return any(e.target == target_c
+               for e in search(graph, ctx, 4000, depth_budget=max_steps, by_size=True))
+
+
+def _k(i1, i2) -> Comb:
+    return Comb("K", (i1, i2))
 
 
 def _rule_instances() -> list[tuple[str, dict, CTerm]]:
     """One typed instance of each reduction rule, schemes at atoms."""
     a, b, c = Atom("a"), Atom("b"), Atom("c")
     na, nb = NegAtom("a"), NegAtom("b")
-
-    def k(i1, i2):
-        return Comb("K", (i1, i2))
-
     u, v, p, q, f, g, x = (CVar(n) for n in "uvpqfgx")
     return [
-        ("k", {"u": a, "q": nb}, App(App(k(a, b), u), q)),
+        ("k", {"u": a, "q": nb}, App(App(_k(a, b), u), q)),
         (
             "s",
             {"f": Disj(na, Disj(nb, c)), "g": Disj(na, b), "x": a},
@@ -583,8 +538,8 @@ def _rule_instances() -> list[tuple[str, dict, CTerm]]:
             {"f": Disj(na, nb), "g": Disj(na, b), "x": a},
             CStar(x, App(App(Comb("C", (a, b)), f), g)),
         ),
-        ("e_r", {"v": na}, App(App(Comb("C", (a, a)), App(k(na, na), v)), i_term_at(a))),
-        ("e_l", {"u": a}, App(App(Comb("C", (na, a)), i_term_at(na)), App(k(a, a), u))),
+        ("e_r", {"v": na}, App(App(Comb("C", (a, a)), App(_k(na, na), v)), i_term_at(a))),
+        ("e_l", {"u": a}, App(App(Comb("C", (na, a)), i_term_at(na)), App(_k(a, a), u))),
         (
             "pq1",
             {"u": a, "p": b, "v": na},
@@ -608,7 +563,7 @@ def _rule_instances() -> list[tuple[str, dict, CTerm]]:
         (
             "simp",
             {"q": nb, "p": b, "u": a},
-            CStar(App(App(Comb("C", (a, b)), App(k(nb, na), q)), App(k(b, na), p)), u),
+            CStar(App(App(Comb("C", (a, b)), App(_k(nb, na), q)), App(_k(b, na), p)), u),
         ),
     ]
 
@@ -630,60 +585,54 @@ def suite_rule_simulation(max_steps: int = 100) -> SuiteResult:
         r.check(ok, lambda rule=rule, lhs=lhs: f"{rule}: psi({print_c(lhs)}) does not simulate")
 
     # the worked table: twelve reductions, checked directly on lambda terms
-    def via_psi(ctx: dict, t: CTerm) -> LsTerm:
-        return psi(t, ctx)
-
-    def k(i1, i2):
-        return Comb("K", (i1, i2))
-
     rows: list[tuple[str, dict, LsTerm, LsTerm]] = []
     # 1: [[psi K, u], v] -> u
     ctx1 = {"u": a, "v": nb}
-    rows.append(("row 1", ctx1, via_psi(ctx1, App(App(k(a, b), CVar("u")), CVar("v"))), Var("u")))
+    rows.append(("row 1", ctx1, psi(App(App(_k(a, b), CVar("u")), CVar("v")), ctx1), Var("u")))
     # 2: [[[psi S, u], v], w] -> [[u, w], [v, w]]
     ctx2 = {"u": Disj(na, Disj(nb, c)), "v": Disj(na, b), "w": a}
-    lhs2 = via_psi(ctx2, App(App(App(Comb("S", (a, b, c)), CVar("u")), CVar("v")), CVar("w")))
+    lhs2 = psi(App(App(App(Comb("S", (a, b, c)), CVar("u")), CVar("v")), CVar("w")), ctx2)
     uw = pair_app(Var("u"), Var("w"), Disj(nb, c))
     vw = pair_app(Var("v"), Var("w"), b)
     rows.append(("row 2", ctx2, lhs2, pair_app(uw, vw, c)))
     # 3: [psi I, u] -> u
     ctx3 = {"u": a}
-    rows.append(("row 3", ctx3, via_psi(ctx3, App(i_term_at(a), CVar("u"))), Var("u")))
+    rows.append(("row 3", ctx3, psi(App(i_term_at(a), CVar("u")), ctx3), Var("u")))
     # 4: [[psi C, u], v] * w -> [u, w] * [v, w]
     ctx4 = {"u": Disj(na, nb), "v": Disj(na, b), "w": a}
-    lhs4 = via_psi(ctx4, CStar(App(App(Comb("C", (a, b)), CVar("u")), CVar("v")), CVar("w")))
+    lhs4 = psi(CStar(App(App(Comb("C", (a, b)), CVar("u")), CVar("v")), CVar("w")), ctx4)
     rhs4 = Star(pair_app(Var("u"), Var("w"), nb), pair_app(Var("v"), Var("w"), b))
     rows.append(("row 4", ctx4, lhs4, rhs4))
     # 5 (corrected): w * [[psi C, u], v] -> [u, w] * [v, w]
-    lhs5 = via_psi(ctx4, CStar(CVar("w"), App(App(Comb("C", (a, b)), CVar("u")), CVar("v"))))
+    lhs5 = psi(CStar(CVar("w"), App(App(Comb("C", (a, b)), CVar("u")), CVar("v"))), ctx4)
     rows.append(("row 5", ctx4, lhs5, rhs4))
     # 6: [[psi C, [psi K, u]], psi I] -> u
     ctx6 = {"u": na}
-    lhs6 = via_psi(ctx6, App(App(Comb("C", (a, a)), App(k(na, na), CVar("u"))), i_term_at(a)))
+    lhs6 = psi(App(App(Comb("C", (a, a)), App(_k(na, na), CVar("u"))), i_term_at(a)), ctx6)
     rows.append(("row 6", ctx6, lhs6, Var("u")))
     # 7: [[psi C, psi I], [psi K, u]] -> u
     ctx7 = {"u": a}
-    lhs7 = via_psi(ctx7, App(App(Comb("C", (na, a)), i_term_at(na)), App(k(a, a), CVar("u"))))
+    lhs7 = psi(App(App(Comb("C", (na, a)), i_term_at(na)), App(_k(a, a), CVar("u"))), ctx7)
     rows.append(("row 7", ctx7, lhs7, Var("u")))
     # 8..11: the pairing/injection rows
     ctx8 = {"u": a, "v": b, "w": na}
     puv = App(App(Comb("P", (a, b)), CVar("u")), CVar("v"))
-    rows.append(("row 8", ctx8, via_psi(ctx8, CStar(puv, App(Comb("Q1", (na, nb)), CVar("w")))),
+    rows.append(("row 8", ctx8, psi(CStar(puv, App(Comb("Q1", (na, nb)), CVar("w"))), ctx8),
                  Star(Var("u"), Var("w"))))
     ctx9 = {"u": a, "v": b, "w": nb}
-    rows.append(("row 9", ctx9, via_psi(ctx9, CStar(puv, App(Comb("Q2", (na, nb)), CVar("w")))),
+    rows.append(("row 9", ctx9, psi(CStar(puv, App(Comb("Q2", (na, nb)), CVar("w"))), ctx9),
                  Star(Var("v"), Var("w"))))
     ctx10 = {"u": a, "v": b, "w": na}
-    rows.append(("row 10", ctx10, via_psi(ctx10, CStar(App(Comb("Q1", (na, nb)), CVar("w")), puv)),
+    rows.append(("row 10", ctx10, psi(CStar(App(Comb("Q1", (na, nb)), CVar("w")), puv), ctx10),
                  Star(Var("w"), Var("u"))))
     ctx11 = {"u": a, "v": b, "w": nb}
-    rows.append(("row 11", ctx11, via_psi(ctx11, CStar(App(Comb("Q2", (na, nb)), CVar("w")), puv)),
+    rows.append(("row 11", ctx11, psi(CStar(App(Comb("Q2", (na, nb)), CVar("w")), puv), ctx11),
                  Star(Var("w"), Var("v"))))
     # 12 (corrected): [[psi C, [psi K, u]], [psi K, v]] -> \z:a. u * v
     ctx12 = {"u": nb, "v": b}
-    lhs12 = via_psi(
+    lhs12 = psi(
+        App(App(Comb("C", (a, b)), App(_k(nb, na), CVar("u"))), App(_k(b, na), CVar("v"))),
         ctx12,
-        App(App(Comb("C", (a, b)), App(k(nb, na), CVar("u"))), App(k(b, na), CVar("v"))),
     )
     rows.append(("row 12", ctx12, lhs12, Lam("z", a, Star(Var("u"), Var("v")))))
 

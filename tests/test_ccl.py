@@ -11,6 +11,7 @@ from cclab.ccl import (
     CVar,
     StaleRedex,
     TermClass,
+    children,
     classify,
     elaborate,
     find_redexes_c,
@@ -233,3 +234,62 @@ def test_size_and_vars():
     assert term_size(t) == 5  # inst does not add size
     assert term_vars(t) == frozenset({"x", "y"})
     assert term_size(IDENT) == 5
+
+
+def _preorder_paths(t, at=()):
+    yield at
+    for i, c in enumerate(children(t)):
+        yield from _preorder_paths(c, at + (i,))
+
+
+def test_find_redexes_c_agrees_with_brute_force_matching():
+    """Trying every rule at every path, in order, must give the redex list.
+
+    reduce_at_c re-matches patterns on its own before contracting, so it
+    serves as an independent oracle for the ten local rules; walking the
+    paths in pre-order and the rules in C_RULES order gives the expected
+    list order. simp needs typing and is checked as the only surplus, in
+    its place: last among the redexes at its path.
+    """
+    from cclab.gen import atom_names, enumerate_c, enumerate_pre_terms, enumerate_star_terms
+    from cclab.gen import standard_context
+    from cclab.translate import bracket_abstract
+
+    from cclab.syntax import parse_c, parse_context
+
+    ctx = standard_context(2)
+    names = ("x", "y")
+    terms = [t for _, t in enumerate_c(ctx, 9, atom_names(2))]
+    terms += enumerate_pre_terms(names, 5) + enumerate_star_terms(names, 5)
+    terms += [App(bracket_abstract("x", u), v)
+              for u in enumerate_pre_terms(names, 4) for v in enumerate_pre_terms(names, 2)]
+    terms += [CStar(bracket_abstract("x", u), u) for u in enumerate_star_terms(names, 4)]
+    cases = [(ctx, t) for t in terms]
+    # simp needs a bottom-typed term larger than the enumerated corpus
+    witness_ctx = parse_context("y : ~a, z : a, y' : ~b, z' : b, u : a, v : ~a")
+    for src in ("C (K y) (K z) * C (K y') (K z')", "C (K y) (K z) * u",
+                "u * K (C (K y) (K z)) v", "C (K (C (K y) (K z) * u)) (K z) * u"):
+        cases.append((witness_ctx, parse_c(src)))
+    local = [r for r in C_RULES if r != "simp"]
+    simps = 0
+    for ctx, t in cases:
+        position = {p: i for i, p in enumerate(_preorder_paths(t))}
+        oracle = []
+        for p in position:
+            for rule in local:
+                try:
+                    reduce_at_c(t, CRedex(rule, p))
+                except StaleRedex:
+                    continue
+                oracle.append((rule, p))
+        untyped = [(r.rule, r.path) for r in find_redexes_c(None, t)]
+        assert untyped == oracle, t
+        typed = [(r.rule, r.path) for r in find_redexes_c(ctx, t)]
+        surplus = [x for x in typed if x not in oracle]
+        assert all(rule == "simp" for rule, _ in surplus)
+        assert typed == sorted(oracle + surplus,
+                               key=lambda x: (position[x[1]], C_RULES.index(x[0])))
+        for rule, p in surplus:
+            reduce_at_c(t, CRedex(rule, p))
+        simps += len(surplus)
+    assert simps  # the corpus exercises simp

@@ -319,3 +319,26 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "~a | (b | a)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--ccl", "(" * 3000 + "x" + ")" * 3000],
+    ["check", "--ls", "\\x:" + " & ".join(["a"] * 3000) + ". x * x"],
+])
+def test_deeply_nested_input_is_a_parse_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "cclab", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: input nests deeper than")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_recursion_past_the_parser_is_a_one_line_error(capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("cclab.cli.normalize", too_deep)
+    rc, out, err = run(capsys, "reduce", "--ccl", "I x")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

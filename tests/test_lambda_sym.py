@@ -230,8 +230,9 @@ def test_find_redexes_agrees_with_brute_force_matching():
     serves as an independent oracle for the eight syntactic rules; triv
     needs typing and is checked as the only possible surplus.
     """
-    from cclab.gen import atom_names, enumerate_ls, standard_context
+    from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
     from cclab.lambda_sym import children
+    from cclab.translate import psi
 
     def paths_of(t, at=()):
         yield at
@@ -240,19 +241,29 @@ def test_find_redexes_agrees_with_brute_force_matching():
 
     ctx = standard_context(2)
     syntactic = [r for r in LS_RULES if r != "triv"]
-    for _, t in enumerate_ls(ctx, 10, atom_names(2)):
-        oracle = set()
-        for p in paths_of(t):
+    terms = [t for _, t in enumerate_ls(ctx, 10, atom_names(2))]
+    # translated combinators: larger terms, with redexes on both sides of a star
+    terms += [psi(t, ctx) for _, t in enumerate_c(ctx, 3, atom_names(2))]
+    for t in terms:
+        # paths in pre-order, rules in priority order: the expected order
+        position = {p: i for i, p in enumerate(paths_of(t))}
+        ordered = []
+        for p in position:
             for rule in syntactic:
                 try:
                     reduce_at(t, LsRedex(rule, p))
                 except StaleRedex:
                     continue
-                oracle.add((rule, p))
+                ordered.append((rule, p))
+        oracle = set(ordered)
         untyped = {(r.rule, r.path) for r in find_redexes(None, t)}
         assert untyped == oracle
+        assert [(r.rule, r.path) for r in find_redexes(None, t)] == ordered
         typed = {(r.rule, r.path) for r in find_redexes(ctx, t)}
         surplus = typed - untyped
         assert all(rule == "triv" for rule, _ in surplus)
         for rule, p in surplus:
             reduce_at(t, LsRedex(rule, p))
+        assert [(r.rule, r.path) for r in find_redexes(ctx, t)] == sorted(
+            ordered + list(surplus), key=lambda x: (position[x[1]], LS_RULES.index(x[0]))
+        )

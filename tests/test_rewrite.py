@@ -1,12 +1,16 @@
 import pytest
 
-from cclab.ccl import CRedex
-from cclab.lambda_sym import Lam, LsRedex, Star, Var
+from cclab import ccl, lambda_sym
+from cclab.ccl import App, CRedex, CStar
+from cclab.gen import atom_names, enumerate_c, enumerate_ls, enumerate_pre_terms
+from cclab.gen import enumerate_star_terms, standard_context
+from cclab.lambda_sym import Lam, LsRedex, Pair, Star, Var
 from cclab.rewrite import (
     C_ENGINE,
     LS_ENGINE,
     FuelExhausted,
     ReachabilityQuery,
+    ReductionGraph,
     Strategy,
     check_sn,
     engine_for,
@@ -15,10 +19,13 @@ from cclab.rewrite import (
     omega_redexes,
     pick_redex,
     reaches,
+    search,
     to_dot,
+    trace,
 )
 from cclab.syntax import parse_c, parse_context, parse_ls
-from cclab.types import Atom, NegAtom
+from cclab.translate import bracket_abstract, pi_macro
+from cclab.types import Atom, Bottom, Conj, NegAtom
 
 a, na = Atom("a"), NegAtom("a")
 
@@ -191,3 +198,104 @@ def test_to_dot_stable_and_escaped():
     dot = to_dot(g2)
     assert "\\\\x:a" in dot  # backslash in lambda labels is escaped
     assert "!0" not in dot  # labels show the written names, not alpha-canonical ones
+
+
+def _postorder_paths(children, t, at=()):
+    for i, c in enumerate(children(t)):
+        yield from _postorder_paths(children, c, at + (i,))
+    yield at
+
+
+def _bracket_queries(body_size, arg_size, max_steps=50):
+    names = ("x", "y")
+    vs = enumerate_pre_terms(names, arg_size)
+    for u in enumerate_pre_terms(names, body_size):
+        lu = bracket_abstract("x", u)
+        for v in vs:
+            yield ReachabilityQuery(App(lu, v), ccl.substitute_c(u, "x", v), max_steps)
+    for u in enumerate_star_terms(names, body_size):
+        lu = bracket_abstract("x", u)
+        for v in vs:
+            rhs = ccl.substitute_c(u, "x", v)
+            yield ReachabilityQuery(CStar(lu, v), rhs, max_steps)
+            yield ReachabilityQuery(CStar(v, lu), rhs, max_steps)
+
+
+def test_leftmost_innermost_matches_a_post_order_walk():
+    """LI contracts the first redex in post-order, highest priority first."""
+    ctx = standard_context(2)
+    cases = [(LS_ENGINE, lambda_sym.children, ctx, t)
+             for _, t in enumerate_ls(ctx, 8, atom_names(2))]
+    cases += [(C_ENGINE, ccl.children, ctx, t)
+              for _, t in enumerate_c(ctx, 8, atom_names(2))]
+    lo = lambda u: pick_redex(C_ENGINE, None, u, Strategy.LEFTMOST_OUTERMOST)
+    for q in _bracket_queries(4, 2):  # the terms along a trace have redexes at many depths
+        cases += [(C_ENGINE, ccl.children, None, u) for _, u in trace(C_ENGINE, q.source, lo, 8)]
+    cases.append((C_ENGINE, ccl.children, None, parse_c("K (K x y) (K (K x y) z)")))
+    picked = 0
+    for engine, children, c, t in cases:
+        found = engine.find(c, t)
+        want = None
+        for p in _postorder_paths(children, t):
+            here = [r for r in found if r.path == p]
+            if here:
+                want = min(here, key=lambda r: engine.rules.index(r.rule))
+                break
+        assert pick_redex(engine, c, t, Strategy.LEFTMOST_INNERMOST) == want, t
+        picked += want is not None
+    assert picked > 100
+
+
+def test_reaches_witnesses_replay_to_the_target():
+    """Every witness, trace or search, is a real reduction onto the target."""
+    small = [(ty, t) for ty, t in enumerate_ls(standard_context(2), 3, atom_names(2))
+             if not isinstance(ty, Bottom)]
+    cases = [(C_ENGINE, CRedex, q) for q in _bracket_queries(4, 2)]
+    for tu, u in small:
+        for tv, v in small:
+            pr, conj = Pair(u, v), Conj(tu, tv)
+            cases.append((LS_ENGINE, LsRedex, ReachabilityQuery(pi_macro(1, pr, conj), u, 20)))
+            cases.append((LS_ENGINE, LsRedex, ReachabilityQuery(pi_macro(2, pr, conj), v, 20)))
+    cases.append((LS_ENGINE, LsRedex, ReachabilityQuery(
+        parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'"), parse_ls("y' * z'"), 50, True)))
+    searched = 0
+    for engine, redex, q in cases:
+        ok, witness = reaches(engine, None, q)
+        assert ok, engine.show(q.source)
+        cur = q.source
+        for rule, path in witness:
+            cur = engine.step(cur, redex(rule, path))
+        assert engine.canon(cur) == engine.canon(q.target)
+        lo = lambda u: pick_redex(engine, None, u, Strategy.LEFTMOST_OUTERMOST)
+        lo_steps = [(r.rule, r.path) for r, _ in trace(engine, q.source, lo, q.max_steps)]
+        searched += witness != lo_steps[:len(witness)]
+    assert searched  # some witnesses come from the search, not the trace
+
+
+def test_best_first_search_pops_the_smallest_term_first():
+    t = App(bracket_abstract("x", parse_c("x x")), parse_c("I y"))
+    graph = ReductionGraph.rooted_at(C_ENGINE, t)
+    pending, seen, expanded = {graph.root}, {graph.root}, set()
+    for e in search(graph, None, 1000, by_size=True):
+        if e.source not in expanded:
+            pending -= set(graph.normal_forms)  # popped without an edge
+            sizes = {C_ENGINE.size(graph.nodes[k]) for k in pending}
+            assert C_ENGINE.size(graph.nodes[e.source]) == min(sizes)
+            pending.discard(e.source)
+            expanded.add(e.source)
+        if e.target in graph.nodes and e.target not in seen:
+            seen.add(e.target)
+            pending.add(e.target)
+    assert len(expanded) > 100 and graph.normal_forms and not graph.truncated
+
+
+def test_search_budgets_mark_the_graph_truncated():
+    t = App(bracket_abstract("x", parse_c("x x")), parse_c("I y"))
+    graph = ReductionGraph.rooted_at(C_ENGINE, t)
+    edges = list(search(graph, None, 10))
+    assert graph.truncated and graph.reason == "node budget" and len(graph.nodes) == 10
+    assert any(e.target not in graph.nodes for e in edges)
+    graph = ReductionGraph.rooted_at(C_ENGINE, t)
+    edges = list(search(graph, None, 1000, depth_budget=1))
+    assert graph.truncated and graph.reason == "depth budget"
+    assert {e.source for e in edges} == {graph.root}

@@ -3,6 +3,7 @@ import pytest
 from cclab.ccl import IDENT, App, Comb, CStar, CVar
 from cclab.lambda_sym import Inj1, Inj2, Lam, Pair, Star, Var, alpha_eq
 from cclab.syntax import (
+    MAX_NESTING,
     ParseError,
     ReductionClaim,
     TypingClaim,
@@ -230,3 +231,17 @@ def test_spans_point_into_source():
     t = parse_ls(src)
     s, e = t.span
     assert src.encode()[s:e].decode().startswith("λ")
+
+
+@pytest.mark.parametrize("parse, nested", [
+    (parse_c, lambda n: "(" * n + "x" + ")" * n),
+    (parse_ls, lambda n: "(" * n + "x" + ")" * n),
+    (parse_ls, lambda n: "\\x:a. " * n + "x * x"),
+    (parse_type, lambda n: " & ".join(["a"] * (n + 1))),
+    (parse_type, lambda n: "(" * n + "a" + ")" * n),
+])
+def test_nesting_past_the_limit_is_a_parse_error(parse, nested):
+    parse(nested(MAX_NESTING))
+    with pytest.raises(ParseError, match="nests deeper") as ei:
+        parse(nested(MAX_NESTING + 1))
+    assert ei.value.span is not None
