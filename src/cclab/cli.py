@@ -46,7 +46,7 @@ from .syntax import (
 )
 from .translate import TranslationError, phi, psi
 from .types import TypingError
-from .verify import SUITES, resolve_suite, run_suite
+from .verify import SUITES, run_suite
 
 
 def _merge_ctx(chunks: list[str]) -> Optional[dict]:
@@ -272,6 +272,7 @@ def cmd_verify(args) -> int:
         names = list(SUITES)
     else:
         try:
+            from .verify import resolve_suite
             names = [resolve_suite(args.suite)]
         except KeyError:
             print(f"unknown suite: {args.suite}", file=sys.stderr)

@@ -265,30 +265,28 @@ def infer(ctx: Context, t: LsTerm) -> Ty:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _local_redexes(node: LsTerm) -> list[str]:
+def _local_redexes(node: LsTerm) -> Iterator[str]:
     """The rules other than triv that match at node, in priority order."""
-    rules = []
     match node:
         case Star(l, r):
             if isinstance(l, Lam):
-                rules.append("beta")
+                yield "beta"
             if isinstance(r, Lam):
-                rules.append("beta_perp")
+                yield "beta_perp"
             match l, r:
                 case (Pair(), Inj1()):
-                    rules.append("pi1")
+                    yield "pi1"
                 case (Pair(), Inj2()):
-                    rules.append("pi2")
+                    yield "pi2"
                 case (Inj1(), Pair()):
-                    rules.append("pi1_perp")
+                    yield "pi1_perp"
                 case (Inj2(), Pair()):
-                    rules.append("pi2_perp")
+                    yield "pi2_perp"
         case Lam(x, _, Star(u, Var(y))) if y == x and x not in free_vars(u):
-            rules.append("eta")
+            yield "eta"
     match node:
         case Lam(x, _, Star(Var(y), u)) if y == x and x not in free_vars(u):
-            rules.append("eta_perp")
-    return rules
+            yield "eta_perp"
 
 
 def iter_redexes(ctx: Optional[Context], t: LsTerm) -> Iterator[LsRedex]:

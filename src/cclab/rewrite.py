@@ -6,7 +6,7 @@ pre-order position of the path and then rule priority; leftmost-outermost
 is the first, leftmost-innermost the first in post-order, and omega (lambda
 side only) skips those under a lambda. Every search is built on ``trace``,
 which follows the redexes a pick function chooses, and ``search``, which
-expands each alpha class once, breadth-first or smallest term first.
+expands each alpha class once, breadth-first.
 
 Because reduction is finitely branching and (for typed terms) strongly
 normalizing, exhaustive exploration modulo alpha-equivalence terminates;
@@ -16,9 +16,8 @@ budgets exist to keep untyped or adversarial inputs from spinning.
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Union
 
@@ -180,20 +179,18 @@ class ReductionGraph:
 
 
 def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
-           depth_budget: Optional[int] = None, by_size: bool = False) -> Iterator[Edge]:
-    """Expand each alpha class reachable from graph.root once.
+           depth_budget: Optional[int] = None) -> Iterator[Edge]:
+    """Expand each alpha class reachable from graph.root once, breadth-first.
 
-    Breadth-first, or smallest engine.size first when by_size. Yields an
-    Edge for every contraction of an expanded term; a target missing from
-    graph.nodes is one the node budget kept out. Terms at depth_budget are
-    not expanded. Normal forms go to graph.normal_forms, and a budget that
-    cuts the search sets graph.truncated and graph.reason.
+    Yields an Edge for every contraction of an expanded term; a target
+    missing from graph.nodes is one the node budget kept out. Terms at
+    depth_budget are not expanded. Normal forms go to graph.normal_forms,
+    and a budget that cuts the search sets graph.truncated and graph.reason.
     """
     engine = graph.engine
-    tick = itertools.count(1)
-    frontier = [(0, 0, graph.nodes[graph.root], graph.root, 0)]  # priority, tick, term, key, depth
+    frontier = deque([(graph.nodes[graph.root], graph.root, 0)])  # term, key, depth
     while frontier:
-        _, _, t, key, depth = heapq.heappop(frontier)
+        t, key, depth = frontier.popleft()
         if depth_budget is not None and depth >= depth_budget:
             graph.truncated, graph.reason = True, "depth budget"
             continue
@@ -205,8 +202,7 @@ def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
             if u_key not in graph.nodes:
                 if len(graph.nodes) < node_budget:
                     graph.nodes[u_key] = u
-                    priority = engine.size(u) if by_size else depth + 1
-                    heapq.heappush(frontier, (priority, next(tick), u, u_key, depth + 1))
+                    frontier.append((u, u_key, depth + 1))
                 else:
                     graph.truncated, graph.reason = True, "node budget"
             yield Edge(key, r.rule, r.path, u_key)
@@ -276,8 +272,8 @@ class SNResult:
     reason: Optional[str] = None
 
 
-class _Stop(Exception):
-    """Ends check_sn early; the message is the reason."""
+class _Budget(Exception):
+    pass
 
 
 def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
@@ -296,9 +292,9 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
         if key in memo:
             return memo[key]
         if key in on_stack:
-            raise _Stop("reduction cycle found")
+            raise _Cycle()
         if seen >= node_budget:
-            raise _Stop("node budget exceeded")
+            raise _Budget()
         seen += 1
         on_stack.add(key)
         best = 0
@@ -312,8 +308,14 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
     try:
         n = longest(t, engine.canon(t))
         return SNResult(True, n, seen)
-    except _Stop as stop:
-        return SNResult(False, None, seen, str(stop))
+    except _Budget:
+        return SNResult(False, None, seen, "node budget exceeded")
+    except _Cycle:
+        return SNResult(False, None, seen, "reduction cycle found")
+
+
+class _Cycle(Exception):
+    pass
 
 
 def _dot_quote(s: str) -> str:

@@ -272,21 +272,15 @@ def test_reaches_witnesses_replay_to_the_target():
     assert searched  # some witnesses come from the search, not the trace
 
 
-def test_best_first_search_pops_the_smallest_term_first():
+def test_search_expands_breadth_first():
     t = App(bracket_abstract("x", parse_c("x x")), parse_c("I y"))
     graph = ReductionGraph.rooted_at(C_ENGINE, t)
-    pending, seen, expanded = {graph.root}, {graph.root}, set()
-    for e in search(graph, None, 1000, by_size=True):
-        if e.source not in expanded:
-            pending -= set(graph.normal_forms)  # popped without an edge
-            sizes = {C_ENGINE.size(graph.nodes[k]) for k in pending}
-            assert C_ENGINE.size(graph.nodes[e.source]) == min(sizes)
-            pending.discard(e.source)
-            expanded.add(e.source)
-        if e.target in graph.nodes and e.target not in seen:
-            seen.add(e.target)
-            pending.add(e.target)
-    assert len(expanded) > 100 and graph.normal_forms and not graph.truncated
+    depth, last = {graph.root: 0}, 0
+    for e in search(graph, None, 1000):
+        assert depth[e.source] >= last
+        last = depth[e.source]
+        depth.setdefault(e.target, last + 1)
+    assert last > 3 and graph.normal_forms and not graph.truncated
 
 
 def test_search_budgets_mark_the_graph_truncated():
