@@ -9,8 +9,10 @@ unresolved the term is reported as ambiguous so the caller can supply
 
 ``simp`` is the combinatory analogue of the lambda side's triv rule and is
 equally non-local: a typable term of type bottom with a ``(C (K U) (K V))``
-subterm at a non-root path contracts, as a whole, to ``U * V``. Pattern
-matching for all rules ignores instantiations (reduction is syntactic).
+subterm at a non-root path contracts, as a whole, to ``U * V``. Rule
+matching ignores instantiations (reduction is syntactic) and dispatches on
+the spine head: the head combinator of an application, or of each side of
+a star. App and CStar nodes keep their structural hash after the first use.
 """
 
 from __future__ import annotations
@@ -55,18 +57,34 @@ class Comb(CTerm):
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
+class _Compound(CTerm):
+    """App or CStar: hashed on demand, not at construction, then kept."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(children(self))  # the hash a dataclass would compute
+            object.__setattr__(self, "_hash", h)
+            return h
+
+
 @dataclass(frozen=True, slots=True)
-class App(CTerm):
+class App(_Compound):
     fun: CTerm
     arg: CTerm
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
+    __hash__ = _Compound.__hash__
 
 
 @dataclass(frozen=True, slots=True)
-class CStar(CTerm):
+class CStar(_Compound):
     left: CTerm
     right: CTerm
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
+    __hash__ = _Compound.__hash__
 
 
 SCHEME_ARITY = {"K": 2, "S": 3, "C": 2, "P": 2, "Q1": 2, "Q2": 2}
@@ -375,32 +393,52 @@ def _typable_bottom(ctx: Context, t: CTerm) -> bool:
     return isinstance(root, Bottom)
 
 
+def _head(t: CTerm, n: int) -> Optional[str]:
+    """The combinator at the head of t when t applies it to exactly n arguments."""
+    for _ in range(n):
+        if type(t) is not App:
+            return None
+        t = t.fun
+    return t.which if type(t) is Comb else None
+
+
 def _local_rules(node: CTerm) -> tuple[str, ...]:
-    """The rules other than simp that match at node, in priority order."""
-    match node:
-        case App(App(Comb("K", _), _), _):
-            return ("k",)
-        case App(App(App(Comb("S", _), _), _), _):
+    """The rules other than simp that match at node, in priority order.
+
+    Dispatches on the spine head: a leaf matches nothing, an application
+    only by its head combinator, a star only by the heads of its sides.
+    """
+    if type(node) is App:
+        head = node.fun.fun if type(node.fun) is App else None
+        if type(head) is Comb:
+            if head.which == "K":
+                return ("k",)
+            if head.which == "C":
+                if _head(node.fun.arg, 1) == "K" and is_identity(node.arg):
+                    return ("e_r",)
+                if is_identity(node.fun.arg) and _head(node.arg, 1) == "K":
+                    return ("e_l",)
+        elif type(head) is App and _head(head, 1) == "S":
             return ("s",)
-        case App(App(Comb("C", _), App(Comb("K", _), _)), i) if is_identity(i):
-            return ("e_r",)
-        case App(App(Comb("C", _), i), App(Comb("K", _), _)) if is_identity(i):
-            return ("e_l",)
-        case CStar(App(App(Comb("C", _), _), _), App(App(Comb("C", _), _), _)):
-            return ("c_r", "c_l")
-        case CStar(App(App(Comb("C", _), _), _), _):
-            return ("c_r",)
-        case CStar(_, App(App(Comb("C", _), _), _)):
-            return ("c_l",)
-        case CStar(App(App(Comb("P", _), _), _), App(Comb("Q1", _), _)):
-            return ("pq1",)
-        case CStar(App(App(Comb("P", _), _), _), App(Comb("Q2", _), _)):
-            return ("pq2",)
-        case CStar(App(Comb("Q1", _), _), App(App(Comb("P", _), _), _)):
-            return ("qp1",)
-        case CStar(App(Comb("Q2", _), _), App(App(Comb("P", _), _), _)):
-            return ("qp2",)
+        return ()
+    if type(node) is not CStar:
+        return ()
+    left, right = _head(node.left, 2), _head(node.right, 2)
+    if left == "C":
+        return ("c_r", "c_l") if right == "C" else ("c_r",)
+    if right == "C":
+        return ("c_l",)
+    if left == "P":
+        return {"Q1": ("pq1",), "Q2": ("pq2",)}.get(_head(node.right, 1), ())
+    if right == "P":
+        return {"Q1": ("qp1",), "Q2": ("qp2",)}.get(_head(node.left, 1), ())
     return ()
+
+
+def _simp_shaped(node: CTerm) -> bool:
+    """node is C (K u) (K v)."""
+    return (_head(node, 2) == "C" and _head(node.fun.arg, 1) == "K"
+            and _head(node.arg, 1) == "K")
 
 
 def iter_redexes_c(ctx: Optional[Context], t: CTerm) -> Iterator[CRedex]:
@@ -411,21 +449,21 @@ def iter_redexes_c(ctx: Optional[Context], t: CTerm) -> Iterator[CRedex]:
     once, when the walk first meets a simp-shaped node below the root.
     """
     typable = None
-    stack = [((), t)]
+    stack = [((), t)] if isinstance(t, _Compound) else []
     while stack:
         path, node = stack.pop()
         for rule in _local_rules(node):
             yield CRedex(rule, path)
-        match node:
-            case App(App(Comb("C", _), App(Comb("K", _), _)), App(Comb("K", _), _)) if path:
-                if typable is None:
-                    typable = ctx is not None and _typable_bottom(ctx, t)
-                if typable:
-                    yield CRedex("simp", path)
-        match node:
-            case App(l, r) | CStar(l, r):
-                stack.append((path + (1,), r))
-                stack.append((path + (0,), l))
+        if path and _simp_shaped(node):
+            if typable is None:
+                typable = ctx is not None and _typable_bottom(ctx, t)
+            if typable:
+                yield CRedex("simp", path)
+        left, right = (node.fun, node.arg) if type(node) is App else (node.left, node.right)
+        if isinstance(right, _Compound):
+            stack.append((path + (1,), right))
+        if isinstance(left, _Compound):
+            stack.append((path + (0,), left))
 
 
 def find_redexes_c(ctx: Optional[Context], t: CTerm) -> list[CRedex]:
@@ -433,29 +471,41 @@ def find_redexes_c(ctx: Optional[Context], t: CTerm) -> list[CRedex]:
     return list(iter_redexes_c(ctx, t))
 
 
+# The reduct of each local rule at a node it matches.
+_CONTRACT = {
+    "k": lambda n: n.fun.arg,  # K u v -> u
+    "s": lambda n: App(App(n.fun.fun.arg, n.arg), App(n.fun.arg, n.arg)),  # S u v w -> u w (v w)
+    "c_r": lambda n: CStar(App(n.left.fun.arg, n.right), App(n.left.arg, n.right)),  # C u v * w -> u w * v w
+    "c_l": lambda n: CStar(App(n.right.fun.arg, n.left), App(n.right.arg, n.left)),  # w * C u v -> u w * v w
+    "e_r": lambda n: n.fun.arg.arg,  # C (K u) I -> u
+    "e_l": lambda n: n.arg.arg,  # C I (K u) -> u
+    "pq1": lambda n: CStar(n.left.fun.arg, n.right.arg),  # P u v * Q1 w -> u * w
+    "pq2": lambda n: CStar(n.left.arg, n.right.arg),  # P u v * Q2 w -> v * w
+    "qp1": lambda n: CStar(n.left.arg, n.right.fun.arg),  # Q1 w * P u v -> w * u
+    "qp2": lambda n: CStar(n.left.arg, n.right.arg),  # Q2 w * P u v -> w * v
+}
+
+
 def reduce_at_c(t: CTerm, redex: CRedex) -> CTerm:
-    node = subterm_at(t, redex.path)
-    match redex.rule, node:
-        case ("k", App(App(Comb("K", _), u), _)):
-            return replace_at(t, redex.path, u)
-        case ("s", App(App(App(Comb("S", _), u), v), w)):
-            return replace_at(t, redex.path, App(App(u, w), App(v, w)))
-        case ("c_r", CStar(App(App(Comb("C", _), u), v), w)):
-            return replace_at(t, redex.path, CStar(App(u, w), App(v, w)))
-        case ("c_l", CStar(w, App(App(Comb("C", _), u), v))):
-            return replace_at(t, redex.path, CStar(App(u, w), App(v, w)))
-        case ("e_r", App(App(Comb("C", _), App(Comb("K", _), u)), i)) if is_identity(i):
-            return replace_at(t, redex.path, u)
-        case ("e_l", App(App(Comb("C", _), i), App(Comb("K", _), u))) if is_identity(i):
-            return replace_at(t, redex.path, u)
-        case ("pq1", CStar(App(App(Comb("P", _), u), _), App(Comb("Q1", _), w))):
-            return replace_at(t, redex.path, CStar(u, w))
-        case ("pq2", CStar(App(App(Comb("P", _), _), v), App(Comb("Q2", _), w))):
-            return replace_at(t, redex.path, CStar(v, w))
-        case ("qp1", CStar(App(Comb("Q1", _), w), App(App(Comb("P", _), u), _))):
-            return replace_at(t, redex.path, CStar(w, u))
-        case ("qp2", CStar(App(Comb("Q2", _), w), App(App(Comb("P", _), _), v))):
-            return replace_at(t, redex.path, CStar(w, v))
-        case ("simp", App(App(Comb("C", _), App(Comb("K", _), u)), App(Comb("K", _), v))) if redex.path:
-            return CStar(u, v)  # whole-term collapse
-    raise StaleRedex(f"{redex.rule} does not match at {redex.path}")
+    """Contract redex in t in one walk down its path and back up."""
+    path = redex.path
+    above, node = [], t
+    for i in path:
+        above.append(node)
+        if type(node) is App:
+            node = node.arg if i else node.fun
+        elif type(node) is CStar:
+            node = node.right if i else node.left
+        else:
+            raise StaleRedex(f"path {path} does not exist")
+    if redex.rule == "simp" and path and _simp_shaped(node):
+        return CStar(node.fun.arg.arg, node.arg.arg)  # whole-term collapse
+    if redex.rule not in _local_rules(node):
+        raise StaleRedex(f"{redex.rule} does not match at {path}")
+    new = _CONTRACT[redex.rule](node)
+    for i, up in zip(reversed(path), reversed(above)):
+        if type(up) is App:
+            new = App(up.fun, new) if i else App(new, up.arg)
+        else:
+            new = CStar(up.left, new) if i else CStar(new, up.right)
+    return new

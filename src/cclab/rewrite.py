@@ -272,8 +272,8 @@ class SNResult:
     reason: Optional[str] = None
 
 
-class _Budget(Exception):
-    pass
+class _Stop(Exception):
+    """Ends check_sn without a verdict of termination; args[0] is the reason."""
 
 
 def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
@@ -292,9 +292,9 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
         if key in memo:
             return memo[key]
         if key in on_stack:
-            raise _Cycle()
+            raise _Stop("reduction cycle found")
         if seen >= node_budget:
-            raise _Budget()
+            raise _Stop("node budget exceeded")
         seen += 1
         on_stack.add(key)
         best = 0
@@ -308,14 +308,8 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
     try:
         n = longest(t, engine.canon(t))
         return SNResult(True, n, seen)
-    except _Budget:
-        return SNResult(False, None, seen, "node budget exceeded")
-    except _Cycle:
-        return SNResult(False, None, seen, "reduction cycle found")
-
-
-class _Cycle(Exception):
-    pass
+    except _Stop as stop:
+        return SNResult(False, None, seen, stop.args[0])
 
 
 def _dot_quote(s: str) -> str:

@@ -1,8 +1,14 @@
+from collections import Counter
+from random import Random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cclab.ccl import (
     C_RULES,
     IDENT,
+    SCHEME_ARITY,
     AmbiguousTypeError,
     App,
     Comb,
@@ -19,10 +25,15 @@ from cclab.ccl import (
     infer_c,
     is_identity,
     reduce_at_c,
+    replace_at,
     scheme_type,
+    substitute_c,
+    subterm_at,
     term_size,
     term_vars,
 )
+from cclab.gen import atom_names, random_c, standard_context
+from cclab.syntax import parse_c, print_c
 from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, TypingError
 
 a, na = Atom("a"), NegAtom("a")
@@ -227,6 +238,13 @@ def test_subject_reduction_spot_checks():
 def test_stale_redex():
     with pytest.raises(StaleRedex):
         reduce_at_c(CVar("x"), CRedex("k", ()))
+    body = App(App(Comb("C"), App(Comb("K"), CVar("v"))), App(Comb("K"), CVar("u")))
+    with pytest.raises(StaleRedex):  # simp never applies at the root
+        reduce_at_c(body, CRedex("simp", ()))
+    with pytest.raises(StaleRedex):
+        reduce_at_c(CStar(CVar("p"), body), CRedex("simp", (0,)))
+    with pytest.raises(StaleRedex):
+        reduce_at_c(CStar(CVar("p"), body), CRedex("simp", (1, 0, 0)))
 
 
 def test_size_and_vars():
@@ -236,26 +254,98 @@ def test_size_and_vars():
     assert term_size(IDENT) == 5
 
 
+def test_equal_terms_hash_equal_whatever_their_origin():
+    def built():
+        return CStar(App(App(Comb("K"), CVar("x")), CVar("y")), App(Comb("S"), CVar("y")))
+
+    src = "K x y * S y"
+    parsed = parse_c(src)
+    assert parsed.left.span is not None
+    substituted = substitute_c(parse_c("K z y * S y"), "z", CVar("x"))
+    reduced = reduce_at_c(parse_c("K (K x y * S y) x"), CRedex("k", ()))
+    rebuilt = reduce_at_c(parse_c("K x y * S (K y x)"), CRedex("k", (1, 1)))
+    first = built()
+    h = hash(first)
+    warm_parts = built()
+    hash(warm_parts.left.fun)  # a subterm hashed first caches its own hash
+    for t in (built(), warm_parts, parsed, substituted, reduced, rebuilt):
+        assert t == first and hash(t) == h
+        assert hash(t) == h  # and keeps it
+    assert len({first, parsed, substituted, reduced, rebuilt}) == 1
+
+    u, v = CVar("x"), Comb("K")
+    assert App(u, v) != CStar(u, v)
+    assert App(u, v) != App(v, u) and CStar(u, v) != CStar(v, u)
+    assert len({App(u, v), CStar(u, v), App(v, u)}) == 3
+
+
 def _preorder_paths(t, at=()):
     yield at
     for i, c in enumerate(children(t)):
         yield from _preorder_paths(c, at + (i,))
 
 
+LOCAL = [r for r in C_RULES if r != "simp"]
+
+
+def _reference_reduct(rule, node):
+    """The reduct of rule at node by structural pattern, or None: the
+    reference the spine-head dispatch of ccl is checked against."""
+    match rule, node:
+        case ("k", App(App(Comb("K", _), u), _)):
+            return u
+        case ("s", App(App(App(Comb("S", _), u), v), w)):
+            return App(App(u, w), App(v, w))
+        case ("c_r", CStar(App(App(Comb("C", _), u), v), w)):
+            return CStar(App(u, w), App(v, w))
+        case ("c_l", CStar(w, App(App(Comb("C", _), u), v))):
+            return CStar(App(u, w), App(v, w))
+        case ("e_r", App(App(Comb("C", _), App(Comb("K", _), u)), i)) if is_identity(i):
+            return u
+        case ("e_l", App(App(Comb("C", _), i), App(Comb("K", _), u))) if is_identity(i):
+            return u
+        case ("pq1", CStar(App(App(Comb("P", _), u), _), App(Comb("Q1", _), w))):
+            return CStar(u, w)
+        case ("pq2", CStar(App(App(Comb("P", _), _), v), App(Comb("Q2", _), w))):
+            return CStar(v, w)
+        case ("qp1", CStar(App(Comb("Q1", _), w), App(App(Comb("P", _), u), _))):
+            return CStar(w, u)
+        case ("qp2", CStar(App(Comb("Q2", _), w), App(App(Comb("P", _), _), v))):
+            return CStar(w, v)
+    return None
+
+
+def _check_local_rules(t):
+    """Try every local rule at every path of t, in pre-order and rule order:
+    the matches must be the untyped redex list, reduce_at_c must give the
+    reference reduct for each and refuse every other pair. Returns the
+    matches as (rule, path)."""
+    oracle = []
+    for p in _preorder_paths(t):
+        for rule in LOCAL:
+            reduct = _reference_reduct(rule, subterm_at(t, p))
+            if reduct is None:
+                with pytest.raises(StaleRedex):
+                    reduce_at_c(t, CRedex(rule, p))
+            else:
+                assert reduce_at_c(t, CRedex(rule, p)) == replace_at(t, p, reduct)
+                oracle.append((rule, p))
+    assert [(r.rule, r.path) for r in find_redexes_c(None, t)] == oracle, t
+    return oracle
+
+
 def test_find_redexes_c_agrees_with_brute_force_matching():
     """Trying every rule at every path, in order, must give the redex list.
 
-    reduce_at_c re-matches patterns on its own before contracting, so it
-    serves as an independent oracle for the ten local rules; walking the
-    paths in pre-order and the rules in C_RULES order gives the expected
-    list order. simp needs typing and is checked as the only surplus, in
-    its place: last among the redexes at its path.
+    The structural patterns of _reference_reduct decide which local rules
+    match; walking the paths in pre-order and the rules in C_RULES order
+    gives the expected list order. simp needs typing and is checked as the
+    only surplus, in its place: last among the redexes at its path.
     """
-    from cclab.gen import atom_names, enumerate_c, enumerate_pre_terms, enumerate_star_terms
-    from cclab.gen import standard_context
+    from cclab.gen import enumerate_c, enumerate_pre_terms, enumerate_star_terms
     from cclab.translate import bracket_abstract
 
-    from cclab.syntax import parse_c, parse_context
+    from cclab.syntax import parse_context
 
     ctx = standard_context(2)
     names = ("x", "y")
@@ -263,27 +353,21 @@ def test_find_redexes_c_agrees_with_brute_force_matching():
     terms += enumerate_pre_terms(names, 5) + enumerate_star_terms(names, 5)
     terms += [App(bracket_abstract("x", u), v)
               for u in enumerate_pre_terms(names, 4) for v in enumerate_pre_terms(names, 2)]
-    terms += [CStar(bracket_abstract("x", u), u) for u in enumerate_star_terms(names, 4)]
+    for u in enumerate_star_terms(names, 4):
+        abstracted = bracket_abstract("x", u)
+        terms += [CStar(abstracted, u), CStar(u, abstracted), CStar(abstracted, abstracted)]
     cases = [(ctx, t) for t in terms]
     # simp needs a bottom-typed term larger than the enumerated corpus
     witness_ctx = parse_context("y : ~a, z : a, y' : ~b, z' : b, u : a, v : ~a")
     for src in ("C (K y) (K z) * C (K y') (K z')", "C (K y) (K z) * u",
                 "u * K (C (K y) (K z)) v", "C (K (C (K y) (K z) * u)) (K z) * u"):
         cases.append((witness_ctx, parse_c(src)))
-    local = [r for r in C_RULES if r != "simp"]
-    simps = 0
+    simps, rules, both_c = 0, Counter(), 0
     for ctx, t in cases:
         position = {p: i for i, p in enumerate(_preorder_paths(t))}
-        oracle = []
-        for p in position:
-            for rule in local:
-                try:
-                    reduce_at_c(t, CRedex(rule, p))
-                except StaleRedex:
-                    continue
-                oracle.append((rule, p))
-        untyped = [(r.rule, r.path) for r in find_redexes_c(None, t)]
-        assert untyped == oracle, t
+        oracle = _check_local_rules(t)
+        rules.update(rule for rule, _ in oracle)
+        both_c += ("c_l", ()) in oracle and ("c_r", ()) in oracle
         typed = [(r.rule, r.path) for r in find_redexes_c(ctx, t)]
         surplus = [x for x in typed if x not in oracle]
         assert all(rule == "simp" for rule, _ in surplus)
@@ -293,3 +377,51 @@ def test_find_redexes_c_agrees_with_brute_force_matching():
             reduce_at_c(t, CRedex(rule, p))
         simps += len(surplus)
     assert simps  # the corpus exercises simp
+    assert set(rules) == set(LOCAL), rules  # and every local rule
+    assert both_c  # and c_r with c_l at one node
+
+
+# The arguments each head takes on the left-hand side of its rules.
+_ARGS = {Comb("K"): 2, Comb("S"): 3, Comb("C"): 2, Comb("P"): 2,
+         Comb("Q1"): 1, Comb("Q2"): 1, IDENT: 1}
+
+
+def _applied(head, args):
+    for arg in args:
+        head = App(head, arg)
+    return head
+
+
+def _applied_or_star(sub):
+    applied = st.sampled_from(list(_ARGS)).flatmap(
+        lambda h: st.lists(sub, min_size=max(1, _ARGS[h] - 1), max_size=_ARGS[h] + 1)
+        .map(lambda args: _applied(h, args)))
+    side = applied | sub
+    return applied | st.builds(CStar, side, side)
+
+
+# A variable, a combinator, a star, or a combinator applied to one argument
+# fewer than its rules take, as many, or one more: redex shapes and near
+# misses both occur often, in stars too.
+_UNTYPED = st.recursive(st.sampled_from([CVar("x"), CVar("y"), *_ARGS]),
+                        _applied_or_star, max_leaves=8)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_UNTYPED)
+def test_untyped_redexes_agree_with_matching_past_the_exhaustive_bound(t):
+    _check_local_rules(t)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(11, 15))
+def test_subject_reduction_past_the_exhaustive_bound(seed, max_size):
+    ctx, rng = standard_context(2), Random(seed)
+    for _ in range(100):
+        ty, t = random_c(ctx, atom_names(2), max_size, rng)
+        if term_size(t) > 9:  # the suites cover every typable term up to 9
+            break
+    assume(term_size(t) > 9)
+    assert infer_c(ctx, t) == ty
+    for r in find_redexes_c(ctx, t):
+        assert infer_c(ctx, reduce_at_c(t, r)) == ty, (print_c(t), r)

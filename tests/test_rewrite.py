@@ -82,6 +82,8 @@ def test_check_sn_terminating():
     assert check_sn(C_ENGINE, None, parse_c("x")).max_path == 0
     res = check_sn(C_ENGINE, None, parse_c("I x"))
     assert res.terminating and res.max_path == 2
+    cut = check_sn(C_ENGINE, None, parse_c("I x"), node_budget=2)
+    assert not cut.terminating and cut.reason == "node budget exceeded"
 
 
 def test_explore_nonconfluence_lambda_side():
