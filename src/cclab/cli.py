@@ -206,7 +206,7 @@ def cmd_step(args) -> int:
             return 0
         if line in ("q", "quit", "exit"):
             return 0
-        if not line.isdigit() or int(line) >= len(rds):
+        if not (line.isascii() and line.isdigit()) or int(line) >= len(rds):
             print(f"choose an index 0..{len(rds) - 1} or q")
             continue
         cur = eng.step(cur, rds[int(line)])

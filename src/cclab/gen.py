@@ -114,17 +114,6 @@ def combinator_variants(atoms: Iterable[str]) -> list[Comb]:
     return out
 
 
-def c_weight(t: CTerm) -> int:
-    match t:
-        case CVar(_) | Comb(_, _):
-            return 1
-        case App(f, a):
-            return 1 + c_weight(f) + c_weight(a)
-        case CStar(l, r):
-            return 1 + c_weight(l) + c_weight(r)
-    raise TypeError(f"not a c-term: {t!r}")
-
-
 def ls_weight(t: LsTerm) -> int:
     match t:
         case Var(_):

@@ -11,20 +11,26 @@ star, y not free in v, p not the root, and no enclosing binder of p
 capturing a free variable of v (otherwise t could not be decomposed as
 u[x:=v] with a lone bottom-typed x under that lambda). Contracting
 replaces the WHOLE term by v.
+
+Each node keeps its free variables once free_vars has computed them (the
+``_fv`` slot), so repeated queries on a term cost one attribute read and
+nothing outlives the term. alpha_eq compares two terms in one lockstep
+walk; canonical() builds the renamed representative the search engines key
+their visited sets by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 from .types import BOTTOM, Bottom, Conj, Disj, MType, Ty, TypingError, negate
 
 
-@dataclass(frozen=True, slots=True)
 class LsTerm:
-    pass
+    """A term node; ``_fv`` holds its free variables once free_vars asks."""
+
+    __slots__ = ("_fv",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,18 +149,27 @@ def term_size(t: LsTerm) -> int:
     return 1 + sum(term_size(c) for c in children(t))
 
 
-@lru_cache(maxsize=None)
 def free_vars(t: LsTerm) -> frozenset[str]:
+    """The free variables of t, computed once per node and kept on it."""
+    try:
+        return t._fv
+    except AttributeError:
+        pass
     match t:
         case Var(x):
-            return frozenset((x,))
+            out = frozenset((x,))
         case Lam(x, _, b):
-            return free_vars(b) - {x}
+            out = free_vars(b)
+            if x in out:
+                out = out - {x}
+        case Star(l, r) | Pair(l, r):
+            out = free_vars(l) | free_vars(r)
+        case Inj1(b, _) | Inj2(b, _):
+            out = free_vars(b)
         case _:
-            out: frozenset[str] = frozenset()
-            for c in children(t):
-                out |= free_vars(c)
-            return out
+            raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_fv", out)
+    return out
 
 
 def _fresh(base: str, avoid) -> str:
@@ -212,7 +227,37 @@ def canonical(t: LsTerm) -> LsTerm:
 
 
 def alpha_eq(a: LsTerm, b: LsTerm) -> bool:
-    return canonical(a) == canonical(b)
+    """Equal up to the names of bound variables.
+
+    Walks both terms in step; each side maps its binders in scope to their
+    nesting depth, so two bound variables agree when their binders sit at
+    the same depth, and free variables agree by name. Unlike comparing
+    canonical() forms, a free variable literally named ``!n`` never equals
+    a bound one (the parser cannot produce such a name).
+    """
+    stack = [(a, b, {}, {}, 0)]  # a-side node, b-side node, both maps, depth
+    while stack:
+        s, t, s_env, t_env, depth = stack.pop()
+        cls = type(s)
+        if cls is not type(t):
+            return False
+        if cls is Var:
+            i, j = s_env.get(s.name), t_env.get(t.name)
+            if i != j or (i is None and s.name != t.name):
+                return False
+        elif cls is Lam:
+            if s.ann != t.ann:
+                return False
+            stack.append((s.body, t.body, {**s_env, s.var: depth},
+                          {**t_env, t.var: depth}, depth + 1))
+        elif cls is Star or cls is Pair:
+            stack.append((s.right, t.right, s_env, t_env, depth))
+            stack.append((s.left, t.left, s_env, t_env, depth))
+        else:  # Inj1 or Inj2
+            if s.ann != t.ann:
+                return False
+            stack.append((s.body, t.body, s_env, t_env, depth))
+    return True
 
 
 def infer(ctx: Context, t: LsTerm) -> Ty:

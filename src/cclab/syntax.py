@@ -18,12 +18,18 @@ Claim files hold one judgment per line: `CTX |- term : type` or
 `term =>* term [max N]` (optionally with a `CTX |-` prefix). Lines whose
 first non-blank character is `#` are comments; `@ctx NAME : TYPE, ...`
 sets a default context for the lines after it.
+
+The lexer is one token table: a compiled regular expression with one
+alternative per token class, walked once with finditer. Token spans are
+byte offsets into the UTF-8 source; numbers are ASCII digits only.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import accumulate
+from typing import NamedTuple, Optional, Union
 
 from .ccl import App, Comb, CStar, CTerm, CVar, IDENT, SCHEME_ARITY
 from .lambda_sym import Inj1, Inj2, Lam, LsTerm, Pair, Star, Var
@@ -59,107 +65,60 @@ class ParseError(Exception):
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    start: int
+    start: int  # byte offsets into the UTF-8 source
     end: int
 
 
-_SINGLE = {
+_SYMBOLS = {
+    "|-": "TURNSTILE", "=>*": "REDUCES", "|": "PIPE",
     "(": "LPAREN", ")": "RPAREN", "<": "LANGLE", ">": "RANGLE",
     ",": "COMMA", "*": "STAR", "\\": "LAMBDA", ".": "DOT", ":": "COLON",
     "&": "AMP", "~": "TILDE", "#": "HASH", "[": "LBRACK", "]": "RBRACK",
-}
-_UNI_SINGLE = {
     "λ": "LAMBDA", "⋆": "STAR", "∧": "AMP", "∨": "PIPE",
     "⊥": "BOT", "⟨": "LANGLE", "⟩": "RANGLE", "⊢": "TURNSTILE",
 }
+_SIGMA = {"σ1": "s1", "σ₁": "s1", "σ2": "s2", "σ₂": "s2"}
 _COMB_NAMES = frozenset({"K", "S", "C", "P", "Q1", "Q2", "I"})
-_NAME_CONT = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'")
+# One alternative per token class, after optional blanks; a character no
+# class takes falls to ERROR. Longer symbols come first, so |- beats |.
+_BLANKS = " \t\r\n"
+_SYMBOL_RE = "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True)))
+_TOKEN = re.compile(
+    f"[{_BLANKS}]*(?:(?P<SYMBOL>{_SYMBOL_RE})|(?P<NAME>[a-z_][A-Za-z0-9_'′]*)"
+    f"|(?P<COMB>[A-Z][A-Z0-9]*)|(?P<NUMBER>[0-9]+)|(?P<SIGMA>σ[12₁₂]?)"
+    f"|(?P<ERROR>[^{_BLANKS}]))"
+)
 
 
 def lex(src: str) -> list[Token]:
+    # offs[i] is the byte offset of character i (surrogates count 3 bytes)
+    offs = range(len(src) + 1) if src.isascii() else list(accumulate(
+        (len(ch.encode("utf-8", "surrogatepass")) for ch in src), initial=0))
     toks: list[Token] = []
-    i, bo, n = 0, 0, len(src)
-    while i < n:
-        ch = src[i]
-        blen = len(ch.encode("utf-8"))
-        if ch in " \t\r\n":
-            i += 1
-            bo += blen
-            continue
-        start = bo
-        if src.startswith("|-", i):
-            toks.append(Token("TURNSTILE", "|-", start, start + 2))
-            i += 2
-            bo += 2
-            continue
-        if src.startswith("=>*", i):
-            toks.append(Token("REDUCES", "=>*", start, start + 3))
-            i += 3
-            bo += 3
-            continue
-        if ch == "|":
-            toks.append(Token("PIPE", "|", start, start + 1))
-            i += 1
-            bo += 1
-            continue
-        if ch in _UNI_SINGLE:
-            toks.append(Token(_UNI_SINGLE[ch], ch, start, start + blen))
-            i += 1
-            bo += blen
-            continue
-        if ch == "σ":
-            sub = src[i + 1] if i + 1 < n else ""
-            digits = {"1": "s1", "2": "s2", "₁": "s1", "₂": "s2"}
-            if sub not in digits:
-                raise ParseError("σ must be followed by 1 or 2", (start, start + blen))
-            w = blen + len(sub.encode("utf-8"))
-            toks.append(Token("NAME", digits[sub], start, start + w))
-            i += 2
-            bo += w
-            continue
-        if ch in _SINGLE:
-            toks.append(Token(_SINGLE[ch], ch, start, start + 1))
-            i += 1
-            bo += 1
-            continue
-        if (ch.isascii() and ch.islower()) or ch == "_":
-            j = i + 1
-            while j < n and (src[j] in _NAME_CONT or src[j] == "′"):
-                j += 1
-            text = src[i:j].replace("′", "'")
-            w = len(src[i:j].encode("utf-8"))
-            toks.append(Token("NAME", text, start, start + w))
-            i = j
-            bo += w
-            continue
-        if ch.isascii() and ch.isupper():
-            j = i + 1
-            while j < n and src[j].isascii() and (src[j].isupper() or src[j].isdigit()):
-                j += 1
-            text = src[i:j]
-            if text not in _COMB_NAMES:
-                raise ParseError(
-                    f"unknown combinator '{text}' (expected K, S, C, P, Q1, Q2 or I)",
-                    (start, start + len(text)),
-                )
-            toks.append(Token("COMB", text, start, start + len(text)))
-            i = j
-            bo += len(text)
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("NUMBER", src[i:j], start, start + (j - i)))
-            bo += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", (start, start + blen))
-    toks.append(Token("EOF", "", bo, bo))
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        i, j = m.span(kind)
+        text = m[kind]
+        if kind == "SYMBOL":
+            kind = _SYMBOLS[text]
+        elif kind == "NAME":
+            text = text.replace("′", "'")
+        elif kind == "COMB" and text not in _COMB_NAMES:
+            raise ParseError(
+                f"unknown combinator '{text}' (expected K, S, C, P, Q1, Q2 or I)",
+                (offs[i], offs[j]),
+            )
+        elif kind == "SIGMA":
+            if text not in _SIGMA:
+                raise ParseError("σ must be followed by 1 or 2", (offs[i], offs[j]))
+            kind, text = "NAME", _SIGMA[text]
+        elif kind == "ERROR":
+            raise ParseError(f"unexpected character {text!r}", (offs[i], offs[j]))
+        toks.append(Token(kind, text, offs[i], offs[j]))
+    toks.append(Token("EOF", "", offs[-1], offs[-1]))
     return toks
 
 
@@ -183,8 +142,8 @@ class _P:
         self.depth -= 1
         return out
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def advance(self) -> Token:
         t = self.toks[self.pos]

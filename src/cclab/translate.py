@@ -27,7 +27,9 @@ from .ccl import (
     CStar,
     CTerm,
     CVar,
+    contains_star,
     ground_type_of,
+    scheme_type,
     term_vars,
 )
 from .lambda_sym import (
@@ -42,6 +44,7 @@ from .lambda_sym import (
     free_vars,
 )
 from .types import (
+    BOTTOM,
     Bottom,
     Conj,
     Disj,
@@ -56,11 +59,6 @@ class TranslationError(Exception):
     pass
 
 
-def contains_star_c(t: CTerm) -> bool:
-    from .ccl import contains_star
-    return contains_star(t)
-
-
 # ---- lambda -> combinators ----
 
 
@@ -72,7 +70,7 @@ def bracket_abstract(x: str, t: CTerm) -> CTerm:
         case CStar(l, r):
             return App(App(Comb("C"), bracket_abstract(x, l)), bracket_abstract(x, r))
     if x not in term_vars(t):
-        if contains_star_c(t):
+        if contains_star(t):
             raise TranslationError(
                 "cannot abstract over a term that is neither a pre-term "
                 "nor a star of pre-terms"
@@ -172,7 +170,7 @@ def _phi_typed(ctx: dict, t: LsTerm) -> tuple[Ty, CTerm]:
             rt, ri = _phi_typed(ctx, r)
             if isinstance(lt, Bottom) or isinstance(rt, Bottom) or lt != negate(rt):
                 raise TypingError("sides of * are not dual m-types")
-            return _bottom(), CStar(li, ri)
+            return BOTTOM, CStar(li, ri)
         case Pair(l, r):
             lt, li = _phi_typed(ctx, l)
             rt, ri = _phi_typed(ctx, r)
@@ -190,11 +188,6 @@ def _phi_typed(ctx: dict, t: LsTerm) -> tuple[Ty, CTerm]:
                 raise TypingError("injection body does not match the right disjunct")
             return ann, App(Comb("Q2", (ann.left, ann.right)), bi)
     raise TypeError(f"not a term: {t!r}")
-
-
-def _bottom():
-    from .types import BOTTOM
-    return BOTTOM
 
 
 # ---- combinators -> lambda ----
@@ -229,8 +222,6 @@ def pair_app(u: LsTerm, v: LsTerm, result: MType) -> LsTerm:
 
 def psi_comb(which: str, inst: tuple[MType, ...]) -> LsTerm:
     """The lambda image of one instantiated combinator."""
-    from .ccl import scheme_type
-
     scheme = scheme_type(which, inst)
     t0 = negate(scheme)
     x = Var("x")
@@ -283,7 +274,6 @@ def psi(t: CTerm, ctx: Mapping[str, Ty]) -> LsTerm:
                         f"{which} lacks a type instantiation; "
                         "elaborate the term first"
                     )
-                from .ccl import scheme_type
                 return scheme_type(which, inst), psi_comb(which, inst)
             case App(f, a):
                 ft, fi = go(f)
@@ -296,7 +286,7 @@ def psi(t: CTerm, ctx: Mapping[str, Ty]) -> LsTerm:
                 rt, ri = go(r)
                 if isinstance(lt, Bottom) or isinstance(rt, Bottom) or lt != negate(rt):
                     raise TypingError("sides of * are not dual m-types")
-                return _bottom(), Star(li, ri)
+                return BOTTOM, Star(li, ri)
         raise TypeError(f"not a term: {node!r}")
 
     return go(t)[1]

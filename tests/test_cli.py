@@ -91,6 +91,16 @@ def test_check_claims_file_reports_failures(tmp_path, capsys):
     assert "1/2 claims hold" in out
 
 
+def test_check_claims_file_with_a_subscript_step_bound(tmp_path, capsys):
+    claims = tmp_path / "claims.txt"
+    claims.write_text("@ctx u : a\nu * v =>* u * v [max ₁]\n")
+    rc, _, err = run(capsys, "check", str(claims))
+    assert rc == 2
+    assert err.count("\n") == 1 and "error:" in err
+    assert "line 2: unexpected character '₁' (bytes 21..24)" in err
+    assert "int()" not in err
+
+
 def test_check_claims_file_json(tmp_path, capsys):
     claims = tmp_path / "claims.txt"
     claims.write_text("@ctx u : a\nu : a\nK I =>* x\n")
@@ -180,11 +190,11 @@ def test_step_stops_at_normal_form(capsys, monkeypatch):
 
 
 def test_step_rejects_bad_choice_and_continues(capsys, monkeypatch):
-    feed = iter(["17", "q"])
+    feed = iter(["17", "²", "q"])  # out of range, then not an ASCII number
     monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
     rc, out, _ = run(capsys, "step", "--ccl", "I x")
     assert rc == 0
-    assert "choose an index" in out
+    assert out.count("choose an index") == 2
 
 
 # ---------------------------------------------------------------- graph

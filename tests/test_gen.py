@@ -1,10 +1,9 @@
 from random import Random
 
-from cclab.ccl import App, Comb, CStar, CVar, infer_c
+from cclab.ccl import CStar, CVar, infer_c, term_size
 from cclab.gen import (
     atom_names,
     atom_pool,
-    c_weight,
     combinator_variants,
     enumerate_c,
     enumerate_ls,
@@ -62,7 +61,7 @@ def test_enumerate_c_small():
     stars = [t for ty, t in corpus if isinstance(t, CStar)]
     assert stars == [CStar(CVar("u"), CVar("v")), CStar(CVar("v"), CVar("u"))]
     # size 1 is the two variables plus every instantiated combinator
-    assert sum(1 for _, t in corpus if c_weight(t) == 1) == 2 + 28
+    assert sum(1 for _, t in corpus if term_size(t) == 1) == 2 + 28
 
 
 def test_enumerate_c_all_typable():
@@ -70,7 +69,7 @@ def test_enumerate_c_all_typable():
     corpus = enumerate_c(ctx, 7, atom_names(2))
     assert corpus
     for ty, t in corpus:
-        assert c_weight(t) <= 7
+        assert term_size(t) <= 7
         assert infer_c(ctx, t) == ty
 
 
@@ -104,7 +103,7 @@ def test_random_generators_typable_and_seeded():
     for seed in range(8):
         ty, t = random_c(ctx, atom_names(2), 15, Random(seed))
         assert infer_c(ctx, t) == ty
-        assert c_weight(t) <= 15
+        assert term_size(t) <= 15
         ty2, t2 = random_c(ctx, atom_names(2), 15, Random(seed))
         assert (ty2, t2) == (ty, t)
     for seed in range(8):

@@ -1,5 +1,10 @@
-import pytest
+from random import Random
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cclab.gen import atom_names, ls_weight, random_ls, standard_context
 from cclab.lambda_sym import (
     LS_RULES,
     Inj1,
@@ -20,6 +25,7 @@ from cclab.lambda_sym import (
     subterm_at,
     term_size,
 )
+from cclab.syntax import parse_ls, print_ls
 from cclab.types import BOTTOM, Atom, Bottom, Conj, Disj, NegAtom, TypingError
 
 a, na = Atom("a"), NegAtom("a")
@@ -53,6 +59,95 @@ def test_alpha_eq():
     assert alpha_eq(t1, t2)
     assert not alpha_eq(t1, t3)  # annotation differs
     assert not alpha_eq(t1, Lam("z", a, Star(Var("w"), Var("z"))))
+    assert not alpha_eq(t1, Lam("x", a, Star(Var("x"), Var("v"))))  # free names count
+    assert not alpha_eq(Inj1(Var("u"), Disj(a, b)), Inj1(Var("u"), Disj(a, a)))
+    assert not alpha_eq(Inj1(Var("u"), Disj(a, b)), Inj2(Var("u"), Disj(a, b)))
+
+
+def test_alpha_eq_under_shadowing():
+    # the inner x shadows the outer one: renaming it (and its uses) to z is
+    # harmless, renaming the binder alone points x back at the outer one
+    t = parse_ls("\\x:a. \\x:a. \\y:a. y * x")
+    assert alpha_eq(t, parse_ls("\\x:a. \\z:a. \\y:a. y * z"))
+    assert not alpha_eq(t, parse_ls("\\x:a. \\z:a. \\y:a. y * x"))
+    assert alpha_eq(parse_ls("\\x:a. <\\x:a. x * x, x> * v"),
+                    parse_ls("\\y:a. <\\z:a. z * z, y> * v"))
+    assert not alpha_eq(parse_ls("\\x:a. <\\x:a. x * x, x> * v"),
+                        parse_ls("\\y:a. <\\z:a. z * y, y> * v"))
+    # a free variable is never equal to a bound one, whatever its name;
+    # canonical forms cannot tell a free '!0' from the binder they rename
+    free = Lam("x", a, Star(Var("x"), Var("!0")))
+    bound = Lam("y", a, Star(Var("y"), Var("y")))
+    assert canonical(free) == canonical(bound)
+    assert not alpha_eq(free, bound)
+
+
+def test_free_vars_are_kept_on_the_node_without_touching_its_hash():
+    t = Lam("x", a, Star(Var("x"), Pair(Var("y"), Var("z"))))
+    h = hash(t)
+    assert h == hash(("x", a, t.body))  # the dataclass hash of the fields
+    assert free_vars(t) == frozenset({"y", "z"})
+    assert free_vars(t) is free_vars(t)
+    assert free_vars(t.body.right) is free_vars(t.body.right)
+    assert hash(t) == h
+    assert t == Lam("x", a, Star(Var("x"), Pair(Var("y"), Var("z"))))
+
+
+def _past_the_exhaustive_bound(seed: int, max_size: int):
+    """The first random_ls term above size 9 from this seed, if any."""
+    ctx, rng = standard_context(2), Random(seed)
+    for _ in range(100):
+        _, t = random_ls(ctx, atom_names(2), max_size, rng)
+        if ls_weight(t) > 9:  # the suites cover every typable term up to 9
+            return t
+    return None
+
+
+def _rename_binders(t, rng: Random, names):
+    """t with every binder renamed to a name from names, uses following it.
+
+    Not capture-avoiding: a name already in use can capture, so the result
+    may or may not be alpha-equivalent to t.
+    """
+    def go(node, env):
+        match node:
+            case Var(x):
+                return Var(env.get(x, x))
+            case Lam(x, ann, body):
+                y = rng.choice(names)
+                return Lam(y, ann, go(body, {**env, x: y}))
+            case Star(l, r):
+                return Star(go(l, env), go(r, env))
+            case Pair(l, r):
+                return Pair(go(l, env), go(r, env))
+            case Inj1(body, ann):
+                return Inj1(go(body, env), ann)
+            case Inj2(body, ann):
+                return Inj2(go(body, env), ann)
+
+    return go(t, {})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(11, 15))
+def test_round_trip_past_the_exhaustive_bound(seed, max_size):
+    t = _past_the_exhaustive_bound(seed, max_size)
+    assume(t is not None)
+    assert alpha_eq(parse_ls(print_ls(t)), t)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(11, 15))
+def test_alpha_eq_agrees_with_canonical_forms(seed, other_seed, max_size):
+    s = _past_the_exhaustive_bound(seed, max_size)
+    t = _past_the_exhaustive_bound(other_seed, max_size)
+    assume(s is not None and t is not None)
+    rng = Random(seed ^ other_seed)
+    fresh = _rename_binders(s, rng, [f"b{i}" for i in range(3)])
+    clashing = _rename_binders(s, rng, ["x0", "x1", "u", "v"])
+    assert alpha_eq(s, fresh) and alpha_eq(fresh, s)
+    for x, y in [(s, t), (s, clashing), (fresh, clashing), (t, clashing), (s, s)]:
+        assert alpha_eq(x, y) == (canonical(x) == canonical(y)), (print_ls(x), print_ls(y))
 
 
 def test_canonical_is_stable_under_renaming():

@@ -7,6 +7,7 @@ from cclab.syntax import (
     ParseError,
     ReductionClaim,
     TypingClaim,
+    lex,
     parse_c,
     parse_claims,
     parse_context,
@@ -231,6 +232,25 @@ def test_spans_point_into_source():
     t = parse_ls(src)
     s, e = t.span
     assert src.encode()[s:e].decode().startswith("λ")
+    # every token's byte span slices out exactly its own source characters
+    pieces = ["λ", "x′", ":", "(", "a", "∧", "b", ")", "∨", "a", "⊥", ".", "y′′",
+              "⋆", "⟨", "σ1", "(", "x", ":", "a", "∨", "⊥", ")", ",", "z", "⟩",
+              "|-", "=>*", "[", "max", "12", "]", "Q2", "#", "~", "b", "*", "\\"]
+    src = " ".join(pieces)
+    toks = lex(src)
+    raw = src.encode()
+    assert [raw[tk.start:tk.end].decode() for tk in toks[:-1]] == pieces
+    assert toks[-1].kind == "EOF" and toks[-1].start == toks[-1].end == len(raw)
+    assert [tk.text for tk in toks if tk.kind == "NAME"][:3] == ["x'", "a", "b"]
+    assert ("NAME", "s1") in {(tk.kind, tk.text) for tk in toks}
+
+
+def test_lex_takes_ascii_digits_only():
+    # a subscript digit is a character, not a number, and spans count bytes
+    with pytest.raises(ParseError) as ei:
+        lex("λ₂")
+    assert str(ei.value) == "unexpected character '₂' (bytes 2..5)"
+    assert [tk.text for tk in lex("σ₂ 07")] == ["s2", "07", ""]
 
 
 @pytest.mark.parametrize("parse, nested", [
