@@ -13,6 +13,9 @@ subterm at a non-root path contracts, as a whole, to ``U * V``. Rule
 matching ignores instantiations (reduction is syntactic) and dispatches on
 the spine head: the head combinator of an application, or of each side of
 a star. App and CStar nodes keep their structural hash after the first use.
+
+Each node class names its child fields in ``KIDS``; paths, sizes and
+rebuilding come from ``node``, and ``reduce_at_c`` raises its ``StaleRedex``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
+from .node import StaleRedex, children, rebuild
 from .types import (
     BOTTOM,
     Bottom,
@@ -32,7 +36,6 @@ from .types import (
     Substitution,
     Ty,
     TypingError,
-    UnificationError,
     metavar_idents,
     negate,
     unify,
@@ -41,7 +44,7 @@ from .types import (
 
 @dataclass(frozen=True, slots=True)
 class CTerm:
-    pass
+    KIDS = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +76,7 @@ class _Compound(CTerm):
 
 @dataclass(frozen=True, slots=True)
 class App(_Compound):
+    KIDS = ("fun", "arg")
     fun: CTerm
     arg: CTerm
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
@@ -81,6 +85,7 @@ class App(_Compound):
 
 @dataclass(frozen=True, slots=True)
 class CStar(_Compound):
+    KIDS = ("left", "right")
     left: CTerm
     right: CTerm
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
@@ -105,10 +110,6 @@ class TermClass(enum.Enum):
 class CRedex:
     rule: str
     path: tuple[int, ...]
-
-
-class StaleRedex(Exception):
-    pass
 
 
 class AmbiguousTypeError(TypingError):
@@ -145,56 +146,10 @@ def scheme_type(which: str, params: Sequence[MType]) -> MType:
     raise TypingError(f"unknown combinator {which}")
 
 
-def children(t: CTerm) -> tuple[CTerm, ...]:
-    match t:
-        case CVar() | Comb():
-            return ()
-        case App(f, a):
-            return (f, a)
-        case CStar(l, r):
-            return (l, r)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _rebuild(t: CTerm, kids: tuple[CTerm, ...]) -> CTerm:
-    match t:
-        case App(_, _):
-            return App(kids[0], kids[1])
-        case CStar(_, _):
-            return CStar(kids[0], kids[1])
-    raise TypeError(f"not a compound term: {t!r}")
-
-
-def subterm_at(t: CTerm, path: tuple[int, ...]) -> CTerm:
-    for i in path:
-        kids = children(t)
-        if i >= len(kids):
-            raise StaleRedex(f"path {path} does not exist")
-        t = kids[i]
-    return t
-
-
-def replace_at(t: CTerm, path: tuple[int, ...], new: CTerm) -> CTerm:
-    if not path:
-        return new
-    kids = list(children(t))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return _rebuild(t, tuple(kids))
-
-
-def term_size(t: CTerm) -> int:
-    return 1 + sum(term_size(c) for c in children(t))
-
-
 def term_vars(t: CTerm) -> frozenset[str]:
-    match t:
-        case CVar(x):
-            return frozenset((x,))
-        case _:
-            out: frozenset[str] = frozenset()
-            for c in children(t):
-                out |= term_vars(c)
-            return out
+    if type(t) is CVar:
+        return frozenset((t.name,))
+    return frozenset().union(*[term_vars(c) for c in children(t)])
 
 
 def substitute_c(t: CTerm, x: str, v: CTerm) -> CTerm:
@@ -205,7 +160,7 @@ def substitute_c(t: CTerm, x: str, v: CTerm) -> CTerm:
         case CVar() | Comb():
             return t
         case _:
-            return _rebuild(t, tuple(substitute_c(c, x, v) for c in children(t)))
+            return rebuild(t, [substitute_c(c, x, v) for c in children(t)])
 
 
 def contains_star(t: CTerm) -> bool:
@@ -337,19 +292,16 @@ def elaborate(ctx: Context, t: CTerm) -> tuple[Ty, CTerm]:
     if not isinstance(root, Bottom) and metavar_idents(root):
         raise AmbiguousTypeError("cannot elaborate: result type is unconstrained")
 
-    def rebuild(node: CTerm, path: tuple[int, ...]) -> CTerm:
+    def fill(node: CTerm, path: tuple[int, ...]) -> CTerm:
         match node:
             case Comb(sym, _):
                 return Comb(sym, solved[path])
             case CVar():
                 return node
             case _:
-                kids = tuple(
-                    rebuild(c, path + (i,)) for i, c in enumerate(children(node))
-                )
-                return _rebuild(node, kids)
+                return rebuild(node, [fill(c, path + (i,)) for i, c in enumerate(children(node))])
 
-    return root, rebuild(t, ())
+    return root, fill(t, ())
 
 
 def ground_type_of(ctx: Context, t: CTerm) -> Ty:

@@ -19,9 +19,8 @@ import sys
 from random import Random
 from typing import Optional
 
-from .ccl import infer_c
 from .gen import atom_names, enumerate_c, enumerate_ls, random_c, random_ls, standard_context
-from .lambda_sym import infer
+from .node import subterm_at
 from .rewrite import (
     FuelExhausted,
     ReachabilityQuery,
@@ -46,7 +45,7 @@ from .syntax import (
 )
 from .translate import TranslationError, phi, psi
 from .types import TypingError
-from .verify import SUITES, run_suite
+from .verify import SUITES, resolve_suite, run_suite
 
 
 def _merge_ctx(chunks: list[str]) -> Optional[dict]:
@@ -94,9 +93,8 @@ def _check_claims_file(args) -> int:
     records = []
     for claim in claims:
         if isinstance(claim, TypingClaim):
-            fn = infer if claim.calculus == "ls" else infer_c
             try:
-                got = fn(claim.ctx, claim.term)
+                got = engine_for(claim.calculus).typeof(claim.ctx, claim.term)
                 ok = got == claim.ty
                 got_s = print_type(got)
             except TypingError as e:
@@ -105,8 +103,8 @@ def _check_claims_file(args) -> int:
                             "claim": claim.text, "ok": ok, "got": got_s})
         else:
             eng = engine_for(claim.calculus)
-            q = ReachabilityQuery(claim.source, claim.target,
-                                  max_steps=claim.max_steps or 50)
+            steps = 50 if claim.max_steps is None else claim.max_steps
+            q = ReachabilityQuery(claim.source, claim.target, max_steps=steps)
             ok, _ = reaches(eng, claim.ctx, q)
             records.append({"line": claim.line_no, "kind": "reduction",
                             "claim": claim.text, "ok": ok})
@@ -130,9 +128,9 @@ def cmd_check(args) -> int:
         return _check_claims_file(args)
     calc, t = _parse_term(args, args.target)
     ctx = _merge_ctx(args.ctx) or {}
-    fn = infer if calc == "ls" else infer_c
+    eng = engine_for(calc)
     try:
-        ty = fn(ctx, t)
+        ty = eng.typeof(ctx, t)
     except TypingError as e:
         if args.format == "json":
             _emit({"ok": False, "calculus": calc, "term": args.target,
@@ -141,8 +139,7 @@ def cmd_check(args) -> int:
             print(f"type error: {e}")
         return 1
     if args.format == "json":
-        show = print_ls if calc == "ls" else print_c
-        _emit({"ok": True, "calculus": calc, "term": show(t),
+        _emit({"ok": True, "calculus": calc, "term": eng.show(t),
                "type": print_type(ty)})
     else:
         print(print_type(ty))
@@ -197,7 +194,7 @@ def cmd_step(args) -> int:
             print("normal form")
             return 0
         for i, r in enumerate(rds):
-            sub = eng.subterm_at(cur, r.path)
+            sub = subterm_at(cur, r.path)
             print(f"  [{i}] {r.rule:9s} @ {_fmt_path(r.path)}  {eng.show(sub)}")
         try:
             line = input("step> ").strip()
@@ -251,7 +248,7 @@ def cmd_gen(args) -> int:
         return 2
     ctx = standard_context(args.atoms)
     names = atom_names(args.atoms)
-    show = print_ls if calc == "ls" else print_c
+    show = engine_for(calc).show
     if args.seed is not None:
         rng = Random(args.seed)
         draw = random_ls if calc == "ls" else random_c
@@ -272,7 +269,6 @@ def cmd_verify(args) -> int:
         names = list(SUITES)
     else:
         try:
-            from .verify import resolve_suite
             names = [resolve_suite(args.suite)]
         except KeyError:
             print(f"unknown suite: {args.suite}", file=sys.stderr)
@@ -299,6 +295,17 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _non_negative(text: str) -> int:
+    """argparse type for counts and budgets: an int of at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
 
 
 def _add_calculus(sp) -> None:
@@ -340,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("lo", "li", "omega"), default="lo",
                     help="redex choice: leftmost-outermost, leftmost-innermost, "
                          "or outside lambda scopes only (default: lo)")
-    sp.add_argument("--fuel", type=int, default=1000,
+    sp.add_argument("--fuel", type=_non_negative, default=1000,
                     help="maximum number of steps (default: 1000)")
     sp.add_argument("--trace", action="store_true",
                     help="print every step taken")
@@ -357,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("term")
     _add_calculus(sp)
     _add_ctx(sp)
-    sp.add_argument("--node-budget", type=int, default=100_000,
+    sp.add_argument("--node-budget", type=_non_negative, default=100_000,
                     help="stop after this many distinct terms (default: 100000)")
-    sp.add_argument("--depth-budget", type=int, default=None,
+    sp.add_argument("--depth-budget", type=_non_negative, default=None,
                     help="do not expand terms beyond this depth")
     sp.set_defaults(func=cmd_graph)
 
@@ -372,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="enumerate typable terms")
     _add_calculus(sp)
-    sp.add_argument("--max-size", type=int, default=6,
+    sp.add_argument("--max-size", type=_non_negative, default=6,
                     help="largest term size to emit (default: 6)")
     sp.add_argument("--atoms", type=int, default=2,
                     help="number of atomic types (default: 2)")
     sp.add_argument("--seed", type=int, default=None,
                     help="sample randomly with this seed instead of enumerating")
-    sp.add_argument("--count", type=int, default=10,
+    sp.add_argument("--count", type=_non_negative, default=10,
                     help="samples to draw in --seed mode (default: 10)")
     sp.set_defaults(func=cmd_gen)
 

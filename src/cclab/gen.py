@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 from random import Random
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .ccl import SCHEME_ARITY, App, Comb, CStar, CTerm, CVar, scheme_type
 from .lambda_sym import Inj1, Inj2, Lam, LsTerm, Pair, Star, Var
+from .node import children, term_size
 from .types import BOTTOM, Atom, Conj, Disj, MType, NegAtom, Ty, negate
 
 COMBINATOR_ORDER = ("K", "S", "C", "P", "Q1", "Q2")
@@ -56,14 +57,6 @@ def standard_context(n_atoms: int = 2) -> dict[str, Ty]:
         ctx[names[2 * i]] = Atom(a)
         ctx[names[2 * i + 1]] = NegAtom(a)
     return ctx
-
-
-def type_size(ty: Ty) -> int:
-    match ty:
-        case Conj(l, r) | Disj(l, r):
-            return 1 + type_size(l) + type_size(r)
-        case _:
-            return 1
 
 
 def types_by_size(atoms: Iterable[str], max_size: int, signed: bool = True) -> list[list[MType]]:
@@ -115,16 +108,9 @@ def combinator_variants(atoms: Iterable[str]) -> list[Comb]:
 
 
 def ls_weight(t: LsTerm) -> int:
-    match t:
-        case Var(_):
-            return 1
-        case Lam(_, ann, body):
-            return 1 + type_size(ann) + ls_weight(body)
-        case Star(l, r) | Pair(l, r):
-            return 1 + ls_weight(l) + ls_weight(r)
-        case Inj1(b, ann) | Inj2(b, ann):
-            return 1 + type_size(ann) + ls_weight(b)
-    raise TypeError(f"not a term: {t!r}")
+    ann = getattr(t, "ann", None)  # on lambdas and injections
+    own = 1 if ann is None else 1 + term_size(ann)
+    return own + sum([ls_weight(c) for c in children(t)])
 
 
 def _add(level: dict[Ty, list], ty: Ty, t) -> None:
@@ -189,7 +175,7 @@ def enumerate_ls(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> lis
         got = memo.get(stack)
         if got is not None:
             return got
-        budget = max_size - sum(1 + type_size(a) for a in stack)
+        budget = max_size - sum(1 + term_size(a) for a in stack)
         m: list[dict[Ty, list[LsTerm]]] = [{} for _ in range(max(budget, 0) + 1)]
         b: list[list[LsTerm]] = [[] for _ in range(max(budget, 0) + 1)]
         if budget >= 1:
@@ -212,7 +198,7 @@ def enumerate_ls(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> lis
                             b[w].append(Star(l, r))
             for wb in range(1, w - 2):
                 for bty, bl in m[wb].items():
-                    ts_other = w - 2 - wb - type_size(bty)
+                    ts_other = w - 2 - wb - term_size(bty)
                     if not 1 <= ts_other < len(ty_levels):
                         continue
                     for other in ty_levels[ts_other]:
@@ -323,7 +309,7 @@ def random_ls(ctx: dict[str, Ty], atoms: Iterable[str], max_size: int, rng: Rand
             other = rng.choice(signed)
             first = rng.random() < 0.5
             ann = Disj(lt, other) if first else Disj(other, lt)
-            w = 1 + type_size(ann) + lsz
+            w = 1 + term_size(ann) + lsz
             if w <= max_size:
                 pool.append((ann, Inj1(l, ann) if first else Inj2(l, ann), w))
         else:
@@ -334,7 +320,7 @@ def random_ls(ctx: dict[str, Ty], atoms: Iterable[str], max_size: int, rng: Rand
                 x = f"x{next(fresh)}"
                 body = Star(Var(x), d) if move == 2 else Star(d, Var(x))
                 lam = Lam(x, lt, body)
-                pool.append((negate(lt), lam, 1 + type_size(lt) + 2 + dsz))
+                pool.append((negate(lt), lam, 1 + term_size(lt) + 2 + dsz))
     best = [e for e in pool if e[2] > 1]
     if best and rng.random() < 0.5:
         ty, t, sz = max(best, key=lambda e: e[2])

@@ -17,6 +17,10 @@ Each node keeps its free variables once free_vars has computed them (the
 nothing outlives the term. alpha_eq compares two terms in one lockstep
 walk; canonical() builds the renamed representative the search engines key
 their visited sets by.
+
+Each node class names its child fields in ``KIDS`` (annotations and binder
+names are not children); paths, sizes and rebuilding come from ``node``,
+and ``reduce_at`` raises its ``StaleRedex``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
+from .node import StaleRedex, children, rebuild, replace_at, subterm_at
 from .types import BOTTOM, Bottom, Conj, Disj, MType, Ty, TypingError, negate
 
 
@@ -31,6 +36,7 @@ class LsTerm:
     """A term node; ``_fv`` holds its free variables once free_vars asks."""
 
     __slots__ = ("_fv",)
+    KIDS = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +47,7 @@ class Var(LsTerm):
 
 @dataclass(frozen=True, slots=True)
 class Lam(LsTerm):
+    KIDS = ("body",)
     var: str
     ann: MType
     body: LsTerm
@@ -49,6 +56,7 @@ class Lam(LsTerm):
 
 @dataclass(frozen=True, slots=True)
 class Star(LsTerm):
+    KIDS = ("left", "right")
     left: LsTerm
     right: LsTerm
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
@@ -56,6 +64,7 @@ class Star(LsTerm):
 
 @dataclass(frozen=True, slots=True)
 class Pair(LsTerm):
+    KIDS = ("left", "right")
     left: LsTerm
     right: LsTerm
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
@@ -63,6 +72,7 @@ class Pair(LsTerm):
 
 @dataclass(frozen=True, slots=True)
 class Inj1(LsTerm):
+    KIDS = ("body",)
     body: LsTerm
     ann: MType  # the full disjunction; body occupies the left disjunct
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
@@ -70,6 +80,7 @@ class Inj1(LsTerm):
 
 @dataclass(frozen=True, slots=True)
 class Inj2(LsTerm):
+    KIDS = ("body",)
     body: LsTerm
     ann: MType  # the full disjunction; body occupies the right disjunct
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
@@ -94,59 +105,6 @@ LS_RULES = (
 class LsRedex:
     rule: str
     path: tuple[int, ...]
-
-
-class StaleRedex(Exception):
-    """reduce_at was handed a redex that no longer matches the term."""
-
-
-def children(t: LsTerm) -> tuple[LsTerm, ...]:
-    match t:
-        case Var():
-            return ()
-        case Lam(_, _, b):
-            return (b,)
-        case Star(l, r) | Pair(l, r):
-            return (l, r)
-        case Inj1(b, _) | Inj2(b, _):
-            return (b,)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _rebuild(t: LsTerm, kids: tuple[LsTerm, ...]) -> LsTerm:
-    match t:
-        case Lam(x, a, _):
-            return Lam(x, a, kids[0])
-        case Star(_, _):
-            return Star(kids[0], kids[1])
-        case Pair(_, _):
-            return Pair(kids[0], kids[1])
-        case Inj1(_, a):
-            return Inj1(kids[0], a)
-        case Inj2(_, a):
-            return Inj2(kids[0], a)
-    raise TypeError(f"not a compound term: {t!r}")
-
-
-def subterm_at(t: LsTerm, path: tuple[int, ...]) -> LsTerm:
-    for i in path:
-        kids = children(t)
-        if i >= len(kids):
-            raise StaleRedex(f"path {path} does not exist")
-        t = kids[i]
-    return t
-
-
-def replace_at(t: LsTerm, path: tuple[int, ...], new: LsTerm) -> LsTerm:
-    if not path:
-        return new
-    kids = list(children(t))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return _rebuild(t, tuple(kids))
-
-
-def term_size(t: LsTerm) -> int:
-    return 1 + sum(term_size(c) for c in children(t))
 
 
 def free_vars(t: LsTerm) -> frozenset[str]:
@@ -193,7 +151,7 @@ def substitute(t: LsTerm, x: str, v: LsTerm) -> LsTerm:
                 return Lam(y2, a, substitute(b, x, v))
             return Lam(y, a, substitute(b, x, v))
         case _:
-            return _rebuild(t, tuple(substitute(c, x, v) for c in children(t)))
+            return rebuild(t, [substitute(c, x, v) for c in children(t)])
 
 
 def canonical(t: LsTerm) -> LsTerm:

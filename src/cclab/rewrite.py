@@ -11,6 +11,10 @@ expands each alpha class once, breadth-first.
 Because reduction is finitely branching and (for typed terms) strongly
 normalizing, exhaustive exploration modulo alpha-equivalence terminates;
 budgets exist to keep untyped or adversarial inputs from spinning.
+
+An ``Engine`` holds what differs between the calculi: the redex finders,
+the step, the alpha key, the printer and the typer. Paths into terms of
+either calculus are read with ``node.subterm_at``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from . import ccl, lambda_sym
+from .node import subterm_at
 from .syntax import print_c, print_ls
 from .types import Ty
 
@@ -40,8 +45,6 @@ class Engine:
     canon: Callable
     show: Callable
     typeof: Callable
-    size: Callable
-    subterm_at: Callable
 
 
 LS_ENGINE = Engine(
@@ -53,8 +56,6 @@ LS_ENGINE = Engine(
     canon=lambda_sym.canonical,
     show=print_ls,
     typeof=lambda_sym.infer,
-    size=lambda_sym.term_size,
-    subterm_at=lambda_sym.subterm_at,
 )
 
 C_ENGINE = Engine(
@@ -66,8 +67,6 @@ C_ENGINE = Engine(
     canon=lambda t: t,  # no binders, terms are their own alpha class
     show=print_c,
     typeof=ccl.infer_c,
-    size=ccl.term_size,
-    subterm_at=ccl.subterm_at,
 )
 
 
@@ -95,7 +94,7 @@ class FuelExhausted(Exception):
 def omega_redexes(engine: Engine, ctx: Optional[Context], t: Term) -> Iterator[Redex]:
     """Redexes not in the scope of a lambda (proper ancestors only), lazily."""
     for r in engine.redexes(ctx, t):
-        if not any(isinstance(engine.subterm_at(t, r.path[:k]), lambda_sym.Lam)
+        if not any(isinstance(subterm_at(t, r.path[:k]), lambda_sym.Lam)
                    for k in range(len(r.path))):
             yield r
 

@@ -13,7 +13,7 @@ m-types only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Union
 
 
 class TypingError(Exception):
@@ -32,6 +32,8 @@ class UnificationError(TypingError):
 class MType:
     """Base class for m-types (the connective layer: atoms, ~atoms, &, |)."""
 
+    KIDS = ()
+
 
 @dataclass(frozen=True, slots=True)
 class Atom(MType):
@@ -45,12 +47,14 @@ class NegAtom(MType):
 
 @dataclass(frozen=True, slots=True)
 class Conj(MType):
+    KIDS = ("left", "right")
     left: MType
     right: MType
 
 
 @dataclass(frozen=True, slots=True)
 class Disj(MType):
+    KIDS = ("left", "right")
     left: MType
     right: MType
 
@@ -66,6 +70,8 @@ class MetaVar(MType):
 @dataclass(frozen=True, slots=True)
 class Bottom:
     """The absurdity type. Not an m-type."""
+
+    KIDS = ()
 
 
 BOTTOM = Bottom()

@@ -53,7 +53,6 @@ from .lambda_sym import (
     Star,
     Var,
     alpha_eq,
-    find_redexes,
     infer,
     reduce_at,
     substitute,
@@ -88,7 +87,7 @@ from .translate import (
     pi_macro,
     psi,
 )
-from .types import Atom, Bottom, Conj, Disj, NegAtom, Ty, negate
+from .types import Atom, Bottom, Conj, Disj, MType, NegAtom, Ty, negate
 
 MAX_RECORDED_FAILURES = 20
 
@@ -151,17 +150,18 @@ def suite_involution() -> SuiteResult:
     return r
 
 
-def _suite_subject_reduction(name: str, corpus, ctx, find, step, typeof, show) -> SuiteResult:
+def _suite_subject_reduction(name: str, engine, corpus) -> SuiteResult:
     r = SuiteResult(name)
+    ctx = standard_context(2)
     n_terms = 0
     for ty, t in corpus:
         n_terms += 1
-        for redex in find(ctx, t):
-            got = typeof(ctx, step(t, redex))
+        for redex in engine.find(ctx, t):
+            got = engine.typeof(ctx, engine.step(t, redex))
             r.check(
                 got == ty,
                 lambda t=t, redex=redex, ty=ty, got=got: (
-                    f"{show(t)}: {redex.rule} at {redex.path} changed "
+                    f"{engine.show(t)}: {redex.rule} at {redex.path} changed "
                     f"{print_type(ty)} to {print_type(got)}"
                 ),
             )
@@ -170,17 +170,11 @@ def _suite_subject_reduction(name: str, corpus, ctx, find, step, typeof, show) -
 
 
 def suite_subject_reduction_ls(max_size: int = 9) -> SuiteResult:
-    return _suite_subject_reduction(
-        "subject-reduction-ls", _ls_corpus(2, max_size), standard_context(2),
-        find_redexes, reduce_at, infer, print_ls,
-    )
+    return _suite_subject_reduction("subject-reduction-ls", LS_ENGINE, _ls_corpus(2, max_size))
 
 
 def suite_subject_reduction_cc(max_size: int = 9) -> SuiteResult:
-    return _suite_subject_reduction(
-        "subject-reduction-cc", _c_corpus(2, max_size), standard_context(2),
-        find_redexes_c, reduce_at_c, infer_c, print_c,
-    )
+    return _suite_subject_reduction("subject-reduction-cc", C_ENGINE, _c_corpus(2, max_size))
 
 
 def suite_dichotomy(max_size: int = 9) -> SuiteResult:
@@ -196,36 +190,28 @@ def suite_dichotomy(max_size: int = 9) -> SuiteResult:
     return r
 
 
-def suite_sn_ls(max_size: int = 9, node_budget: int = 100_000) -> SuiteResult:
-    r = SuiteResult("sn-ls")
+def _suite_sn(name: str, engine, corpus, node_budget: int) -> SuiteResult:
+    r = SuiteResult(name)
     ctx = standard_context(2)
     worst = 0
-    for _, t in _ls_corpus(2, max_size):
-        res = check_sn(LS_ENGINE, ctx, t, node_budget=node_budget)
+    for _, t in corpus:
+        res = check_sn(engine, ctx, t, node_budget=node_budget)
         if res.max_path is not None:
             worst = max(worst, res.max_path)
         r.check(
             res.terminating,
-            lambda t=t, res=res: f"{print_ls(t)}: {res.reason or 'cycle found'}",
+            lambda t=t, res=res: f"{engine.show(t)}: {res.reason or 'cycle found'}",
         )
     r.notes.append(f"longest reduction path: {worst}")
     return r
+
+
+def suite_sn_ls(max_size: int = 9, node_budget: int = 100_000) -> SuiteResult:
+    return _suite_sn("sn-ls", LS_ENGINE, _ls_corpus(2, max_size), node_budget)
 
 
 def suite_sn_cc(max_size: int = 9, node_budget: int = 100_000) -> SuiteResult:
-    r = SuiteResult("sn-cc")
-    ctx = standard_context(2)
-    worst = 0
-    for _, t in _c_corpus(2, max_size):
-        res = check_sn(C_ENGINE, ctx, t, node_budget=node_budget)
-        if res.max_path is not None:
-            worst = max(worst, res.max_path)
-        r.check(
-            res.terminating,
-            lambda t=t, res=res: f"{print_c(t)}: {res.reason or 'cycle found'}",
-        )
-    r.notes.append(f"longest reduction path: {worst}")
-    return r
+    return _suite_sn("sn-cc", C_ENGINE, _c_corpus(2, max_size), node_budget)
 
 
 def suite_bracket_typing(max_size: int = 5) -> SuiteResult:
@@ -515,17 +501,17 @@ def _simulates(engine, ctx, source, target, max_steps: int = 100) -> bool:
     return reaches(engine, ctx, query, node_budget=4000)[0]
 
 
+def _k(i1: MType, i2: MType) -> Comb:
+    return Comb("K", (i1, i2))
+
+
 def _rule_instances() -> list[tuple[str, dict, CTerm]]:
     """One typed instance of each reduction rule, schemes at atoms."""
     a, b, c = Atom("a"), Atom("b"), Atom("c")
     na, nb = NegAtom("a"), NegAtom("b")
-
-    def k(i1, i2):
-        return Comb("K", (i1, i2))
-
     u, v, p, q, f, g, x = (CVar(n) for n in "uvpqfgx")
     return [
-        ("k", {"u": a, "q": nb}, App(App(k(a, b), u), q)),
+        ("k", {"u": a, "q": nb}, App(App(_k(a, b), u), q)),
         (
             "s",
             {"f": Disj(na, Disj(nb, c)), "g": Disj(na, b), "x": a},
@@ -541,8 +527,8 @@ def _rule_instances() -> list[tuple[str, dict, CTerm]]:
             {"f": Disj(na, nb), "g": Disj(na, b), "x": a},
             CStar(x, App(App(Comb("C", (a, b)), f), g)),
         ),
-        ("e_r", {"v": na}, App(App(Comb("C", (a, a)), App(k(na, na), v)), i_term_at(a))),
-        ("e_l", {"u": a}, App(App(Comb("C", (na, a)), i_term_at(na)), App(k(a, a), u))),
+        ("e_r", {"v": na}, App(App(Comb("C", (a, a)), App(_k(na, na), v)), i_term_at(a))),
+        ("e_l", {"u": a}, App(App(Comb("C", (na, a)), i_term_at(na)), App(_k(a, a), u))),
         (
             "pq1",
             {"u": a, "p": b, "v": na},
@@ -566,7 +552,7 @@ def _rule_instances() -> list[tuple[str, dict, CTerm]]:
         (
             "simp",
             {"q": nb, "p": b, "u": a},
-            CStar(App(App(Comb("C", (a, b)), App(k(nb, na), q)), App(k(b, na), p)), u),
+            CStar(App(App(Comb("C", (a, b)), App(_k(nb, na), q)), App(_k(b, na), p)), u),
         ),
     ]
 
@@ -588,60 +574,54 @@ def suite_rule_simulation(max_steps: int = 100) -> SuiteResult:
         r.check(ok, lambda rule=rule, lhs=lhs: f"{rule}: psi({print_c(lhs)}) does not simulate")
 
     # the worked table: twelve reductions, checked directly on lambda terms
-    def via_psi(ctx: dict, t: CTerm) -> LsTerm:
-        return psi(t, ctx)
-
-    def k(i1, i2):
-        return Comb("K", (i1, i2))
-
     rows: list[tuple[str, dict, LsTerm, LsTerm]] = []
     # 1: [[psi K, u], v] -> u
     ctx1 = {"u": a, "v": nb}
-    rows.append(("row 1", ctx1, via_psi(ctx1, App(App(k(a, b), CVar("u")), CVar("v"))), Var("u")))
+    rows.append(("row 1", ctx1, psi(App(App(_k(a, b), CVar("u")), CVar("v")), ctx1), Var("u")))
     # 2: [[[psi S, u], v], w] -> [[u, w], [v, w]]
     ctx2 = {"u": Disj(na, Disj(nb, c)), "v": Disj(na, b), "w": a}
-    lhs2 = via_psi(ctx2, App(App(App(Comb("S", (a, b, c)), CVar("u")), CVar("v")), CVar("w")))
+    lhs2 = psi(App(App(App(Comb("S", (a, b, c)), CVar("u")), CVar("v")), CVar("w")), ctx2)
     uw = pair_app(Var("u"), Var("w"), Disj(nb, c))
     vw = pair_app(Var("v"), Var("w"), b)
     rows.append(("row 2", ctx2, lhs2, pair_app(uw, vw, c)))
     # 3: [psi I, u] -> u
     ctx3 = {"u": a}
-    rows.append(("row 3", ctx3, via_psi(ctx3, App(i_term_at(a), CVar("u"))), Var("u")))
+    rows.append(("row 3", ctx3, psi(App(i_term_at(a), CVar("u")), ctx3), Var("u")))
     # 4: [[psi C, u], v] * w -> [u, w] * [v, w]
     ctx4 = {"u": Disj(na, nb), "v": Disj(na, b), "w": a}
-    lhs4 = via_psi(ctx4, CStar(App(App(Comb("C", (a, b)), CVar("u")), CVar("v")), CVar("w")))
+    lhs4 = psi(CStar(App(App(Comb("C", (a, b)), CVar("u")), CVar("v")), CVar("w")), ctx4)
     rhs4 = Star(pair_app(Var("u"), Var("w"), nb), pair_app(Var("v"), Var("w"), b))
     rows.append(("row 4", ctx4, lhs4, rhs4))
     # 5 (corrected): w * [[psi C, u], v] -> [u, w] * [v, w]
-    lhs5 = via_psi(ctx4, CStar(CVar("w"), App(App(Comb("C", (a, b)), CVar("u")), CVar("v"))))
+    lhs5 = psi(CStar(CVar("w"), App(App(Comb("C", (a, b)), CVar("u")), CVar("v"))), ctx4)
     rows.append(("row 5", ctx4, lhs5, rhs4))
     # 6: [[psi C, [psi K, u]], psi I] -> u
     ctx6 = {"u": na}
-    lhs6 = via_psi(ctx6, App(App(Comb("C", (a, a)), App(k(na, na), CVar("u"))), i_term_at(a)))
+    lhs6 = psi(App(App(Comb("C", (a, a)), App(_k(na, na), CVar("u"))), i_term_at(a)), ctx6)
     rows.append(("row 6", ctx6, lhs6, Var("u")))
     # 7: [[psi C, psi I], [psi K, u]] -> u
     ctx7 = {"u": a}
-    lhs7 = via_psi(ctx7, App(App(Comb("C", (na, a)), i_term_at(na)), App(k(a, a), CVar("u"))))
+    lhs7 = psi(App(App(Comb("C", (na, a)), i_term_at(na)), App(_k(a, a), CVar("u"))), ctx7)
     rows.append(("row 7", ctx7, lhs7, Var("u")))
     # 8..11: the pairing/injection rows
     ctx8 = {"u": a, "v": b, "w": na}
     puv = App(App(Comb("P", (a, b)), CVar("u")), CVar("v"))
-    rows.append(("row 8", ctx8, via_psi(ctx8, CStar(puv, App(Comb("Q1", (na, nb)), CVar("w")))),
+    rows.append(("row 8", ctx8, psi(CStar(puv, App(Comb("Q1", (na, nb)), CVar("w"))), ctx8),
                  Star(Var("u"), Var("w"))))
     ctx9 = {"u": a, "v": b, "w": nb}
-    rows.append(("row 9", ctx9, via_psi(ctx9, CStar(puv, App(Comb("Q2", (na, nb)), CVar("w")))),
+    rows.append(("row 9", ctx9, psi(CStar(puv, App(Comb("Q2", (na, nb)), CVar("w"))), ctx9),
                  Star(Var("v"), Var("w"))))
     ctx10 = {"u": a, "v": b, "w": na}
-    rows.append(("row 10", ctx10, via_psi(ctx10, CStar(App(Comb("Q1", (na, nb)), CVar("w")), puv)),
+    rows.append(("row 10", ctx10, psi(CStar(App(Comb("Q1", (na, nb)), CVar("w")), puv), ctx10),
                  Star(Var("w"), Var("u"))))
     ctx11 = {"u": a, "v": b, "w": nb}
-    rows.append(("row 11", ctx11, via_psi(ctx11, CStar(App(Comb("Q2", (na, nb)), CVar("w")), puv)),
+    rows.append(("row 11", ctx11, psi(CStar(App(Comb("Q2", (na, nb)), CVar("w")), puv), ctx11),
                  Star(Var("w"), Var("v"))))
     # 12 (corrected): [[psi C, [psi K, u]], [psi K, v]] -> \z:a. u * v
     ctx12 = {"u": nb, "v": b}
-    lhs12 = via_psi(
+    lhs12 = psi(
+        App(App(Comb("C", (a, b)), App(_k(nb, na), CVar("u"))), App(_k(b, na), CVar("v"))),
         ctx12,
-        App(App(Comb("C", (a, b)), App(k(nb, na), CVar("u"))), App(k(b, na), CVar("v"))),
     )
     rows.append(("row 12", ctx12, lhs12, Lam("z", a, Star(Var("u"), Var("v")))))
 

@@ -15,9 +15,7 @@ from cclab.ccl import (
     CRedex,
     CStar,
     CVar,
-    StaleRedex,
     TermClass,
-    children,
     classify,
     elaborate,
     find_redexes_c,
@@ -25,14 +23,12 @@ from cclab.ccl import (
     infer_c,
     is_identity,
     reduce_at_c,
-    replace_at,
     scheme_type,
     substitute_c,
-    subterm_at,
-    term_size,
     term_vars,
 )
 from cclab.gen import atom_names, random_c, standard_context
+from cclab.node import StaleRedex, children, replace_at, subterm_at, term_size
 from cclab.syntax import parse_c, print_c
 from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, TypingError
 

@@ -113,6 +113,17 @@ def test_check_claims_file_json(tmp_path, capsys):
     assert [c["ok"] for c in payload["claims"]] == [True, False]
 
 
+def test_check_claims_file_honours_a_zero_step_bound(tmp_path, capsys):
+    claims = tmp_path / "claims.txt"
+    claims.write_text("@ctx u : a\nK u u =>* u [max 0]\n")
+    rc, out, _ = run(capsys, "check", str(claims))
+    assert rc == 1
+    assert "FAIL  K u u =>* u [max 0]" in out and "0/1 claims hold" in out
+    claims.write_text("@ctx u : a\nu =>* u [max 0]\n")
+    rc, out, _ = run(capsys, "check", str(claims))
+    assert rc == 0 and "1/1 claims hold" in out
+
+
 # ---------------------------------------------------------------- reduce
 
 
@@ -270,6 +281,23 @@ def test_gen_seeded_sampling_is_reproducible(capsys):
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert len(out1.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--ccl", "K x y", "--fuel", "-1"],
+    ["gen", "--ccl", "--seed", "1", "--count", "-1"],
+    ["gen", "--ccl", "--max-size", "-1"],
+    ["graph", "--ccl", "x", "--node-budget", "-1"],
+    ["graph", "--ccl", "x", "--depth-budget", "-1"],
+])
+def test_negative_counts_are_usage_errors(argv):
+    proc = subprocess.run([sys.executable, "-m", "cclab", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: cclab ") and proc.stderr.count("usage:") == 1
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: argument {argv[-2]}: expected a non-negative integer, got '-1'")
 
 
 def test_gen_demands_a_calculus(capsys):

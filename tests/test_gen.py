@@ -1,6 +1,6 @@
 from random import Random
 
-from cclab.ccl import CStar, CVar, infer_c, term_size
+from cclab.ccl import CStar, CVar, infer_c
 from cclab.gen import (
     atom_names,
     atom_pool,
@@ -13,11 +13,11 @@ from cclab.gen import (
     random_c,
     random_ls,
     standard_context,
-    type_size,
     types_by_size,
     types_to_depth,
 )
 from cclab.lambda_sym import Lam, Star, Var, infer
+from cclab.node import term_size
 from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, negate
 
 a, na = Atom("a"), NegAtom("a")
@@ -32,7 +32,7 @@ def test_type_enumeration_counts():
     # by size over one signed atom: 2 leaves, then 2*2*2, then 2*(2*8+8*2)
     levels = types_by_size(("a",), 5)
     assert [len(l) for l in levels] == [0, 2, 0, 8, 0, 64]
-    assert all(type_size(t) == 3 for t in levels[3])
+    assert all(term_size(t) == 3 for t in levels[3])
     # by depth over two positive atoms: the doubly exponential ladder
     assert len(types_to_depth(("a", "b"), 1)) == 2
     assert len(types_to_depth(("a", "b"), 2)) == 10

@@ -12,7 +12,6 @@ from cclab.lambda_sym import (
     Lam,
     LsRedex,
     Pair,
-    StaleRedex,
     Star,
     Var,
     alpha_eq,
@@ -22,9 +21,8 @@ from cclab.lambda_sym import (
     infer,
     reduce_at,
     substitute,
-    subterm_at,
-    term_size,
 )
+from cclab.node import StaleRedex, children, subterm_at, term_size
 from cclab.syntax import parse_ls, print_ls
 from cclab.types import BOTTOM, Atom, Bottom, Conj, Disj, NegAtom, TypingError
 
@@ -326,7 +324,6 @@ def test_find_redexes_agrees_with_brute_force_matching():
     needs typing and is checked as the only possible surplus.
     """
     from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
-    from cclab.lambda_sym import children
     from cclab.translate import psi
 
     def paths_of(t, at=()):

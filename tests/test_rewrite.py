@@ -1,10 +1,11 @@
 import pytest
 
-from cclab import ccl, lambda_sym
+from cclab import ccl
 from cclab.ccl import App, CRedex, CStar
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, enumerate_pre_terms
 from cclab.gen import enumerate_star_terms, standard_context
 from cclab.lambda_sym import Lam, LsRedex, Pair, Star, Var
+from cclab.node import children
 from cclab.rewrite import (
     C_ENGINE,
     LS_ENGINE,
@@ -202,9 +203,9 @@ def test_to_dot_stable_and_escaped():
     assert "!0" not in dot  # labels show the written names, not alpha-canonical ones
 
 
-def _postorder_paths(children, t, at=()):
+def _postorder_paths(t, at=()):
     for i, c in enumerate(children(t)):
-        yield from _postorder_paths(children, c, at + (i,))
+        yield from _postorder_paths(c, at + (i,))
     yield at
 
 
@@ -226,19 +227,17 @@ def _bracket_queries(body_size, arg_size, max_steps=50):
 def test_leftmost_innermost_matches_a_post_order_walk():
     """LI contracts the first redex in post-order, highest priority first."""
     ctx = standard_context(2)
-    cases = [(LS_ENGINE, lambda_sym.children, ctx, t)
-             for _, t in enumerate_ls(ctx, 8, atom_names(2))]
-    cases += [(C_ENGINE, ccl.children, ctx, t)
-              for _, t in enumerate_c(ctx, 8, atom_names(2))]
+    cases = [(LS_ENGINE, ctx, t) for _, t in enumerate_ls(ctx, 8, atom_names(2))]
+    cases += [(C_ENGINE, ctx, t) for _, t in enumerate_c(ctx, 8, atom_names(2))]
     lo = lambda u: pick_redex(C_ENGINE, None, u, Strategy.LEFTMOST_OUTERMOST)
     for q in _bracket_queries(4, 2):  # the terms along a trace have redexes at many depths
-        cases += [(C_ENGINE, ccl.children, None, u) for _, u in trace(C_ENGINE, q.source, lo, 8)]
-    cases.append((C_ENGINE, ccl.children, None, parse_c("K (K x y) (K (K x y) z)")))
+        cases += [(C_ENGINE, None, u) for _, u in trace(C_ENGINE, q.source, lo, 8)]
+    cases.append((C_ENGINE, None, parse_c("K (K x y) (K (K x y) z)")))
     picked = 0
-    for engine, children, c, t in cases:
+    for engine, c, t in cases:
         found = engine.find(c, t)
         want = None
-        for p in _postorder_paths(children, t):
+        for p in _postorder_paths(t):
             here = [r for r in found if r.path == p]
             if here:
                 want = min(here, key=lambda r: engine.rules.index(r.rule))
