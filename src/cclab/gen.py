@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from random import Random
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .ccl import SCHEME_ARITY, App, Comb, CStar, CTerm, CVar, scheme_type
 from .lambda_sym import Inj1, Inj2, Lam, LsTerm, Pair, Star, Var
@@ -257,12 +257,17 @@ def enumerate_star_terms(names: Iterable[str], max_size: int) -> list[CTerm]:
     return out
 
 
-def random_c(ctx: dict[str, Ty], atoms: Iterable[str], max_size: int, rng: Random) -> tuple[Ty, CTerm]:
-    """One random typable c-term, grown by random well-typed joins.
+def random_c(
+    ctx: dict[str, Ty], atoms: Iterable[str], max_size: int, rng: Random
+) -> Optional[tuple[Ty, CTerm]]:
+    """One random typable c-term of size at most max_size, grown by random
+    well-typed joins; None when not even a leaf fits.
 
     Coverage is best-effort: the walk only composes what earlier draws
     produced. Deterministic for a given rng state.
     """
+    if max_size < 1:
+        return None
     pool: list[tuple[Ty, CTerm, int]] = [(ty, CVar(x), 1) for x, ty in ctx.items()]
     pool += [(scheme_type(c.which, c.inst), c, 1) for c in combinator_variants(atoms)]
     grown: list[tuple[Ty, CTerm, int]] = []
@@ -293,8 +298,12 @@ def random_c(ctx: dict[str, Ty], atoms: Iterable[str], max_size: int, rng: Rando
     return ty, t
 
 
-def random_ls(ctx: dict[str, Ty], atoms: Iterable[str], max_size: int, rng: Random) -> tuple[Ty, LsTerm]:
-    """One random typable lambda term; same growth idea as random_c."""
+def random_ls(
+    ctx: dict[str, Ty], atoms: Iterable[str], max_size: int, rng: Random
+) -> Optional[tuple[Ty, LsTerm]]:
+    """One random typable lambda term; same growth idea and bound as random_c."""
+    if max_size < 1:
+        return None
     pool: list[tuple[Ty, LsTerm, int]] = [(ty, Var(x), 1) for x, ty in ctx.items()]
     signed = atom_pool(atoms)
     fresh = itertools.count()
@@ -319,8 +328,9 @@ def random_ls(ctx: dict[str, Ty], atoms: Iterable[str], max_size: int, rng: Rand
                 dt, d, dsz = rng.choice(duals)
                 x = f"x{next(fresh)}"
                 body = Star(Var(x), d) if move == 2 else Star(d, Var(x))
-                lam = Lam(x, lt, body)
-                pool.append((negate(lt), lam, 1 + term_size(lt) + 2 + dsz))
+                w = 1 + term_size(lt) + 2 + dsz
+                if w <= max_size:  # lsz bounds term_size(lt) only in atom contexts
+                    pool.append((negate(lt), Lam(x, lt, body), w))
     best = [e for e in pool if e[2] > 1]
     if best and rng.random() < 0.5:
         ty, t, sz = max(best, key=lambda e: e[2])

@@ -13,10 +13,13 @@ u[x:=v] with a lone bottom-typed x under that lambda). Contracting
 replaces the WHOLE term by v.
 
 Each node keeps its free variables once free_vars has computed them (the
-``_fv`` slot), so repeated queries on a term cost one attribute read and
-nothing outlives the term. alpha_eq compares two terms in one lockstep
-walk; canonical() builds the renamed representative the search engines key
-their visited sets by.
+``_fv`` slot), so repeated queries on a term cost one attribute read. The
+slot lives as long as its node: for most terms that is the term itself,
+but a combinator image that translate.psi_comb keeps in its table (and
+shares between terms) keeps its ``_fv`` while the table holds it.
+alpha_eq compares two terms in one lockstep walk, and skips a closed
+subterm that both sides share as one object; canonical() builds the
+renamed representative the search engines key their visited sets by.
 
 Each node class names its child fields in ``KIDS`` (annotations and binder
 names are not children); paths, sizes and rebuilding come from ``node``,
@@ -196,6 +199,8 @@ def alpha_eq(a: LsTerm, b: LsTerm) -> bool:
     stack = [(a, b, {}, {}, 0)]  # a-side node, b-side node, both maps, depth
     while stack:
         s, t, s_env, t_env, depth = stack.pop()
+        if s is t and not free_vars(s):
+            continue
         cls = type(s)
         if cls is not type(t):
             return False

@@ -15,10 +15,17 @@ psi always needs types: the macro for an application (U V) binds a
 variable at the result type, and the combinator images bind at the
 negated scheme type, so every combinator must carry its instantiation
 (use ccl.elaborate first if it does not).
+
+A combinator's image depends only on its name and instantiation, so
+psi_comb keeps the 4,096 most recently used images in a bounded table,
+and every occurrence of an instantiated combinator shares one image
+object. psi's output is therefore a DAG of immutable nodes, not a tree:
+a closed image may appear at several places of one term, and of many.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Optional
 
 from .ccl import (
@@ -220,8 +227,10 @@ def pair_app(u: LsTerm, v: LsTerm, result: MType) -> LsTerm:
     return Lam(x, negate(result), Star(u, Pair(v, Var(x))))
 
 
+@lru_cache(maxsize=4096)
 def psi_comb(which: str, inst: tuple[MType, ...]) -> LsTerm:
-    """The lambda image of one instantiated combinator."""
+    """The lambda image of one instantiated combinator, built once per
+    (which, inst) and shared: the image is closed and never changes."""
     scheme = scheme_type(which, inst)
     t0 = negate(scheme)
     x = Var("x")

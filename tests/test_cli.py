@@ -283,6 +283,21 @@ def test_gen_seeded_sampling_is_reproducible(capsys):
     assert len(out1.strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize("calc", ["--ls", "--ccl"])
+def test_gen_emits_nothing_when_no_term_fits(capsys, calc):
+    for extra in (("--seed", "1", "--count", "2"), ()):
+        rc, out, err = run(capsys, "gen", calc, "--max-size", "0", *extra)
+        assert (rc, out, err) == (0, "", ""), extra
+
+
+def test_gen_seeded_sampling_respects_the_size_bound(capsys):
+    rc, out, _ = run(capsys, "gen", "--ls", "--max-size", "1", "--seed", "1", "--count", "3")
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert all(line.split(" : ")[0] in ("u", "v", "p", "q") for line in lines)  # size 1
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--ccl", "K x y", "--fuel", "-1"],
     ["gen", "--ccl", "--seed", "1", "--count", "-1"],

@@ -24,6 +24,7 @@ from cclab.lambda_sym import (
 )
 from cclab.node import StaleRedex, children, subterm_at, term_size
 from cclab.syntax import parse_ls, print_ls
+from cclab.translate import psi_comb
 from cclab.types import BOTTOM, Atom, Bottom, Conj, Disj, NegAtom, TypingError
 
 a, na = Atom("a"), NegAtom("a")
@@ -146,6 +147,34 @@ def test_alpha_eq_agrees_with_canonical_forms(seed, other_seed, max_size):
     assert alpha_eq(s, fresh) and alpha_eq(fresh, s)
     for x, y in [(s, t), (s, clashing), (fresh, clashing), (t, clashing), (s, s)]:
         assert alpha_eq(x, y) == (canonical(x) == canonical(y)), (print_ls(x), print_ls(y))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(11, 15))
+def test_alpha_eq_is_reflexive(seed, max_size):
+    t = _past_the_exhaustive_bound(seed, max_size)
+    assume(t is not None)
+    assert alpha_eq(t, t)
+    assert alpha_eq(Lam("y", a, Pair(t, Var("y"))), Lam("z", a, Pair(t, Var("z"))))
+
+
+def test_alpha_eq_walks_a_shared_open_subterm():
+    y = Var("y")
+    assert not alpha_eq(Lam("y", a, Star(y, Var("w"))), Lam("z", a, Star(y, Var("w"))))
+    shared = Pair(y, Var("w"))
+    assert not alpha_eq(Lam("y", a, Lam("z", b, shared)), Lam("z", a, Lam("y", b, shared)))
+    assert alpha_eq(Lam("z", a, Lam("y", b, shared)), Lam("x", a, Lam("y", b, shared)))
+
+
+def test_alpha_eq_skips_a_shared_closed_subterm():
+    image = psi_comb("K", (a, b))
+    assert not free_vars(image)
+    left = Lam("y", na, Lam("w", b, Star(Var("y"), Pair(image, Var("w")))))
+    right = Lam("z", na, Lam("y", b, Star(Var("z"), Pair(image, Var("y")))))
+    assert alpha_eq(left, right) and alpha_eq(right, left)
+    swapped = Lam("z", na, Lam("y", b, Star(Var("y"), Pair(image, Var("z")))))
+    assert not alpha_eq(left, swapped)
+    assert alpha_eq(Star(image, Var("u")), Star(psi_comb.__wrapped__("K", (a, b)), Var("u")))
 
 
 def test_canonical_is_stable_under_renaming():

@@ -1,9 +1,12 @@
 import pytest
 
+from cclab import translate
 from cclab.ccl import App, Comb, CStar, CVar, infer_c, scheme_type, substitute_c
+from cclab.gen import atom_names, enumerate_c, standard_context
 from cclab.lambda_sym import Pair, Star, Var, alpha_eq, infer, substitute
+from cclab.node import children
 from cclab.rewrite import C_ENGINE, LS_ENGINE, ReachabilityQuery, normalize, reaches
-from cclab.syntax import parse_c, parse_context, parse_ls, print_c
+from cclab.syntax import parse_c, parse_context, parse_ls, print_c, print_ls
 from cclab.translate import (
     TranslationError,
     bracket_abstract,
@@ -128,6 +131,37 @@ def test_psi_comb_images_type_at_their_schemes():
     # and at a compound instantiation
     inst = (Conj(a, nb), Disj(b, a))
     assert infer({}, psi_comb("K", inst)) == scheme_type("K", inst)
+
+
+def test_psi_comb_shares_one_image_per_instantiation():
+    inst = (Conj(a, nb), Disj(b, a))
+    twin = (Conj(Atom("a"), NegAtom("b")), Disj(Atom("b"), Atom("a")))
+    assert twin == inst and twin is not inst
+    assert psi_comb("S", inst + (a,)) is psi_comb("S", twin + (a,))
+    image = psi(parse_c("P[a, a] (K[a, b] u q) (K[a, b] u q)"), CTX)
+
+    def walk(n):
+        yield n
+        for kid in children(n):
+            yield from walk(kid)
+
+    assert sum(n is psi_comb("K", (a, b)) for n in walk(image)) == 2
+
+
+def test_psi_comb_table_stays_bounded():
+    bound = psi_comb.cache_info().maxsize
+    for i in range(bound + 10):
+        psi_comb("K", (Atom(f"a{i}"), b))
+    assert psi_comb.cache_info().currsize <= bound
+
+
+def test_shared_psi_images_print_as_fresh_ones(monkeypatch):
+    ctx = standard_context(2)
+    corpus = [t for _, t in enumerate_c(ctx, 8, atom_names(2))]
+    assert len(corpus) == 1384
+    shared = [print_ls(psi(t, ctx)) for t in corpus]
+    monkeypatch.setattr(translate, "psi_comb", psi_comb.__wrapped__)
+    assert [print_ls(psi(t, ctx)) for t in corpus] == shared
 
 
 def test_psi_preserves_types():
