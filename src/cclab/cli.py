@@ -252,8 +252,8 @@ def cmd_gen(args) -> int:
     if args.seed is not None:
         rng = Random(args.seed)
         draw = random_ls if calc == "ls" else random_c
-        drawn = [draw(ctx, names, args.max_size, rng) for _ in range(args.count)]
-        items = [item for item in drawn if item is not None]  # None: nothing fits
+        drawn = (draw(ctx, names, args.max_size, rng) for _ in range(args.count))
+        items = (item for item in drawn if item is not None)  # None: nothing fits
     else:
         enum = enumerate_ls if calc == "ls" else enumerate_c
         items = enum(ctx, args.max_size, names)

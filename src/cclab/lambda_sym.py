@@ -21,6 +21,10 @@ alpha_eq compares two terms in one lockstep walk, and skips a closed
 subterm that both sides share as one object; canonical() builds the
 renamed representative the search engines key their visited sets by.
 
+iter_redexes matches the eight syntactic rules inline, dispatching on the
+class of each node and of its children, and never visits a Var child,
+since a variable has no redex.
+
 Each node class names its child fields in ``KIDS`` (annotations and binder
 names are not children); paths, sizes and rebuilding come from ``node``,
 and ``reduce_at`` raises its ``StaleRedex``.
@@ -273,47 +277,47 @@ def infer(ctx: Context, t: LsTerm) -> Ty:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _local_redexes(node: LsTerm) -> Iterator[str]:
-    """The rules other than triv that match at node, in priority order."""
-    match node:
-        case Star(l, r):
-            if isinstance(l, Lam):
-                yield "beta"
-            if isinstance(r, Lam):
-                yield "beta_perp"
-            match l, r:
-                case (Pair(), Inj1()):
-                    yield "pi1"
-                case (Pair(), Inj2()):
-                    yield "pi2"
-                case (Inj1(), Pair()):
-                    yield "pi1_perp"
-                case (Inj2(), Pair()):
-                    yield "pi2_perp"
-        case Lam(x, _, Star(u, Var(y))) if y == x and x not in free_vars(u):
-            yield "eta"
-    match node:
-        case Lam(x, _, Star(Var(y), u)) if y == x and x not in free_vars(u):
-            yield "eta_perp"
-
-
 def iter_redexes(ctx: Optional[Context], t: LsTerm) -> Iterator[LsRedex]:
     """Every redex of t, lazily: pre-order by path, then rule priority.
 
-    triv needs the whole term well-typed with type bottom, so it is only
-    offered when a context is given, and t is typed once, when the walk
-    first meets a triv-shaped node below the root.
+    Each node is matched against the eight syntactic rules by its class and
+    the classes of its children; a Var child is never visited, since a
+    variable has no redex. triv needs the whole term well-typed with type
+    bottom, so it is only offered when a context is given, last at its
+    node, and t is typed once, when the walk first meets a triv-shaped node
+    below the root.
     """
     typed_bottom = None
     stack = [((), t, ())]  # path, node, variables bound above the node
     while stack:
         path, node, binders = stack.pop()
-        for rule in _local_redexes(node):
-            yield LsRedex(rule, path)
-        match node:
-            case Lam(y, _, body):
-                if (path and ctx is not None and isinstance(body, Star)
-                        and y not in free_vars(body) and free_vars(body).isdisjoint(binders)):
+        cls = type(node)
+        if cls is Star or cls is Pair:
+            l, r = node.left, node.right
+            lc, rc = type(l), type(r)
+            if cls is Star:
+                if lc is Lam:
+                    yield LsRedex("beta", path)
+                if rc is Lam:
+                    yield LsRedex("beta_perp", path)
+                if lc is Pair and (rc is Inj1 or rc is Inj2):
+                    yield LsRedex("pi1" if rc is Inj1 else "pi2", path)
+                elif rc is Pair and (lc is Inj1 or lc is Inj2):
+                    yield LsRedex("pi1_perp" if lc is Inj1 else "pi2_perp", path)
+            if rc is not Var:
+                stack.append((path + (1,), r, binders))
+            if lc is not Var:
+                stack.append((path + (0,), l, binders))
+        elif cls is Lam:
+            y, body = node.var, node.body
+            if type(body) is Star:
+                l, r = body.left, body.right
+                if type(r) is Var and r.name == y and y not in free_vars(l):
+                    yield LsRedex("eta", path)
+                if type(l) is Var and l.name == y and y not in free_vars(r):
+                    yield LsRedex("eta_perp", path)
+                if (path and ctx is not None and y not in free_vars(body)
+                        and free_vars(body).isdisjoint(binders)):
                     if typed_bottom is None:
                         try:
                             typed_bottom = isinstance(infer(ctx, t), Bottom)
@@ -321,12 +325,11 @@ def iter_redexes(ctx: Optional[Context], t: LsTerm) -> Iterator[LsRedex]:
                             typed_bottom = False
                     if typed_bottom:
                         yield LsRedex("triv", path)
+            if type(body) is not Var:
                 stack.append((path + (0,), body, binders + (y,)))
-            case Star(l, r) | Pair(l, r):
-                stack.append((path + (1,), r, binders))
-                stack.append((path + (0,), l, binders))
-            case Inj1(b, _) | Inj2(b, _):
-                stack.append((path + (0,), b, binders))
+        elif cls is not Var:  # Inj1 or Inj2
+            if type(node.body) is not Var:
+                stack.append((path + (0,), node.body, binders))
 
 
 def find_redexes(ctx: Optional[Context], t: LsTerm) -> list[LsRedex]:

@@ -280,13 +280,19 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
     """Exhaustive DFS over reduction sequences, memoized by alpha class.
 
     Returns the longest reduction path length when every sequence ends.
-    A cycle would disprove termination and is reported as such.
+    A cycle would disprove termination and is reported as such. The
+    root's redexes are found first: a root with none is its own single
+    class, settled without canonicalising it, and otherwise the list
+    serves the root's expansion.
     """
+    root_redexes = engine.find(ctx, t)
+    if not root_redexes and node_budget > 0:
+        return SNResult(True, 0, 1)
     memo: dict = {}
     on_stack: set = set()
     seen = 0
 
-    def longest(term, key) -> int:
+    def longest(term, key, redexes=None) -> int:
         nonlocal seen
         if key in memo:
             return memo[key]
@@ -297,7 +303,7 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
         seen += 1
         on_stack.add(key)
         best = 0
-        for r in engine.find(ctx, term):
+        for r in engine.find(ctx, term) if redexes is None else redexes:
             nxt = engine.step(term, r)
             best = max(best, 1 + longest(nxt, engine.canon(nxt)))
         on_stack.discard(key)
@@ -305,7 +311,7 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
         return best
 
     try:
-        n = longest(t, engine.canon(t))
+        n = longest(t, engine.canon(t), root_redexes)
         return SNResult(True, n, seen)
     except _Stop as stop:
         return SNResult(False, None, seen, stop.args[0])

@@ -298,6 +298,41 @@ def test_gen_seeded_sampling_respects_the_size_bound(capsys):
     assert all(line.split(" : ")[0] in ("u", "v", "p", "q") for line in lines)  # size 1
 
 
+@pytest.mark.parametrize("calc", ["--ls", "--ccl"])
+def test_gen_seeded_output_is_that_of_the_whole_list_of_draws(capsys, calc):
+    from random import Random
+
+    from cclab.gen import atom_names, random_c, random_ls, standard_context
+    from cclab.syntax import print_c, print_ls, print_type
+
+    draw, show = (random_ls, print_ls) if calc == "--ls" else (random_c, print_c)
+    ctx, names = standard_context(2), atom_names(2)
+    for seed, count, max_size in [(0, 1, 7), (3, 12, 1), (11, 20, 9), (12, 8, 13)]:
+        rng = Random(seed)
+        drawn = [draw(ctx, names, max_size, rng) for _ in range(count)]
+        expected = "".join(f"{show(t)} : {print_type(ty)}\n"
+                           for ty, t in (d for d in drawn if d is not None))
+        rc, out, _ = run(capsys, "gen", calc, "--seed", str(seed), "--count", str(count),
+                         "--max-size", str(max_size))
+        assert (rc, out) == (0, expected), (seed, count)
+
+
+def test_gen_prints_each_draw_before_making_the_next(capsys, monkeypatch):
+    from cclab import cli
+
+    lines_before_draw = []
+    real_draw = cli.random_c
+
+    def draw(*args):
+        lines_before_draw.append(capsys.readouterr().out.count("\n"))
+        return real_draw(*args)
+
+    monkeypatch.setattr(cli, "random_c", draw)
+    assert main(["gen", "--ccl", "--seed", "5", "--count", "6"]) == 0
+    assert lines_before_draw == [0, 1, 1, 1, 1, 1]
+    assert capsys.readouterr().out.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--ccl", "K x y", "--fuel", "-1"],
     ["gen", "--ccl", "--seed", "1", "--count", "-1"],

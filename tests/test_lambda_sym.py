@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -345,46 +346,113 @@ def test_term_size():
     assert term_size(Lam("x", a, Star(Var("x"), Var("y")))) == 4
 
 
-def test_find_redexes_agrees_with_brute_force_matching():
-    """Trying every rule at every path must recover exactly the redex list.
+_SYNTACTIC = [r for r in LS_RULES if r != "triv"]
+
+
+def _preorder_paths(t, at=()):
+    yield at
+    for i, c in enumerate(children(t)):
+        yield from _preorder_paths(c, at + (i,))
+
+
+def _check_redexes_by_brute_force(ctx, t):
+    """Try every syntactic rule at every path of t with reduce_at.
 
     reduce_at re-matches patterns on its own before contracting, so it
     serves as an independent oracle for the eight syntactic rules; triv
-    needs typing and is checked as the only possible surplus.
+    needs typing and is checked as the only possible surplus, last at its
+    path. Returns the syntactic matches as (rule, path), in pre-order by
+    path and then priority: the expected order of find_redexes(None, t).
     """
+    position = {p: i for i, p in enumerate(_preorder_paths(t))}
+    ordered = []
+    for p in position:
+        for rule in _SYNTACTIC:
+            try:
+                reduce_at(t, LsRedex(rule, p))
+            except StaleRedex:
+                continue
+            ordered.append((rule, p))
+    untyped = [(r.rule, r.path) for r in find_redexes(None, t)]
+    assert untyped == ordered, print_ls(t)
+    typed = [(r.rule, r.path) for r in find_redexes(ctx, t)]
+    surplus = set(typed) - set(untyped)
+    assert all(rule == "triv" for rule, _ in surplus)
+    for rule, p in surplus:
+        reduce_at(t, LsRedex(rule, p))
+    assert typed == sorted(
+        ordered + list(surplus), key=lambda x: (position[x[1]], LS_RULES.index(x[0]))
+    )
+    return ordered
+
+
+def test_find_redexes_agrees_with_brute_force_matching():
+    """Trying every rule at every path must recover exactly the redex list."""
     from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
     from cclab.translate import psi
 
-    def paths_of(t, at=()):
-        yield at
-        for i, c in enumerate(children(t)):
-            yield from paths_of(c, at + (i,))
-
     ctx = standard_context(2)
-    syntactic = [r for r in LS_RULES if r != "triv"]
     terms = [t for _, t in enumerate_ls(ctx, 10, atom_names(2))]
     # translated combinators: larger terms, with redexes on both sides of a star
     terms += [psi(t, ctx) for _, t in enumerate_c(ctx, 3, atom_names(2))]
     for t in terms:
-        # paths in pre-order, rules in priority order: the expected order
-        position = {p: i for i, p in enumerate(paths_of(t))}
-        ordered = []
-        for p in position:
-            for rule in syntactic:
-                try:
-                    reduce_at(t, LsRedex(rule, p))
-                except StaleRedex:
-                    continue
-                ordered.append((rule, p))
-        oracle = set(ordered)
-        untyped = {(r.rule, r.path) for r in find_redexes(None, t)}
-        assert untyped == oracle
-        assert [(r.rule, r.path) for r in find_redexes(None, t)] == ordered
-        typed = {(r.rule, r.path) for r in find_redexes(ctx, t)}
-        surplus = typed - untyped
-        assert all(rule == "triv" for rule, _ in surplus)
-        for rule, p in surplus:
-            reduce_at(t, LsRedex(rule, p))
-        assert [(r.rule, r.path) for r in find_redexes(ctx, t)] == sorted(
-            ordered + list(surplus), key=lambda x: (position[x[1]], LS_RULES.index(x[0]))
-        )
+        _check_redexes_by_brute_force(ctx, t)
+
+
+def _untyped_ls(rng: Random, depth: int):
+    """A random term that need not be typable, at most depth+1 nodes deep.
+
+    Variables (x, y, z, and u, v of the standard context) fill every child
+    position, and the root too. Half the abstractions have an eta shape,
+    Lam x. (w * x) or Lam x. (x * w), where w is random and so may mention
+    x. Pairs and injections are as frequent as abstractions, so pi and beta
+    shapes and their near misses occur under binders as well.
+    """
+    if depth == 0 or rng.random() < 0.2:
+        return Var(rng.choice("xyzuv"))
+    sub = lambda: _untyped_ls(rng, depth - 1)
+    kind = rng.randrange(9)
+    if kind < 2:
+        x = rng.choice("xyz")
+        if kind == 1:
+            return Lam(x, a, sub())
+        w = sub()
+        return Lam(x, a, Star(w, Var(x)) if rng.random() < 0.5 else Star(Var(x), w))
+    if kind < 4:
+        return Pair(sub(), sub())
+    if kind < 6:
+        return (Inj1 if rng.random() < 0.5 else Inj2)(sub(), Disj(a, b))
+    return Star(sub(), sub())
+
+
+def test_find_redexes_agrees_with_brute_force_matching_on_untyped_terms():
+    """The oracle above, on 2,000 seeded terms outside the typed corpus."""
+    from cclab.gen import standard_context
+
+    ctx, rng = standard_context(2), Random(8)
+    terms = [_untyped_ls(rng, 5) for _ in range(2000)]
+    rules, shapes = Counter(), Counter()
+    for t in terms:
+        rules.update(rule for rule, _ in _check_redexes_by_brute_force(ctx, t))
+        shapes["var root"] += type(t) is Var
+        stack = [(t, False)]  # node, under a binder
+        while stack:
+            node, bound = stack.pop()
+            for field in node.KIDS:
+                kid = getattr(node, field)
+                shapes[f"var in {type(node).__name__}.{field}"] += type(kid) is Var
+                stack.append((kid, bound or type(node) is Lam))
+            if type(node) is Lam and type(node.body) is Star:
+                body = node.body
+                for x, w in ((body.right, body.left), (body.left, body.right)):
+                    if x == Var(node.var) and node.var in free_vars(w):
+                        shapes["eta near miss"] += 1
+            if bound and type(node) is Star:
+                kinds = {type(node.left), type(node.right)}
+                shapes["pair and injection under a binder"] += (
+                    Pair in kinds and bool(kinds & {Inj1, Inj2}))
+    assert set(rules) == set(_SYNTACTIC), rules
+    positions = {f"var in {c.__name__}.{f}" for c in (Lam, Star, Pair, Inj1, Inj2)
+                 for f in c.KIDS}
+    assert all(shapes[k] >= 20 for k in positions | {"var root", "eta near miss",
+               "pair and injection under a binder"}), shapes

@@ -12,6 +12,7 @@ from cclab.rewrite import (
     FuelExhausted,
     ReachabilityQuery,
     ReductionGraph,
+    SNResult,
     Strategy,
     check_sn,
     engine_for,
@@ -294,3 +295,47 @@ def test_search_budgets_mark_the_graph_truncated():
     edges = list(search(graph, None, 1000, depth_budget=1))
     assert graph.truncated and graph.reason == "depth budget"
     assert {e.source for e in edges} == {graph.root}
+
+
+def _longest_path(graph):
+    """The longest path from graph.root through an acyclic reduction graph."""
+    succ = {}
+    for e in graph.edges:
+        succ.setdefault(e.source, []).append(e.target)
+    memo = {}
+
+    def go(key):
+        if key not in memo:
+            memo[key] = max((1 + go(k) for k in succ.get(key, ())), default=0)
+        return memo[key]
+
+    return go(graph.root)
+
+
+def test_check_sn_agrees_with_the_explored_graph():
+    """check_sn's longest path and class count are those of explore's graph."""
+    from random import Random
+
+    from cclab.gen import random_c, random_ls
+
+    ctx, names = standard_context(2), atom_names(2)
+    rng = Random(2026)
+    reducible = 0
+    for i in range(100):
+        engine, draw = (LS_ENGINE, random_ls) if i % 2 else (C_ENGINE, random_c)
+        _, t = draw(ctx, names, rng.randint(11, 15), rng)
+        res = check_sn(engine, ctx, t)
+        graph = explore(engine, ctx, t)
+        assert res.terminating and not graph.truncated
+        assert (res.max_path, res.classes_seen) == (_longest_path(graph), len(graph.nodes))
+        reducible += bool(graph.edges)
+    assert 20 <= reducible <= 80  # both normal-form and reducible roots
+
+
+@pytest.mark.parametrize("engine, src", [(LS_ENGINE, "\\x:a. u * v"), (C_ENGINE, "K u")])
+def test_check_sn_settles_a_normal_form_root(engine, src):
+    ctx = standard_context(2)
+    t = parse_ls(src) if engine is LS_ENGINE else parse_c(src)
+    assert not engine.find(ctx, t)
+    assert check_sn(engine, ctx, t) == SNResult(True, 0, 1)
+    assert check_sn(engine, ctx, t, node_budget=0) == SNResult(False, None, 0, "node budget exceeded")
