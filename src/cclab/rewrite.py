@@ -6,11 +6,13 @@ pre-order position of the path and then rule priority; leftmost-outermost
 is the first, leftmost-innermost the first in post-order, and omega (lambda
 side only) skips those under a lambda. Every search is built on ``trace``,
 which follows the redexes a pick function chooses, and ``search``, which
-expands each alpha class once, breadth-first.
+expands each alpha class once, breadth-first. ``check_sn`` is ``search``
+followed by a longest path in topological order (Kahn's algorithm).
 
 Because reduction is finitely branching and (for typed terms) strongly
 normalizing, exhaustive exploration modulo alpha-equivalence terminates;
-budgets exist to keep untyped or adversarial inputs from spinning.
+budgets keep untyped or adversarial inputs from spinning, so a
+non-terminating input ends on the node budget, not the recursion limit.
 
 An ``Engine`` holds what differs between the calculi: the redex finders,
 the step, the alpha key, the printer and the typer. Paths into terms of
@@ -23,7 +25,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from . import ccl, lambda_sym
 from .node import subterm_at
@@ -150,8 +152,7 @@ def normalize(engine: Engine, ctx: Optional[Context], t: Term,
     raise FuelExhausted(cur, fuel)
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):  # a tuple, cheap to build: search makes one per contraction
     source: Term  # canonical
     rule: str
     path: tuple[int, ...]
@@ -178,13 +179,15 @@ class ReductionGraph:
 
 
 def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
-           depth_budget: Optional[int] = None) -> Iterator[Edge]:
+           depth_budget: Optional[int] = None,
+           root_redexes: Optional[list] = None) -> Iterator[Edge]:
     """Expand each alpha class reachable from graph.root once, breadth-first.
 
     Yields an Edge for every contraction of an expanded term; a target
     missing from graph.nodes is one the node budget kept out. Terms at
     depth_budget are not expanded. Normal forms go to graph.normal_forms,
     and a budget that cuts the search sets graph.truncated and graph.reason.
+    root_redexes, when given, are the root's redexes, already found.
     """
     engine = graph.engine
     frontier = deque([(graph.nodes[graph.root], graph.root, 0)])  # term, key, depth
@@ -194,7 +197,9 @@ def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
             graph.truncated, graph.reason = True, "depth budget"
             continue
         normal = True
-        for r in engine.redexes(ctx, t):
+        redexes = engine.redexes(ctx, t) if root_redexes is None else root_redexes
+        root_redexes = None
+        for r in redexes:
             normal = False
             u = engine.step(t, r)
             u_key = engine.canon(u)
@@ -237,8 +242,8 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
     cuts the search. A search witness follows the edges that first
     reached each class.
     """
-    target_c = engine.canon(q.target)
-    if not q.require_nonempty and engine.canon(q.source) == target_c:
+    source_c, target_c = engine.canon(q.source), engine.canon(q.target)
+    if not q.require_nonempty and source_c == target_c:
         return True, []
 
     witness = []
@@ -248,7 +253,7 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
         if engine.canon(u) == target_c:
             return True, witness
 
-    graph = ReductionGraph.rooted_at(engine, q.source)
+    graph = ReductionGraph(engine, source_c, {source_c: q.source})
     parent: dict = {graph.root: None}
     for e in search(graph, ctx, node_budget, depth_budget=q.max_steps):
         if e.target == target_c:
@@ -271,50 +276,44 @@ class SNResult:
     reason: Optional[str] = None
 
 
-class _Stop(Exception):
-    """Ends check_sn without a verdict of termination; args[0] is the reason."""
-
-
 def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
              node_budget: int = 100_000) -> SNResult:
-    """Exhaustive DFS over reduction sequences, memoized by alpha class.
+    """Does every reduction sequence from t end, and how long is the longest?
 
-    Returns the longest reduction path length when every sequence ends.
-    A cycle would disprove termination and is reported as such. The
-    root's redexes are found first: a root with none is its own single
-    class, settled without canonicalising it, and otherwise the list
-    serves the root's expansion.
+    A root with no redex is one class, settled without canonicalising it.
+    Otherwise ``search`` expands each class once, the root from its redexes
+    already found, and Kahn's algorithm orders the classes, numbered as they
+    appear: one it cannot order lies on a reduction cycle. The longest path
+    is relaxed along that order. The root is keyed by itself; a reduct
+    alpha-equal to it closes a cycle among canonical keys.
     """
+    if node_budget < 1:
+        return SNResult(False, None, 0, "node budget exceeded")
     root_redexes = engine.find(ctx, t)
-    if not root_redexes and node_budget > 0:
+    if not root_redexes:
         return SNResult(True, 0, 1)
-    memo: dict = {}
-    on_stack: set = set()
-    seen = 0
-
-    def longest(term, key, redexes=None) -> int:
-        nonlocal seen
-        if key in memo:
-            return memo[key]
-        if key in on_stack:
-            raise _Stop("reduction cycle found")
-        if seen >= node_budget:
-            raise _Stop("node budget exceeded")
-        seen += 1
-        on_stack.add(key)
-        best = 0
-        for r in engine.find(ctx, term) if redexes is None else redexes:
-            nxt = engine.step(term, r)
-            best = max(best, 1 + longest(nxt, engine.canon(nxt)))
-        on_stack.discard(key)
-        memo[key] = best
-        return best
-
-    try:
-        n = longest(t, engine.canon(t), root_redexes)
-        return SNResult(True, n, seen)
-    except _Stop as stop:
-        return SNResult(False, None, seen, stop.args[0])
+    graph = ReductionGraph(engine, t, {t: t})
+    ids, succ, indegree = {t: 0}, [[]], [0]  # class -> number; by number
+    for e in search(graph, ctx, node_budget, root_redexes=root_redexes):
+        if graph.truncated:
+            return SNResult(False, None, len(graph.nodes), "node budget exceeded")
+        j = ids.setdefault(e.target, len(succ))
+        if j == len(succ):
+            succ.append([])
+            indegree.append(0)
+        succ[ids[e.source]].append(j)
+        indegree[j] += 1
+    depth = [0] * len(succ)  # longest path from the root, final once ordered
+    order = [i for i, d in enumerate(indegree) if d == 0]
+    for i in order:  # grows as classes lose their last predecessor
+        for j in succ[i]:
+            depth[j] = max(depth[j], depth[i] + 1)
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                order.append(j)
+    if len(order) < len(succ):
+        return SNResult(False, None, len(succ), "reduction cycle found")
+    return SNResult(True, max(depth), len(succ))
 
 
 def _dot_quote(s: str) -> str:

@@ -474,14 +474,6 @@ def print_c(t: CTerm) -> str:
     return go(t, 0)
 
 
-def print_term(calculus: str, t: Union[LsTerm, CTerm]) -> str:
-    return print_ls(t) if calculus == "ls" else print_c(t)
-
-
-def print_context(ctx) -> str:
-    return ", ".join(f"{x} : {print_type(ty)}" for x, ty in ctx.items())
-
-
 # ---- claim files ----
 
 

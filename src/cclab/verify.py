@@ -743,7 +743,3 @@ def run_suite(name: str) -> SuiteResult:
     result = SUITES[key]()
     result.seconds = time.perf_counter() - t0
     return result
-
-
-def run_all() -> list[SuiteResult]:
-    return [run_suite(name) for name in SUITES]

@@ -86,6 +86,10 @@ def test_check_sn_terminating():
     assert res.terminating and res.max_path == 2
     cut = check_sn(C_ENGINE, None, parse_c("I x"), node_budget=2)
     assert not cut.terminating and cut.reason == "node budget exceeded"
+    # An infinite reduction graph ends on the node budget, not the recursion limit.
+    omega = parse_c("S I I (S I I)")
+    assert check_sn(C_ENGINE, None, omega, node_budget=1000) == SNResult(
+        False, None, 1000, "node budget exceeded")
 
 
 def test_explore_nonconfluence_lambda_side():
@@ -313,23 +317,34 @@ def _longest_path(graph):
 
 
 def test_check_sn_agrees_with_the_explored_graph():
-    """check_sn's longest path and class count are those of explore's graph."""
+    """check_sn's longest path and class count are those of explore's graph,
+    on random terms and on every reducible root of the size-9 corpora."""
     from random import Random
 
     from cclab.gen import random_c, random_ls
 
     ctx, names = standard_context(2), atom_names(2)
-    rng = Random(2026)
-    reducible = 0
-    for i in range(100):
-        engine, draw = (LS_ENGINE, random_ls) if i % 2 else (C_ENGINE, random_c)
-        _, t = draw(ctx, names, rng.randint(11, 15), rng)
+
+    def agrees(engine, t):
         res = check_sn(engine, ctx, t)
         graph = explore(engine, ctx, t)
         assert res.terminating and not graph.truncated
         assert (res.max_path, res.classes_seen) == (_longest_path(graph), len(graph.nodes))
-        reducible += bool(graph.edges)
+        return bool(graph.edges)
+
+    rng = Random(2026)
+    reducible = 0
+    for i in range(100):
+        engine, draw = (LS_ENGINE, random_ls) if i % 2 else (C_ENGINE, random_c)
+        reducible += agrees(engine, draw(ctx, names, rng.randint(11, 15), rng)[1])
     assert 20 <= reducible <= 80  # both normal-form and reducible roots
+    corpus = [(LS_ENGINE, t) for _, t in enumerate_ls(ctx, 9, names)]
+    corpus += [(C_ENGINE, t) for _, t in enumerate_c(ctx, 9, names)]
+    corpus = [(engine, t) for engine, t in corpus if engine.find(ctx, t)]
+    assert len(corpus) == 2856
+    assert all(agrees(engine, t) for engine, t in corpus)
+    engine, t = corpus[0]
+    assert check_sn(engine, ctx, t, node_budget=0) == SNResult(False, None, 0, "node budget exceeded")
 
 
 @pytest.mark.parametrize("engine, src", [(LS_ENGINE, "\\x:a. u * v"), (C_ENGINE, "K u")])
