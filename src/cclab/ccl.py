@@ -117,6 +117,8 @@ class AmbiguousTypeError(TypingError):
 
 
 def scheme_type(which: str, params: Sequence[MType]) -> MType:
+    if which not in SCHEME_ARITY:
+        raise TypingError(f"unknown combinator {which}")
     if len(params) != SCHEME_ARITY[which]:
         raise TypingError(
             f"{which} takes {SCHEME_ARITY[which]} type parameters, got {len(params)}"
@@ -143,7 +145,6 @@ def scheme_type(which: str, params: Sequence[MType]) -> MType:
         case "Q2":
             a, b = params
             return Disj(negate(b), Disj(a, b))
-    raise TypingError(f"unknown combinator {which}")
 
 
 def term_vars(t: CTerm) -> frozenset[str]:

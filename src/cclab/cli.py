@@ -67,12 +67,7 @@ def _pick_calculus(args) -> Optional[str]:
 
 
 def _parse_term(args, src: str):
-    calc = _pick_calculus(args)
-    if calc == "ls":
-        return "ls", parse_ls(src)
-    if calc == "ccl":
-        return "ccl", parse_c(src)
-    return parse_term_auto(src)
+    return parse_term_auto(src, _pick_calculus(args))
 
 
 def _fmt_path(path: tuple) -> str:

@@ -40,7 +40,6 @@ Redex = Union[lambda_sym.LsRedex, ccl.CRedex]
 @dataclass(frozen=True, slots=True)
 class Engine:
     name: str
-    rules: tuple[str, ...]
     find: Callable  # (ctx, t) -> list of every redex, in the order of redexes
     redexes: Callable  # (ctx, t) -> the same redexes, lazily
     step: Callable
@@ -51,7 +50,6 @@ class Engine:
 
 LS_ENGINE = Engine(
     name="ls",
-    rules=lambda_sym.LS_RULES,
     find=lambda_sym.find_redexes,
     redexes=lambda_sym.iter_redexes,
     step=lambda_sym.reduce_at,
@@ -62,7 +60,6 @@ LS_ENGINE = Engine(
 
 C_ENGINE = Engine(
     name="ccl",
-    rules=ccl.C_RULES,
     find=ccl.find_redexes_c,
     redexes=ccl.iter_redexes_c,
     step=ccl.reduce_at_c,

@@ -19,6 +19,11 @@ Claim files hold one judgment per line: `CTX |- term : type` or
 first non-blank character is `#` are comments; `@ctx NAME : TYPE, ...`
 sets a default context for the lines after it.
 
+Every parse runs one rule over all the tokens (_read). CLI literals and
+claim lines choose their grammar in one place (_either): lambda, then
+combinators; if both fail, the error found farther in wins, on a tie the
+combinatory one. Claim lines lose `CTX |-` and `[max N]` at token level.
+
 The lexer is one token table: a compiled regular expression with one
 alternative per token class, walked once with finditer. Token spans are
 byte offsets into the UTF-8 source; numbers are ASCII digits only.
@@ -216,15 +221,19 @@ class _P:
 
     # ---- lambda-side terms ----
 
-    def ls_term(self) -> LsTerm:
-        first = self.ls_simple()
+    def star(self, side, node):
+        """side, or side * side built with node; '*' does not associate."""
+        left = side()
+        if self.peek().kind != "STAR":
+            return left
+        op = self.advance()
+        right = side()
         if self.peek().kind == "STAR":
-            op = self.advance()
-            second = self.ls_simple()
-            if self.peek().kind == "STAR":
-                self.err("'*' is not associative; parenthesize one side")
-            return Star(first, second, span=(_sp(first) or op.start, op.end))
-        return first
+            self.err("'*' is not associative; parenthesize one side")
+        return node(left, right, span=(_sp(left) or op.start, op.end))
+
+    def ls_term(self) -> LsTerm:
+        return self.star(self.ls_simple, Star)
 
     def ls_simple(self) -> LsTerm:
         t = self.peek()
@@ -271,14 +280,7 @@ class _P:
     # ---- combinatory terms ----
 
     def c_term(self) -> CTerm:
-        left = self.c_app()
-        if self.peek().kind == "STAR":
-            op = self.advance()
-            right = self.c_app()
-            if self.peek().kind == "STAR":
-                self.err("'*' is not associative; parenthesize one side")
-            return CStar(left, right, span=(_sp(left) or op.start, op.end))
-        return left
+        return self.star(self.c_app, CStar)
 
     def c_app(self) -> CTerm:
         t = self.c_prim()
@@ -337,6 +339,17 @@ class _P:
                 return out
             self.advance()
 
+    # ---- claims ----
+
+    def claim(self, term, reduction: bool) -> tuple:
+        """`term =>* term` if reduction, else `term : type`; term is a rule."""
+        left = term(self)
+        if reduction:
+            self.expect("REDUCES", "'=>*'")
+            return left, term(self)
+        self.expect("COLON", "':' and the claimed type")
+        return left, self.type_top()
+
 
 def _sp(t) -> Optional[int]:
     return t.span[0] if getattr(t, "span", None) else None
@@ -346,61 +359,59 @@ def _ep(t) -> Optional[int]:
     return t.span[1] if getattr(t, "span", None) else None
 
 
+def _read(toks: list[Token], rule, what: str = "term"):
+    """Run rule, a _P method, over toks; it must use them all up."""
+    p = _P(toks)
+    out = rule(p)
+    p.done(what)
+    return out
+
+
 def parse_type(src: str) -> Ty:
-    p = _P(lex(src))
-    ty = p.type_top()
-    p.done("type")
-    return ty
+    return _read(lex(src), _P.type_top, "type")
 
 
 def parse_mtype(src: str) -> MType:
-    p = _P(lex(src))
-    ty = p.disj()
-    p.done("type")
-    return ty
+    return _read(lex(src), _P.disj, "type")
 
 
 def parse_ls(src: str) -> LsTerm:
-    p = _P(lex(src))
-    t = p.ls_term()
-    p.done()
-    return t
+    return _read(lex(src), _P.ls_term)
 
 
 def parse_c(src: str) -> CTerm:
-    p = _P(lex(src))
-    t = p.c_term()
-    p.done()
-    return t
+    return _read(lex(src), _P.c_term)
 
 
 def parse_context(src: str) -> dict[str, Ty]:
-    p = _P(lex(src))
-    ctx = p.context()
-    p.done("context")
-    return ctx
+    return _read(lex(src), _P.context, "context")
 
 
-def parse_term_auto(src: str) -> tuple[str, Union[LsTerm, CTerm]]:
-    """Try the lambda grammar, then the combinatory one.
+_TERM_RULES = {"ls": _P.ls_term, "ccl": _P.c_term}
+
+
+def _either(toks: list[Token], read, calculus: Optional[str] = None):
+    """(calculus, read(toks, its term rule)), the calculus given or else the
+    first of "ls" and "ccl" that reads toks; see the module docstring."""
+    if calculus is not None:
+        return calculus, read(toks, _TERM_RULES[calculus])
+    try:
+        return "ls", read(toks, _P.ls_term)
+    except ParseError as ls_err:
+        try:
+            return "ccl", read(toks, _P.c_term)
+        except ParseError as c_err:
+            raise ls_err if ls_err.span[0] > c_err.span[0] else c_err
+
+
+def parse_term_auto(src: str, calculus: Optional[str] = None
+                    ) -> tuple[str, Union[LsTerm, CTerm]]:
+    """Read a term in the given calculus ("ls" or "ccl"), else in either.
 
     Terms made only of variables, '*' and parens parse in both; those are
     reported as lambda-side, where the two calculi agree anyway.
     """
-    toks = lex(src)
-    try:
-        p = _P(toks)
-        t = p.ls_term()
-        p.done()
-        return "ls", t
-    except ParseError as ls_err:
-        try:
-            p = _P(toks)
-            t = p.c_term()
-            p.done()
-            return "ccl", t
-        except ParseError as c_err:
-            raise c_err if (c_err.span or (0,))[0] > (ls_err.span or (0,))[0] else ls_err
+    return _either(lex(src), _read, calculus)
 
 
 # ---- printers ----
@@ -501,38 +512,6 @@ class ReductionClaim:
 Claim = Union[TypingClaim, ReductionClaim]
 
 
-def _slice(toks: list[Token], lo: int, hi: int) -> list[Token]:
-    """toks[lo:hi] plus a synthetic EOF at the cut point."""
-    at = toks[hi].start if hi < len(toks) else toks[-1].end
-    return toks[lo:hi] + [Token("EOF", "", at, at)]
-
-
-def _parse_both(toks: list[Token], build) -> tuple[str, object]:
-    last: Optional[ParseError] = None
-    for calc in ("ls", "ccl"):
-        try:
-            return calc, build(calc)
-        except ParseError as e:
-            if last is None or (e.span or (0,))[0] >= (last.span or (0,))[0]:
-                last = e
-    raise last
-
-
-def _strip_max(toks: list[Token]) -> tuple[list[Token], Optional[int]]:
-    # ... [ max N ] EOF
-    if (
-        len(toks) >= 5
-        and toks[-1].kind == "EOF"
-        and toks[-2].kind == "RBRACK"
-        and toks[-3].kind == "NUMBER"
-        and toks[-4].kind == "NAME"
-        and toks[-4].text == "max"
-        and toks[-5].kind == "LBRACK"
-    ):
-        return _slice(toks, 0, len(toks) - 5), int(toks[-3].text)
-    return toks, None
-
-
 def parse_claims(text: str) -> list[Claim]:
     claims: list[Claim] = []
     header_ctx: Optional[dict[str, Ty]] = None
@@ -540,61 +519,39 @@ def parse_claims(text: str) -> list[Claim]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("@ctx"):
-            try:
-                header_ctx = parse_context(line[len("@ctx"):])
-            except ParseError as e:
-                e.line_no = line_no
-                raise
-            continue
         try:
-            claims.append(_parse_claim_line(line, line_no, header_ctx))
+            if line.startswith("@ctx"):
+                header_ctx = parse_context(line[len("@ctx"):])
+            else:
+                claims.append(_parse_claim_line(line, line_no, header_ctx))
         except ParseError as e:
-            if e.line_no is None:
-                e.line_no = line_no
+            e.line_no = line_no
             raise
     return claims
 
 
-def _parse_claim_line(line: str, line_no: int,
-                      header_ctx: Optional[dict[str, Ty]]) -> Claim:
+_MAX = ["LBRACK", "NAME", "NUMBER", "RBRACK", "EOF"]  # a trailing [max N]
+
+
+def _parse_claim_line(line: str, line_no: int, ctx: Optional[dict[str, Ty]]) -> Claim:
+    """ctx, the @ctx header's, holds unless the line has its own `CTX |-`."""
     toks = lex(line)
-    ctx: Optional[dict[str, Ty]] = None
-    body_from = 0
     for i, tk in enumerate(toks):
         if tk.kind == "TURNSTILE":
-            p = _P(_slice(toks, 0, i))
-            ctx = p.context()
-            p.done("context")
-            body_from = i + 1
+            ctx = _read(toks[:i] + [Token("EOF", "", tk.start, tk.start)], _P.context, "context")
+            toks = toks[i + 1:]
             break
-    body = _slice(toks, body_from, len(toks) - 1)
+    reduction = any(tk.kind == "REDUCES" for tk in toks)
+    max_steps = None
+    # cut off, not read: the `[` of `K [max 5]` would start an instantiation
+    if reduction and [tk.kind for tk in toks[-5:]] == _MAX and toks[-4].text == "max":
+        max_steps, at = int(toks[-3].text), toks[-5].start
+        toks = toks[:-5] + [Token("EOF", "", at, at)]
 
-    reduces_at = next((i for i, tk in enumerate(body) if tk.kind == "REDUCES"), None)
-    if reduces_at is not None:
-        lhs = _slice(body, 0, reduces_at)
-        rhs, max_steps = _strip_max(_slice(body, reduces_at + 1, len(body) - 1))
+    def read(ts: list[Token], term) -> tuple:
+        return _read(ts, lambda p: p.claim(term, reduction), "claim")
 
-        def build(calc: str):
-            def one(ts):
-                p = _P(ts)
-                t = p.ls_term() if calc == "ls" else p.c_term()
-                p.done()
-                return t
-            return one(lhs), one(rhs)
-
-        calc, (src, tgt) = _parse_both(body, build)
-        use_ctx = ctx if ctx is not None else header_ctx
-        return ReductionClaim(calc, use_ctx, src, tgt, max_steps, line_no, line)
-
-    def build_typing(calc: str):
-        p = _P(body)
-        t = p.ls_term() if calc == "ls" else p.c_term()
-        p.expect("COLON", "':' and the claimed type")
-        ty = p.type_top()
-        p.done("claim")
-        return t, ty
-
-    calc, (term, ty) = _parse_both(body, build_typing)
-    use_ctx = ctx if ctx is not None else (header_ctx or {})
-    return TypingClaim(calc, use_ctx, term, ty, line_no, line)
+    calc, (left, right) = _either(toks, read)
+    if reduction:
+        return ReductionClaim(calc, ctx, left, right, max_steps, line_no, line)
+    return TypingClaim(calc, ctx or {}, left, right, line_no, line)

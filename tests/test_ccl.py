@@ -98,6 +98,8 @@ def test_ground_type_of():
         ground_type_of(CTX, Comb("K"))  # inst required
     with pytest.raises(TypingError):
         ground_type_of(CTX, App(CVar("u"), CVar("u")))
+    with pytest.raises(TypingError, match="unknown combinator B"):
+        ground_type_of(CTX, Comb("B", (a,)))
 
 
 def test_classify():
@@ -338,14 +340,15 @@ def test_find_redexes_c_agrees_with_brute_force_matching():
     gives the expected list order. simp needs typing and is checked as the
     only surplus, in its place: last among the redexes at its path.
     """
-    from cclab.gen import enumerate_c, enumerate_pre_terms, enumerate_star_terms
+    from cclab.gen import enumerate_pre_terms, enumerate_star_terms
     from cclab.translate import bracket_abstract
+    from cclab.verify import _c_corpus
 
     from cclab.syntax import parse_context
 
     ctx = standard_context(2)
     names = ("x", "y")
-    terms = [t for _, t in enumerate_c(ctx, 9, atom_names(2))]
+    terms = [t for _, t in _c_corpus(2, 9)]  # the size-9 corpus the suites share
     terms += enumerate_pre_terms(names, 5) + enumerate_star_terms(names, 5)
     terms += [App(bracket_abstract("x", u), v)
               for u in enumerate_pre_terms(names, 4) for v in enumerate_pre_terms(names, 2)]

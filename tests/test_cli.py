@@ -91,6 +91,16 @@ def test_check_claims_file_reports_failures(tmp_path, capsys):
     assert "1/2 claims hold" in out
 
 
+def test_both_grammars_failing_at_one_token_report_the_combinator_error(tmp_path, capsys):
+    want = "K takes 2 type parameters, got 1 (bytes 0..1)"
+    rc, _, err = run(capsys, "check", "K[a]")
+    assert rc == 2 and want in err
+    claims = tmp_path / "claims.txt"
+    claims.write_text("K[a] : a\n")
+    rc, _, err = run(capsys, "check", str(claims))
+    assert rc == 2 and f"line 1: {want}" in err
+
+
 def test_check_claims_file_with_a_subscript_step_bound(tmp_path, capsys):
     claims = tmp_path / "claims.txt"
     claims.write_text("@ctx u : a\nu * v =>* u * v [max ₁]\n")

@@ -4,7 +4,7 @@ from cclab import ccl
 from cclab.ccl import App, CRedex, CStar
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, enumerate_pre_terms
 from cclab.gen import enumerate_star_terms, standard_context
-from cclab.lambda_sym import Lam, LsRedex, Pair, Star, Var
+from cclab.lambda_sym import LS_RULES, Lam, LsRedex, Pair, Star, Var
 from cclab.node import children
 from cclab.rewrite import (
     C_ENGINE,
@@ -28,6 +28,7 @@ from cclab.rewrite import (
 from cclab.syntax import parse_c, parse_context, parse_ls
 from cclab.translate import bracket_abstract, pi_macro
 from cclab.types import Atom, Bottom, Conj, NegAtom
+from cclab.verify import _c_corpus, _ls_corpus
 
 a, na = Atom("a"), NegAtom("a")
 
@@ -245,7 +246,8 @@ def test_leftmost_innermost_matches_a_post_order_walk():
         for p in _postorder_paths(t):
             here = [r for r in found if r.path == p]
             if here:
-                want = min(here, key=lambda r: engine.rules.index(r.rule))
+                order = LS_RULES if engine is LS_ENGINE else ccl.C_RULES
+                want = min(here, key=lambda r: order.index(r.rule))
                 break
         assert pick_redex(engine, c, t, Strategy.LEFTMOST_INNERMOST) == want, t
         picked += want is not None
@@ -338,8 +340,8 @@ def test_check_sn_agrees_with_the_explored_graph():
         engine, draw = (LS_ENGINE, random_ls) if i % 2 else (C_ENGINE, random_c)
         reducible += agrees(engine, draw(ctx, names, rng.randint(11, 15), rng)[1])
     assert 20 <= reducible <= 80  # both normal-form and reducible roots
-    corpus = [(LS_ENGINE, t) for _, t in enumerate_ls(ctx, 9, names)]
-    corpus += [(C_ENGINE, t) for _, t in enumerate_c(ctx, 9, names)]
+    corpus = [(LS_ENGINE, t) for _, t in _ls_corpus(2, 9)]  # shared with the suites
+    corpus += [(C_ENGINE, t) for _, t in _c_corpus(2, 9)]
     corpus = [(engine, t) for engine, t in corpus if engine.find(ctx, t)]
     assert len(corpus) == 2856
     assert all(agrees(engine, t) for engine, t in corpus)

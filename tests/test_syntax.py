@@ -1,6 +1,7 @@
 import pytest
 
 from cclab.ccl import IDENT, App, Comb, CStar, CVar
+from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
 from cclab.lambda_sym import Inj1, Inj2, Lam, Pair, Star, Var, alpha_eq
 from cclab.syntax import (
     MAX_NESTING,
@@ -222,6 +223,28 @@ def test_parse_claims_reports_line():
     with pytest.raises(ParseError) as ei:
         parse_claims("x : a\n<oops : b\n")
     assert ei.value.line_no == 2
+
+
+def test_claims_read_terms_as_the_term_reader_does():
+    """Every size-8 term, stated as a typing claim, reads back as
+    parse_term_auto reads it, with its type."""
+    ctx, names = standard_context(2), atom_names(2)
+    corpora = [(enumerate_ls(ctx, 8, names), print_ls), (enumerate_c(ctx, 8, names), print_c)]
+    assert [len(corpus) for corpus, _ in corpora] == [2368, 1384]
+    for corpus, show in corpora:
+        for ty, t in corpus:
+            src = show(t)
+            (claim,) = parse_claims(f"{src} : {print_type(ty)}")
+            assert (claim.calculus, claim.term) == parse_term_auto(src)
+            assert claim.ty == ty
+
+
+def test_claims_step_bound():
+    (claim,) = parse_claims("I K =>* K [max 5]")  # not an instantiation of K
+    assert isinstance(claim, ReductionClaim)
+    assert (claim.calculus, claim.target, claim.max_steps) == ("ccl", Comb("K"), 5)
+    with pytest.raises(ParseError, match="after the claim: '\\['"):
+        parse_claims("x : a [max 5]")  # a bound belongs to reductions only
 
 
 def test_spans_point_into_source():
