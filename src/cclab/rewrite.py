@@ -6,8 +6,9 @@ pre-order position of the path and then rule priority; leftmost-outermost
 is the first, leftmost-innermost the first in post-order, and omega (lambda
 side only) skips those under a lambda. Every search is built on ``trace``,
 which follows the redexes a pick function chooses, and ``search``, which
-expands each alpha class once, breadth-first. ``check_sn`` is ``search``
-followed by a longest path in topological order (Kahn's algorithm).
+expands each alpha class once, breadth-first. ``reaches`` tries three
+traces, then ``search``. ``check_sn`` is ``search`` followed by a longest
+path in topological order (Kahn's algorithm).
 
 Because reduction is finitely branching and (for typed terms) strongly
 normalizing, exhaustive exploration modulo alpha-equivalence terminates;
@@ -111,6 +112,48 @@ def pick_redex(engine: Engine, ctx: Optional[Context], t: Term,
     if engine.name != "ls":
         raise ValueError("omega strategy only applies to the lambda side")
     return next(omega_redexes(engine, ctx, t), None)
+
+
+def _macro_spine(t: Term, at: tuple = ()) -> list[tuple]:
+    """Beta positions along the application-macro spine, innermost first.
+
+    A macro node is \\y:~B. u * <v, y>; the spine follows u, plus both
+    sides of a top star. Arguments inside pairs are never entered, and a
+    combinator term has no spine.
+    """
+    if (
+        isinstance(t, lambda_sym.Lam)
+        and isinstance(t.body, lambda_sym.Star)
+        and isinstance(t.body.right, lambda_sym.Pair)
+        and t.body.right.right == lambda_sym.Var(t.var)
+    ):
+        return _macro_spine(t.body.left, at + (0, 0)) + [at + (0,)]
+    if isinstance(t, lambda_sym.Star):
+        return _macro_spine(t.left, at + (0,)) + _macro_spine(t.right, at + (1,)) + [at]
+    return []
+
+
+_CLEANUP_RULES = frozenset(("pi1", "pi2", "pi1_perp", "pi2_perp", "eta", "eta_perp"))
+
+
+def _macro_pick(engine: Engine, ctx: Optional[Context], source: Term) -> Callable:
+    """Contract the macro spine, then projections and eta steps only.
+
+    This is the reduction order the simulation argument prescribes: feed
+    each macro its argument pair, then let the projections dig the
+    components out, leaving inner macros intact. A spine position without
+    a beta redex is skipped.
+    """
+    spine = iter(_macro_spine(source))
+
+    def pick(t):
+        for path in spine:
+            for r in engine.redexes(ctx, t):
+                if r.path == path and r.rule in ("beta", "beta_perp"):
+                    return r
+        return next((r for r in engine.redexes(ctx, t) if r.rule in _CLEANUP_RULES), None)
+
+    return pick
 
 
 def trace(engine: Engine, t: Term, pick: Callable, fuel: int) -> Iterator[tuple[Redex, Term]]:
@@ -233,22 +276,27 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
     """Is q.target reachable from q.source within q.max_steps reductions?
 
     Returns (answer, witness); the witness is a list of (rule, path) steps.
-    Tries the leftmost-outermost trace first (it usually passes straight
-    through the targets the simulation lemmas predict), then searches
-    breadth-first over alpha classes and gives up when the node budget
-    cuts the search. A search witness follows the edges that first
-    reached each class.
+    No single strategy is complete for a non-confluent system, so this is
+    a portfolio, cheapest first: the leftmost-outermost trace (it usually
+    passes straight through the targets the simulation lemmas predict),
+    the leftmost-innermost trace, the macro-spine trace, and then a
+    breadth-first search over alpha classes that gives up when the node
+    budget cuts it. A trace hit returns that trace's steps; a search
+    witness follows the edges that first reached each class.
     """
     source_c, target_c = engine.canon(q.source), engine.canon(q.target)
     if not q.require_nonempty and source_c == target_c:
         return True, []
 
-    witness = []
     lo = lambda u: next(engine.redexes(ctx, u), None)
-    for r, u in trace(engine, q.source, lo, q.max_steps):
-        witness.append((r.rule, r.path))
-        if engine.canon(u) == target_c:
-            return True, witness
+    li = lambda u: pick_redex(engine, ctx, u, Strategy.LEFTMOST_INNERMOST)
+    for pick in (lo, li, None):  # None: the macro pick walks the source; build it only if needed
+        pick = pick or _macro_pick(engine, ctx, q.source)
+        witness = []
+        for r, u in trace(engine, q.source, pick, q.max_steps):
+            witness.append((r.rule, r.path))
+            if engine.canon(u) == target_c:
+                return True, witness
 
     graph = ReductionGraph(engine, source_c, {source_c: q.source})
     parent: dict = {graph.root: None}

@@ -22,7 +22,8 @@ sets a default context for the lines after it.
 Every parse runs one rule over all the tokens (_read). CLI literals and
 claim lines choose their grammar in one place (_either): lambda, then
 combinators; if both fail, the error found farther in wins, on a tie the
-combinatory one. Claim lines lose `CTX |-` and `[max N]` at token level.
+text's own tokens decide (_lambda_only). Claim lines lose `CTX |-` and
+`[max N]` at token level; error spans index the file's line.
 
 The lexer is one token table: a compiled regular expression with one
 alternative per token class, walked once with finditer. Token spans are
@@ -401,7 +402,15 @@ def _either(toks: list[Token], read, calculus: Optional[str] = None):
         try:
             return "ccl", read(toks, _P.c_term)
         except ParseError as c_err:
-            raise ls_err if ls_err.span[0] > c_err.span[0] else c_err
+            i, j = ls_err.span[0], c_err.span[0]
+            raise ls_err if i > j or i == j and _lambda_only(toks) else c_err
+
+
+def _lambda_only(toks: list[Token]) -> bool:
+    """Is a lambda, '<', s1( or s2( in toks, and no combinator or '['?"""
+    ls = any(tk.kind in ("LAMBDA", "LANGLE") or tk.text in ("s1", "s2") and nxt.kind == "LPAREN"
+             for tk, nxt in zip(toks, toks[1:]))
+    return ls and not any(tk.kind in ("COMB", "LBRACK") for tk in toks)
 
 
 def parse_term_auto(src: str, calculus: Optional[str] = None
@@ -519,13 +528,15 @@ def parse_claims(text: str) -> list[Claim]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        at = len(raw[:raw.index(line[0])].encode("utf-8"))  # where the parser's text starts
         try:
             if line.startswith("@ctx"):
+                at += len("@ctx")
                 header_ctx = parse_context(line[len("@ctx"):])
             else:
                 claims.append(_parse_claim_line(line, line_no, header_ctx))
         except ParseError as e:
-            e.line_no = line_no
+            e.line_no, e.span = line_no, (e.span[0] + at, e.span[1] + at)
             raise
     return claims
 

@@ -7,9 +7,9 @@ returns a SuiteResult with the instance count, failures (empty = pass),
 wall time, and free-form notes.
 
 Every reduction sequence a suite follows comes from ``rewrite.trace`` or
-``rewrite.search``. Reachability goes through ``rewrite.reaches``; the
-rule-simulation suite first tries the leftmost-innermost and macro-spine
-traces, then ``rewrite.reaches``.
+``rewrite.search``. Every reachability question, rule-simulation's
+included, is one ``rewrite.reaches`` call, which tries its strategies in
+one fixed order.
 
 Suites are registered under a descriptive name plus short historical
 aliases accepted by the command line.
@@ -61,13 +61,10 @@ from .rewrite import (
     C_ENGINE,
     LS_ENGINE,
     ReachabilityQuery,
-    Strategy,
     check_sn,
     explore,
     omega_redexes,
-    pick_redex,
     reaches,
-    trace,
 )
 from .syntax import (
     parse_c,
@@ -434,73 +431,6 @@ def suite_application(max_size: int = 7, v_size: int = 3) -> SuiteResult:
     return r
 
 
-def _macro_spine(t: LsTerm, at: tuple = ()) -> list[tuple]:
-    """Beta positions along the application-macro spine, innermost first.
-
-    A macro node is \\y:~B. u * <v, y>; the spine follows u, plus both
-    sides of a top star. Arguments inside pairs are never entered.
-    """
-    if (
-        isinstance(t, Lam)
-        and isinstance(t.body, Star)
-        and isinstance(t.body.right, Pair)
-        and t.body.right.right == Var(t.var)
-    ):
-        return _macro_spine(t.body.left, at + (0, 0)) + [at + (0,)]
-    if isinstance(t, Star):
-        return (
-            _macro_spine(t.left, at + (0,))
-            + _macro_spine(t.right, at + (1,))
-            + [at]
-        )
-    return []
-
-
-_CLEANUP_RULES = frozenset(
-    ("pi1", "pi2", "pi1_perp", "pi2_perp", "eta", "eta_perp")
-)
-
-
-def _macro_pick(engine, ctx, source):
-    """Contract the macro spine, then projections and eta steps only.
-
-    This is the reduction order the simulation argument prescribes: feed
-    each macro its argument pair, then let the projections dig the
-    components out, leaving inner macros intact. A spine position without
-    a beta redex is skipped.
-    """
-    spine = iter(_macro_spine(source))
-
-    def pick(t):
-        for path in spine:
-            for r in engine.redexes(ctx, t):
-                if r.path == path and r.rule in ("beta", "beta_perp"):
-                    return r
-        return next((r for r in engine.redexes(ctx, t) if r.rule in _CLEANUP_RULES), None)
-
-    return pick
-
-
-def _simulates(engine, ctx, source, target, max_steps: int = 100) -> bool:
-    """Does source reduce to target in at least one step?
-
-    A portfolio of searches, cheap ones first: the leftmost-innermost
-    trace, the macro-spine trace, and finally ``reaches``, which follows
-    the leftmost-outermost trace and then searches breadth-first within
-    4,000 alpha classes. Every step is an engine step, so any hit is an
-    honest reduction sequence.
-    """
-    target_c = engine.canon(target)
-    for pick in (
-        lambda u: pick_redex(engine, ctx, u, Strategy.LEFTMOST_INNERMOST),
-        _macro_pick(engine, ctx, source),
-    ):
-        if any(engine.canon(u) == target_c for _, u in trace(engine, source, pick, max_steps)):
-            return True
-    query = ReachabilityQuery(source, target, max_steps, require_nonempty=True)
-    return reaches(engine, ctx, query, node_budget=4000)[0]
-
-
 def _k(i1: MType, i2: MType) -> Comb:
     return Comb("K", (i1, i2))
 
@@ -557,23 +487,10 @@ def _rule_instances() -> list[tuple[str, dict, CTerm]]:
     ]
 
 
-def suite_rule_simulation(max_steps: int = 100) -> SuiteResult:
-    """Every combinatory rule, and the worked reduction table behind it,
-    is simulated by the lambda-side translation."""
-    r = SuiteResult("rule-simulation")
+def _table_rows() -> list[tuple[str, dict, LsTerm, LsTerm]]:
+    """The worked table's twelve (label, context, source, target) rows."""
     a, b, c = Atom("a"), Atom("b"), Atom("c")
     na, nb = NegAtom("a"), NegAtom("b")
-
-    for rule, ctx, lhs in _rule_instances():
-        matches = [x for x in find_redexes_c(ctx, lhs) if x.rule == rule]
-        if not matches:
-            r.check(False, lambda rule=rule: f"{rule}: instance has no such redex")
-            continue
-        rhs = reduce_at_c(lhs, matches[0])
-        ok = _simulates(LS_ENGINE, ctx, psi(lhs, ctx), psi(rhs, ctx), max_steps)
-        r.check(ok, lambda rule=rule, lhs=lhs: f"{rule}: psi({print_c(lhs)}) does not simulate")
-
-    # the worked table: twelve reductions, checked directly on lambda terms
     rows: list[tuple[str, dict, LsTerm, LsTerm]] = []
     # 1: [[psi K, u], v] -> u
     ctx1 = {"u": a, "v": nb}
@@ -624,9 +541,25 @@ def suite_rule_simulation(max_steps: int = 100) -> SuiteResult:
         ctx12,
     )
     rows.append(("row 12", ctx12, lhs12, Lam("z", a, Star(Var("u"), Var("v")))))
+    return rows
 
-    for label, ctx, lhs, target in rows:
-        ok = _simulates(LS_ENGINE, ctx, lhs, target, max_steps)
+
+def suite_rule_simulation(max_steps: int = 100) -> SuiteResult:
+    """Every combinatory rule, and the worked reduction table behind it,
+    is simulated by the lambda-side translation."""
+    r = SuiteResult("rule-simulation")
+    for rule, ctx, lhs in _rule_instances():
+        matches = [x for x in find_redexes_c(ctx, lhs) if x.rule == rule]
+        if not matches:
+            r.check(False, lambda rule=rule: f"{rule}: instance has no such redex")
+            continue
+        rhs = reduce_at_c(lhs, matches[0])
+        query = ReachabilityQuery(psi(lhs, ctx), psi(rhs, ctx), max_steps, require_nonempty=True)
+        ok, _ = reaches(LS_ENGINE, ctx, query, node_budget=4000)
+        r.check(ok, lambda rule=rule, lhs=lhs: f"{rule}: psi({print_c(lhs)}) does not simulate")
+    for label, ctx, lhs, target in _table_rows():
+        query = ReachabilityQuery(lhs, target, max_steps, require_nonempty=True)
+        ok, _ = reaches(LS_ENGINE, ctx, query, node_budget=4000)
         r.check(ok, lambda label=label: f"{label} does not reach its stated reduct")
 
     r.notes.append(

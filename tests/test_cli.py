@@ -4,13 +4,21 @@ Each test drives cli.main with an argv list and inspects stdout/stderr and
 the exit code; one subprocess test proves the module entry point wires up.
 """
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab.cli import main
+from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
+from cclab.syntax import ParseError, lex, parse_claims, parse_term_auto, print_c, print_ls
 
 
 def run(capsys, *argv):
@@ -99,6 +107,28 @@ def test_both_grammars_failing_at_one_token_report_the_combinator_error(tmp_path
     claims.write_text("K[a] : a\n")
     rc, _, err = run(capsys, "check", str(claims))
     assert rc == 2 and f"line 1: {want}" in err
+
+
+def test_a_lambda_only_construct_breaks_a_tie_toward_the_lambda_error(tmp_path, capsys):
+    want = "expected ':' and the disjunction type, found '|' (bytes 4..5)"
+    rc, _, err = run(capsys, "check", "s1(x|a|b)")
+    assert rc == 2 and err == f"parse error: {want}\n"
+    claims = tmp_path / "claims.txt"
+    claims.write_text("s1(x|a|b) : a\n")
+    rc, _, err = run(capsys, "check", str(claims))
+    assert rc == 2 and err == f"parse error: line 1: {want}\n"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("  x : 5", "line 1: expected a type, found '5' (bytes 6..7)"),
+    ("@ctx x : 5", "line 1: expected a type, found '5' (bytes 9..10)"),
+    ("u : a\n \u3000@ctx x : 5", "line 2: expected a type, found '5' (bytes 13..14)"),
+])
+def test_claims_file_spans_index_the_files_line(tmp_path, capsys, text, want):
+    claims = tmp_path / "claims.txt"
+    claims.write_text(text + "\n", encoding="utf-8")
+    rc, _, err = run(capsys, "check", str(claims))
+    assert rc == 2 and err == f"parse error: {want}\n"
 
 
 def test_check_claims_file_with_a_subscript_step_bound(tmp_path, capsys):
@@ -440,3 +470,114 @@ def test_recursion_past_the_parser_is_a_one_line_error(capsys, monkeypatch):
     rc, out, err = run(capsys, "reduce", "--ccl", "I x")
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------- malformed input
+
+
+@lru_cache(maxsize=None)
+def _mutants() -> tuple[str, ...]:
+    """Printed size-6 corpus terms with one token dropped or two adjacent
+    tokens swapped, each once, in a fixed order."""
+    ctx, names = standard_context(2), atom_names(2)
+    out: dict[str, None] = {}
+    for corpus, show in ((enumerate_ls(ctx, 6, names), print_ls),
+                         (enumerate_c(ctx, 6, names), print_c)):
+        for _, t in corpus:
+            src = show(t)
+            pieces = [src.encode()[tk.start:tk.end].decode() for tk in lex(src)[:-1]]
+            for i in range(len(pieces) - 1):
+                out.setdefault(" ".join(pieces[:i] + pieces[i + 1:]))
+                out.setdefault(" ".join(pieces[:i] + [pieces[i + 1], pieces[i]] + pieces[i + 2:]))
+            out.setdefault(" ".join(pieces[:-1]))
+    return tuple(out)
+
+
+# leading blanks before a claim line, and the lines above it; U+3000 is 3 bytes
+_CLAIM_PLACES = [("", ""), ("", "  "), ("@ctx u : a\n", "\u3000\t"), ("# note\n@ctx\n", " ")]
+
+
+def _quiet_main(*argv) -> tuple[int, str]:
+    """main's exit code and stderr, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, err.getvalue()
+
+
+def _one_line_span(err: str, size: int) -> tuple[int, int]:
+    """The byte span of a one-line parse error, which lies in 0..size."""
+    m = re.fullmatch(r"parse error: (?:line \d+: )?[^\n]* \(bytes (\d+)\.\.(\d+)\)\n", err)
+    assert m, err
+    i, j = int(m[1]), int(m[2])
+    assert 0 <= i <= j <= size, err
+    return i, j
+
+
+def test_mutated_terms_fail_inside_the_text_they_came_in():
+    """Every mutant either reads or fails with a span inside the literal;
+    as a claim line its span moves with the blanks before it."""
+    mutants = _mutants()
+    assert len(mutants) > 9000
+    failed = 0
+    for s in mutants:
+        try:
+            parse_term_auto(s)
+        except ParseError as e:
+            failed += 1
+            _one_line_span(f"parse error: {e}\n", len(s.encode()))
+        line = f"{s} : a"
+        try:
+            parse_claims(line)
+            continue
+        except ParseError as e:
+            i, j = _one_line_span(f"parse error: {e}\n", len(line.encode()))
+        above, blanks = _CLAIM_PLACES[len(s) % len(_CLAIM_PLACES)]
+        with pytest.raises(ParseError) as ei:
+            parse_claims(above + blanks + line)
+        shift = len(blanks.encode())
+        assert ei.value.span == (i + shift, j + shift) and ei.value.line_no == 1 + above.count("\n")
+    assert failed > 8000
+
+
+def test_mutated_terms_are_one_line_errors_on_the_command_line(tmp_path):
+    """A sample of the mutants, as a literal and in a claims file: every
+    error exits 2 with one stderr line whose span lies in the literal or
+    in the file's line."""
+    claims = tmp_path / "claims.txt"
+    errors = 0
+    for k, s in enumerate(_mutants()[::30]):
+        rc, err = _quiet_main("check", s)
+        if rc == 2:
+            errors += 1
+            _one_line_span(err, len(s.encode()))
+        else:
+            assert rc in (0, 1) and err == ""
+        above, blanks = _CLAIM_PLACES[k % len(_CLAIM_PLACES)]
+        line = f"{blanks}{s} : a"
+        claims.write_text(f"{above}{line}\n", encoding="utf-8")
+        rc, err = _quiet_main("check", str(claims))
+        if rc == 2:
+            assert err.startswith(f"parse error: line {1 + above.count(chr(10))}: ")
+            _one_line_span(err, len(line.encode()))
+        else:
+            assert rc in (0, 1) and err == ""
+    assert errors > 250
+
+
+_PIECES = ["x", "y", "u", "s1", "s2", "K", "S", "C", "I", "P", "Q1", "K[a, b]", "I[a]",
+           "\\", "λ", ":", ".", "*", "<", ">", ",", "(", ")", "[", "]", "a", "~a", "&",
+           "|", "#", "⊥", "=>*", "|-", "σ1", "σ", "Z", "$", "0"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(["check", "reduce", "translate", "graph"]),
+       st.lists(st.sampled_from(_PIECES), max_size=12), st.booleans())
+def test_any_literal_ends_in_an_exit_code_and_no_traceback(command, pieces, spaced):
+    text = (" " if spaced else "").join(pieces)
+    extra = {"translate": ["--to", "ccl" if "\\" in text or "λ" in text else "ls"],
+             "reduce": ["--fuel", "50"], "graph": ["--node-budget", "50"]}.get(command, [])
+    rc, err = _quiet_main(command, text, *extra)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert len(err.splitlines()) == 1, err

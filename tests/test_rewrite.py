@@ -26,9 +26,9 @@ from cclab.rewrite import (
     trace,
 )
 from cclab.syntax import parse_c, parse_context, parse_ls
-from cclab.translate import bracket_abstract, pi_macro
+from cclab.translate import bracket_abstract, pi_macro, psi
 from cclab.types import Atom, Bottom, Conj, NegAtom
-from cclab.verify import _c_corpus, _ls_corpus
+from cclab.verify import _c_corpus, _ls_corpus, _rule_instances, _table_rows
 
 a, na = Atom("a"), NegAtom("a")
 
@@ -254,30 +254,62 @@ def test_leftmost_innermost_matches_a_post_order_walk():
     assert picked > 100
 
 
+def _replay(engine, t, witness):
+    """The end of witness's (rule, path) steps from t, each an engine step."""
+    redex = LsRedex if engine is LS_ENGINE else CRedex
+    for rule, path in witness:
+        t = engine.step(t, redex(rule, path))
+    return t
+
+
+def _steps(engine, ctx, t, strategy, fuel):
+    """The (rule, path) steps and the terms along strategy's trace from t."""
+    pick = lambda u: pick_redex(engine, ctx, u, strategy)
+    return [((r.rule, r.path), u) for r, u in trace(engine, t, pick, fuel)]
+
+
 def test_reaches_witnesses_replay_to_the_target():
-    """Every witness, trace or search, is a real reduction onto the target."""
+    """Every witness, from a trace or the search, is a real reduction onto
+    the target; so are rule-simulation's, within its 4,000 classes."""
     small = [(ty, t) for ty, t in enumerate_ls(standard_context(2), 3, atom_names(2))
              if not isinstance(ty, Bottom)]
-    cases = [(C_ENGINE, CRedex, q) for q in _bracket_queries(4, 2)]
+    cases = [(C_ENGINE, None, q, 200_000) for q in _bracket_queries(4, 2)]
     for tu, u in small:
         for tv, v in small:
             pr, conj = Pair(u, v), Conj(tu, tv)
-            cases.append((LS_ENGINE, LsRedex, ReachabilityQuery(pi_macro(1, pr, conj), u, 20)))
-            cases.append((LS_ENGINE, LsRedex, ReachabilityQuery(pi_macro(2, pr, conj), v, 20)))
-    cases.append((LS_ENGINE, LsRedex, ReachabilityQuery(
-        parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'"), parse_ls("y' * z'"), 50, True)))
+            cases.append((LS_ENGINE, None, ReachabilityQuery(pi_macro(1, pr, conj), u, 20), 200_000))
+            cases.append((LS_ENGINE, None, ReachabilityQuery(pi_macro(2, pr, conj), v, 20), 200_000))
+    cases.append((LS_ENGINE, None, ReachabilityQuery(
+        parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'"), parse_ls("y' * z'"), 50, True), 200_000))
+    for rule, ctx, lhs in _rule_instances():
+        rhs = ccl.reduce_at_c(lhs, next(r for r in ccl.find_redexes_c(ctx, lhs) if r.rule == rule))
+        cases.append((LS_ENGINE, ctx, ReachabilityQuery(psi(lhs, ctx), psi(rhs, ctx), 100, True), 4000))
+    for _, ctx, lhs, target in _table_rows():
+        cases.append((LS_ENGINE, ctx, ReachabilityQuery(lhs, target, 100, True), 4000))
+    assert len(cases) == 1600 + 2 * len(small) ** 2 + 1 + 23
     searched = 0
-    for engine, redex, q in cases:
-        ok, witness = reaches(engine, None, q)
+    for engine, ctx, q, budget in cases:
+        ok, witness = reaches(engine, ctx, q, node_budget=budget)
         assert ok, engine.show(q.source)
-        cur = q.source
-        for rule, path in witness:
-            cur = engine.step(cur, redex(rule, path))
-        assert engine.canon(cur) == engine.canon(q.target)
-        lo = lambda u: pick_redex(engine, None, u, Strategy.LEFTMOST_OUTERMOST)
-        lo_steps = [(r.rule, r.path) for r, _ in trace(engine, q.source, lo, q.max_steps)]
-        searched += witness != lo_steps[:len(witness)]
-    assert searched  # some witnesses come from the search, not the trace
+        assert engine.canon(_replay(engine, q.source, witness)) == engine.canon(q.target)
+        lo = _steps(engine, ctx, q.source, Strategy.LEFTMOST_OUTERMOST, q.max_steps)
+        searched += witness != [step for step, _ in lo][:len(witness)]
+    assert searched  # some witnesses come from a later trace or the search, not the first
+
+
+def test_reaches_falls_back_to_the_leftmost_innermost_trace():
+    """(l_x x x) (K x) reaches K x (K x) along the leftmost-innermost trace,
+    which reduces the argument I (K x) first; leftmost-outermost fires the
+    outer K x (I (K x)) and ends at x."""
+    u, v = parse_c("x x"), parse_c("K x")
+    q = ReachabilityQuery(App(bracket_abstract("x", u), v), ccl.substitute_c(u, "x", v), 50)
+    assert q.source == parse_c("S I I (K x)")
+    lo = _steps(C_ENGINE, None, q.source, Strategy.LEFTMOST_OUTERMOST, q.max_steps)
+    assert q.target not in [t for _, t in lo]
+    li = _steps(C_ENGINE, None, q.source, Strategy.LEFTMOST_INNERMOST, q.max_steps)
+    ok, witness = reaches(C_ENGINE, None, q, node_budget=1)  # too small for a search
+    assert ok and witness == [step for step, _ in li][:len(witness)]
+    assert _replay(C_ENGINE, q.source, witness) == q.target
 
 
 def test_search_expands_breadth_first():
