@@ -5,7 +5,9 @@ occurrence may carry an explicit instantiation (``K[a, b]``); otherwise the
 parameters become metavariables and the checker solves for them. The
 checker never defaults a residual metavariable: if any parameter stays
 unresolved the term is reported as ambiguous so the caller can supply
-``inst``.
+``inst``. ``infer_c`` and ``elaborate`` share that one solve and its one
+ambiguity message; ``ground_type_of`` types fully instantiated terms
+without solving and is the type check of ``translate.psi``.
 
 ``simp`` is the combinatory analogue of the lambda side's triv rule and is
 equally non-local: a typable term of type bottom with a ``(C (K U) (K V))``
@@ -253,17 +255,15 @@ def _solve(ctx: Context, t: CTerm) -> tuple[Ty, Substitution, _Inference]:
     return subst.apply_ty(root), subst, inf
 
 
-def infer_c(ctx: Context, t: CTerm) -> Ty:
-    """Principal type, required ground.
-
-    Raises TypingError on clash/occurs/unbound, AmbiguousTypeError when the
-    constraints solve but some scheme parameter (or the root) stays open.
-    """
+def _ground(ctx: Context, t: CTerm) -> tuple[Ty, dict[tuple[int, ...], tuple[MType, ...]]]:
+    """The one solve behind infer_c and elaborate: the principal type, and
+    each combinator occurrence's parameters by path, all required ground."""
     root, subst, inf = _solve(ctx, t)
-    residual = []
+    solved, residual = {}, []
     for path, sym, params in inf.occurrences:
-        for p in params:
-            if metavar_idents(subst.apply(p)):
+        solved[path] = resolved = tuple(map(subst.apply, params))
+        for p in resolved:
+            if metavar_idents(p):
                 residual.append((path, sym))
                 break
     if not isinstance(root, Bottom) and metavar_idents(root):
@@ -274,24 +274,21 @@ def infer_c(ctx: Context, t: CTerm) -> Ty:
             f"type is ambiguous; unconstrained parameters remain ({where}); "
             "supply inst on the combinators involved"
         )
-    return root
+    return root, solved
+
+
+def infer_c(ctx: Context, t: CTerm) -> Ty:
+    """Principal type, required ground.
+
+    Raises TypingError on clash/occurs/unbound, AmbiguousTypeError when the
+    constraints solve but some scheme parameter (or the root) stays open.
+    """
+    return _ground(ctx, t)[0]
 
 
 def elaborate(ctx: Context, t: CTerm) -> tuple[Ty, CTerm]:
     """Like infer_c but also returns t with every combinator fully inst'ed."""
-    root, subst, inf = _solve(ctx, t)
-    solved: dict[tuple[int, ...], tuple[MType, ...]] = {}
-    for path, sym, params in inf.occurrences:
-        resolved = tuple(subst.apply(p) for p in params)
-        for p in resolved:
-            if metavar_idents(p):
-                raise AmbiguousTypeError(
-                    f"cannot elaborate: {sym} at {list(path)} has unconstrained "
-                    "parameters; supply inst"
-                )
-        solved[path] = resolved
-    if not isinstance(root, Bottom) and metavar_idents(root):
-        raise AmbiguousTypeError("cannot elaborate: result type is unconstrained")
+    root, solved = _ground(ctx, t)
 
     def fill(node: CTerm, path: tuple[int, ...]) -> CTerm:
         match node:
@@ -314,7 +311,7 @@ def ground_type_of(ctx: Context, t: CTerm) -> Ty:
             return ctx[x]
         case Comb(sym, inst):
             if inst is None:
-                raise TypingError(f"{sym} lacks inst; cannot type without solving")
+                raise TypingError(f"{sym} lacks a type instantiation")
             return scheme_type(sym, inst)
         case App(f, a):
             ft = ground_type_of(ctx, f)

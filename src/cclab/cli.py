@@ -119,7 +119,8 @@ def _check_claims_file(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if os.path.isfile(args.target):
+    # a literal when a flag says how to read one, else a claims file if it exists
+    if not (args.ctx or args.ls or args.ccl) and os.path.isfile(args.target):
         return _check_claims_file(args)
     calc, t = _parse_term(args, args.target)
     ctx = _merge_ctx(args.ctx) or {}

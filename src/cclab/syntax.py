@@ -42,14 +42,13 @@ from .lambda_sym import Inj1, Inj2, Lam, LsTerm, Pair, Star, Var
 from .types import (
     BOTTOM,
     Atom,
-    Bottom,
     Conj,
     Disj,
-    MetaVar,
     MType,
     NegAtom,
     Ty,
     negate,
+    print_type,  # re-exported: the type printer lives with the types
 )
 
 
@@ -372,10 +371,6 @@ def parse_type(src: str) -> Ty:
     return _read(lex(src), _P.type_top, "type")
 
 
-def parse_mtype(src: str) -> MType:
-    return _read(lex(src), _P.disj, "type")
-
-
 def parse_ls(src: str) -> LsTerm:
     return _read(lex(src), _P.ls_term)
 
@@ -424,28 +419,6 @@ def parse_term_auto(src: str, calculus: Optional[str] = None
 
 
 # ---- printers ----
-
-
-def print_type(ty: Ty) -> str:
-    def go(t: MType, minlvl: int) -> str:
-        match t:
-            case Atom(name):
-                return name
-            case NegAtom(name):
-                return "~" + name
-            case MetaVar(ident, neg):
-                return ("~?" if neg else "?") + str(ident)
-            case Conj(l, r):
-                s = f"{go(l, 3)} & {go(r, 3)}"
-                return f"({s})" if minlvl > 2 else s
-            case Disj(l, r):
-                s = f"{go(l, 2)} | {go(r, 2)}"
-                return f"({s})" if minlvl > 1 else s
-        raise TypeError(f"not a type: {t!r}")
-
-    if isinstance(ty, Bottom):
-        return "#"
-    return go(ty, 1)
 
 
 def print_ls(t: LsTerm) -> str:

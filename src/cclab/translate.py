@@ -16,6 +16,13 @@ variable at the result type, and the combinator images bind at the
 negated scheme type, so every combinator must carry its instantiation
 (use ccl.elaborate first if it does not).
 
+Neither translation checks types itself. Typed phi runs lambda_sym.infer
+and psi runs ccl.ground_type_of first, so every type error they raise is
+that typer's, message and span alike; the translations then only read
+each node's type off the accepted term. Typed phi's only errors of its
+own are bracket_typed's, for terms that type on the lambda side but have
+no combinator image, such as an abstraction over a bottom-typed variable.
+
 A combinator's image depends only on its name and instantiation, so
 psi_comb keeps the 4,096 most recently used images in a bounded table,
 and every occurrence of an instantiated combinator shares one image
@@ -49,6 +56,7 @@ from .lambda_sym import (
     Var,
     _fresh,
     free_vars,
+    infer,
 )
 from .types import (
     BOTTOM,
@@ -57,7 +65,6 @@ from .types import (
     Disj,
     MType,
     Ty,
-    TypingError,
     negate,
 )
 
@@ -138,8 +145,8 @@ def phi(t: LsTerm, ctx: Optional[Mapping[str, Ty]] = None) -> CTerm:
     """Translate a lambda-side term; instantiated when a context is given."""
     if ctx is None:
         return _phi_untyped(t)
-    _, image = _phi_typed(dict(ctx), t)
-    return image
+    infer(ctx, t)  # the one type check; raises infer's own errors
+    return _phi_typed(ctx, t)[1]
 
 
 def _phi_untyped(t: LsTerm) -> CTerm:
@@ -159,41 +166,22 @@ def _phi_untyped(t: LsTerm) -> CTerm:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _phi_typed(ctx: dict, t: LsTerm) -> tuple[Ty, CTerm]:
+def _phi_typed(ctx: Mapping[str, Ty], t: LsTerm) -> tuple[Ty, CTerm]:
+    """(type, image) of a term that infer accepts in ctx."""
     match t:
         case Var(x):
-            if x not in ctx:
-                raise TypingError(f"unbound variable '{x}'")
             return ctx[x], CVar(x)
         case Lam(x, ann, body):
-            inner = dict(ctx)
-            inner[x] = ann
-            bty, image = _phi_typed(inner, body)
-            if not isinstance(bty, Bottom):
-                raise TypingError("a lambda body must have type #")
-            return negate(ann), bracket_typed(x, ann, image, inner)
+            inner = {**ctx, x: ann}
+            return negate(ann), bracket_typed(x, ann, _phi_typed(inner, body)[1], inner)
         case Star(l, r):
-            lt, li = _phi_typed(ctx, l)
-            rt, ri = _phi_typed(ctx, r)
-            if isinstance(lt, Bottom) or isinstance(rt, Bottom) or lt != negate(rt):
-                raise TypingError("sides of * are not dual m-types")
-            return BOTTOM, CStar(li, ri)
+            return BOTTOM, CStar(_phi_typed(ctx, l)[1], _phi_typed(ctx, r)[1])
         case Pair(l, r):
-            lt, li = _phi_typed(ctx, l)
-            rt, ri = _phi_typed(ctx, r)
-            if isinstance(lt, Bottom) or isinstance(rt, Bottom):
-                raise TypingError("pair components must have m-types")
+            (lt, li), (rt, ri) = _phi_typed(ctx, l), _phi_typed(ctx, r)
             return Conj(lt, rt), App(App(Comb("P", (lt, rt)), li), ri)
-        case Inj1(b, ann):
-            bt, bi = _phi_typed(ctx, b)
-            if bt != ann.left:
-                raise TypingError("injection body does not match the left disjunct")
-            return ann, App(Comb("Q1", (ann.left, ann.right)), bi)
-        case Inj2(b, ann):
-            bt, bi = _phi_typed(ctx, b)
-            if bt != ann.right:
-                raise TypingError("injection body does not match the right disjunct")
-            return ann, App(Comb("Q2", (ann.left, ann.right)), bi)
+        case Inj1(b, ann) | Inj2(b, ann):
+            q = "Q1" if type(t) is Inj1 else "Q2"
+            return ann, App(Comb(q, (ann.left, ann.right)), _phi_typed(ctx, b)[1])
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -269,33 +257,19 @@ def psi_comb(which: str, inst: tuple[MType, ...]) -> LsTerm:
 
 def psi(t: CTerm, ctx: Mapping[str, Ty]) -> LsTerm:
     """Translate a combinatory term; every combinator must carry inst."""
-    ctx = dict(ctx)
+    ground_type_of(ctx, t)  # the one type check; raises its own errors
 
     def go(node: CTerm) -> tuple[Ty, LsTerm]:
         match node:
             case CVar(x):
-                if x not in ctx:
-                    raise TypingError(f"unbound variable '{x}'")
                 return ctx[x], Var(x)
             case Comb(which, inst):
-                if inst is None:
-                    raise TranslationError(
-                        f"{which} lacks a type instantiation; "
-                        "elaborate the term first"
-                    )
                 return scheme_type(which, inst), psi_comb(which, inst)
             case App(f, a):
                 ft, fi = go(f)
-                at, ai = go(a)
-                if not isinstance(ft, Disj) or negate(ft.left) != at:
-                    raise TypingError("argument type does not match the function")
-                return ft.right, pair_app(fi, ai, ft.right)
+                return ft.right, pair_app(fi, go(a)[1], ft.right)
             case CStar(l, r):
-                lt, li = go(l)
-                rt, ri = go(r)
-                if isinstance(lt, Bottom) or isinstance(rt, Bottom) or lt != negate(rt):
-                    raise TypingError("sides of * are not dual m-types")
-                return BOTTOM, Star(li, ri)
+                return BOTTOM, Star(go(l)[1], go(r)[1])
         raise TypeError(f"not a term: {node!r}")
 
     return go(t)[1]

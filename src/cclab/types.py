@@ -143,10 +143,28 @@ def metavar_idents(t: MType) -> frozenset[int]:
             return frozenset()
 
 
-def is_ground(t: Ty) -> bool:
-    if isinstance(t, Bottom):
-        return True
-    return not metavar_idents(t)
+def print_type(ty: Ty) -> str:
+    """ty in the surface syntax; a metavariable prints as ?n or ~?n."""
+
+    def go(t: MType, minlvl: int) -> str:
+        match t:
+            case Atom(name):
+                return name
+            case NegAtom(name):
+                return "~" + name
+            case MetaVar(ident, neg):
+                return ("~?" if neg else "?") + str(ident)
+            case Conj(l, r):
+                s = f"{go(l, 3)} & {go(r, 3)}"
+                return f"({s})" if minlvl > 2 else s
+            case Disj(l, r):
+                s = f"{go(l, 2)} | {go(r, 2)}"
+                return f"({s})" if minlvl > 1 else s
+        raise TypeError(f"not a type: {t!r}")
+
+    if isinstance(ty, Bottom):
+        return "#"
+    return go(ty, 1)
 
 
 @dataclass
@@ -208,7 +226,7 @@ def unify(constraints: Iterable[tuple[MType, MType]]) -> Substitution:
             m, other = (s, t) if isinstance(s, MetaVar) else (t, s)
             if occurs(m.ident, other):
                 raise UnificationError(
-                    f"occurs check: ?{m.ident} inside {other!r}"
+                    f"occurs check: ?{m.ident} inside {print_type(other)}"
                 )
             env[m.ident] = negate(other) if m.negated else other
             continue
@@ -217,7 +235,7 @@ def unify(constraints: Iterable[tuple[MType, MType]]) -> Substitution:
                 work.append((a, c))
                 work.append((b, d))
             case _:
-                raise UnificationError(f"cannot unify {s!r} with {t!r}")
+                raise UnificationError(f"cannot unify {print_type(s)} with {print_type(t)}")
 
     def resolve(t: MType) -> MType:
         t = walk(t)

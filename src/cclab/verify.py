@@ -123,13 +123,13 @@ class SuiteResult:
 
 
 @lru_cache(maxsize=None)
-def _ls_corpus(n_atoms: int, max_size: int) -> tuple[tuple[Ty, LsTerm], ...]:
-    return tuple(enumerate_ls(standard_context(n_atoms), max_size, atom_names(n_atoms)))
+def _ls_corpus(max_size: int) -> tuple[tuple[Ty, LsTerm], ...]:
+    return tuple(enumerate_ls(standard_context(2), max_size, atom_names(2)))
 
 
 @lru_cache(maxsize=None)
-def _c_corpus(n_atoms: int, max_size: int) -> tuple[tuple[Ty, CTerm], ...]:
-    return tuple(enumerate_c(standard_context(n_atoms), max_size, atom_names(n_atoms)))
+def _c_corpus(max_size: int) -> tuple[tuple[Ty, CTerm], ...]:
+    return tuple(enumerate_c(standard_context(2), max_size, atom_names(2)))
 
 
 def suite_involution() -> SuiteResult:
@@ -167,17 +167,17 @@ def _suite_subject_reduction(name: str, engine, corpus) -> SuiteResult:
 
 
 def suite_subject_reduction_ls(max_size: int = 9) -> SuiteResult:
-    return _suite_subject_reduction("subject-reduction-ls", LS_ENGINE, _ls_corpus(2, max_size))
+    return _suite_subject_reduction("subject-reduction-ls", LS_ENGINE, _ls_corpus(max_size))
 
 
 def suite_subject_reduction_cc(max_size: int = 9) -> SuiteResult:
-    return _suite_subject_reduction("subject-reduction-cc", C_ENGINE, _c_corpus(2, max_size))
+    return _suite_subject_reduction("subject-reduction-cc", C_ENGINE, _c_corpus(max_size))
 
 
 def suite_dichotomy(max_size: int = 9) -> SuiteResult:
     """Typable c-terms split into pre-terms (m-typed) and star-terms (bottom)."""
     r = SuiteResult("dichotomy")
-    for ty, t in _c_corpus(2, max_size):
+    for ty, t in _c_corpus(max_size):
         want = TermClass.STAR_TERM if isinstance(ty, Bottom) else TermClass.PRE_TERM
         got = classify(t)
         r.check(
@@ -187,12 +187,12 @@ def suite_dichotomy(max_size: int = 9) -> SuiteResult:
     return r
 
 
-def _suite_sn(name: str, engine, corpus, node_budget: int) -> SuiteResult:
+def _suite_sn(name: str, engine, corpus) -> SuiteResult:
     r = SuiteResult(name)
     ctx = standard_context(2)
     worst = 0
     for _, t in corpus:
-        res = check_sn(engine, ctx, t, node_budget=node_budget)
+        res = check_sn(engine, ctx, t, node_budget=100_000)
         if res.max_path is not None:
             worst = max(worst, res.max_path)
         r.check(
@@ -203,12 +203,12 @@ def _suite_sn(name: str, engine, corpus, node_budget: int) -> SuiteResult:
     return r
 
 
-def suite_sn_ls(max_size: int = 9, node_budget: int = 100_000) -> SuiteResult:
-    return _suite_sn("sn-ls", LS_ENGINE, _ls_corpus(2, max_size), node_budget)
+def suite_sn_ls(max_size: int = 9) -> SuiteResult:
+    return _suite_sn("sn-ls", LS_ENGINE, _ls_corpus(max_size))
 
 
-def suite_sn_cc(max_size: int = 9, node_budget: int = 100_000) -> SuiteResult:
-    return _suite_sn("sn-cc", C_ENGINE, _c_corpus(2, max_size), node_budget)
+def suite_sn_cc(max_size: int = 9) -> SuiteResult:
+    return _suite_sn("sn-cc", C_ENGINE, _c_corpus(max_size))
 
 
 def suite_bracket_typing(max_size: int = 5) -> SuiteResult:
@@ -273,7 +273,7 @@ def suite_bracket_reduction(u_size: int = 6, v_size: int = 3, max_steps: int = 5
 def suite_phi_typing(max_size: int = 8) -> SuiteResult:
     r = SuiteResult("phi-typing")
     ctx = standard_context(2)
-    for ty, t in _ls_corpus(2, max_size):
+    for ty, t in _ls_corpus(max_size):
         got = infer_c(ctx, phi(t, ctx))
         r.check(
             got == ty,
@@ -287,7 +287,7 @@ def suite_phi_typing(max_size: int = 8) -> SuiteResult:
 def suite_psi_typing(max_size: int = 8) -> SuiteResult:
     r = SuiteResult("psi-typing")
     ctx = standard_context(2)
-    for ty, t in _c_corpus(2, max_size):
+    for ty, t in _c_corpus(max_size):
         got = infer(ctx, psi(t, ctx))
         r.check(
             got == ty,
@@ -305,7 +305,7 @@ def suite_phi_substitution(u_size: int = 6, v_size: int = 5) -> SuiteResult:
     atoms = atom_names(2)
     for b in atom_pool(atoms):
         ectx = {**ctx, "y": b}
-        vs = [t for ty, t in _ls_corpus(2, v_size) if ty == b]
+        vs = [t for ty, t in _ls_corpus(v_size) if ty == b]
         for _, u in enumerate_ls(ectx, u_size, atoms):
             for v in vs:
                 lhs = phi(substitute(u, "y", v), ctx)
@@ -327,7 +327,7 @@ def suite_psi_substitution(u_size: int = 5, v_size: int = 5) -> SuiteResult:
     atoms = atom_names(2)
     for a in atom_pool(atoms):
         ectx = {**ctx, "x": a}
-        vs = [t for ty, t in _c_corpus(2, v_size) if ty == a]
+        vs = [t for ty, t in _c_corpus(v_size) if ty == a]
         for _, u in enumerate_c(ectx, u_size, atoms):
             for v in vs:
                 lhs = psi(substitute_c(u, "x", v), ctx)
@@ -347,7 +347,7 @@ def suite_omega_simulation(max_size: int = 8, max_steps: int = 50) -> SuiteResul
     r = SuiteResult("omega-simulation")
     ctx = standard_context(2)
     n_terms = 0
-    for _, t in _ls_corpus(2, max_size):
+    for _, t in _ls_corpus(max_size):
         n_terms += 1
         for redex in omega_redexes(LS_ENGINE, ctx, t):
             reduct = reduce_at(t, redex)
@@ -369,7 +369,7 @@ def suite_projection(max_size: int = 7, pair_size: int = 4) -> SuiteResult:
     """The projection macro both computes and types componentwise."""
     r = SuiteResult("projection")
     ctx = standard_context(2)
-    small = [(ty, t) for ty, t in _ls_corpus(2, pair_size) if not isinstance(ty, Bottom)]
+    small = [(ty, t) for ty, t in _ls_corpus(pair_size) if not isinstance(ty, Bottom)]
     for tu, u in small:
         for tv, v in small:
             conj = Conj(tu, tv)
@@ -381,7 +381,7 @@ def suite_projection(max_size: int = 7, pair_size: int = 4) -> SuiteResult:
                 LS_ENGINE, None, ReachabilityQuery(pi_macro(2, pr, conj), v, 20, False)
             )
             r.check(ok1 and ok2, lambda u=u, v=v: f"projections of <{print_ls(u)}, {print_ls(v)}> stuck")
-    for ty, t in _ls_corpus(2, max_size):
+    for ty, t in _ls_corpus(max_size):
         if not isinstance(ty, Conj):
             continue
         got1 = infer(ctx, pi_macro(1, t, ty))
@@ -397,8 +397,8 @@ def suite_application(max_size: int = 7, v_size: int = 3) -> SuiteResult:
     """The application macro beta-computes and types like an application."""
     r = SuiteResult("application")
     ctx = standard_context(2)
-    lams = [t for _, t in _ls_corpus(2, max_size) if isinstance(t, Lam)]
-    args = [t for ty, t in _ls_corpus(2, v_size) if not isinstance(ty, Bottom)]
+    lams = [t for _, t in _ls_corpus(max_size) if isinstance(t, Lam)]
+    args = [t for ty, t in _ls_corpus(v_size) if not isinstance(ty, Bottom)]
     b_result = Atom("a")  # the computation is annotation-insensitive
     for lam in lams:
         for v in args:
@@ -413,9 +413,9 @@ def suite_application(max_size: int = 7, v_size: int = 3) -> SuiteResult:
                     f"[{print_ls(lam)}, {print_ls(v)}] missed its beta contraction"
                 ),
             )
-    fns = [(ty, t) for ty, t in _ls_corpus(2, max_size) if isinstance(ty, Disj)]
+    fns = [(ty, t) for ty, t in _ls_corpus(max_size) if isinstance(ty, Disj)]
     args_by_type: dict[Ty, list[LsTerm]] = {}
-    for ty, t in _ls_corpus(2, v_size):
+    for ty, t in _ls_corpus(v_size):
         if not isinstance(ty, Bottom):
             args_by_type.setdefault(ty, []).append(t)
     for ty, u in fns:
@@ -577,13 +577,13 @@ def suite_rule_simulation(max_steps: int = 100) -> SuiteResult:
 def suite_round_trip(max_size: int = 9) -> SuiteResult:
     """print and parse are mutually inverse over the whole corpus."""
     r = SuiteResult("round-trip")
-    for ty, t in _ls_corpus(2, max_size):
+    for ty, t in _ls_corpus(max_size):
         s = print_ls(t)
         r.check(
             alpha_eq(parse_ls(s), t),
             lambda s=s: f"lambda term changed through print/parse: {s}",
         )
-    for ty, t in _c_corpus(2, max_size):
+    for ty, t in _c_corpus(max_size):
         s = print_c(t)
         r.check(
             parse_c(s) == t,

@@ -70,6 +70,16 @@ def test_infer_reports_ambiguity():
         infer_c(CTX, App(IDENT, CVar("u")))
 
 
+def test_infer_c_and_elaborate_give_one_ambiguity_message():
+    t = App(Comb("K"), CVar("u"))
+    with pytest.raises(AmbiguousTypeError) as inferred:
+        infer_c(CTX, t)
+    with pytest.raises(AmbiguousTypeError) as elaborated:
+        elaborate(CTX, t)
+    assert str(elaborated.value) == str(inferred.value)
+    assert "(K at [0], result at [])" in str(inferred.value)
+
+
 def test_infer_errors():
     with pytest.raises(TypingError):
         infer_c(CTX, CVar("zz"))
@@ -348,7 +358,7 @@ def test_find_redexes_c_agrees_with_brute_force_matching():
 
     ctx = standard_context(2)
     names = ("x", "y")
-    terms = [t for _, t in _c_corpus(2, 9)]  # the size-9 corpus the suites share
+    terms = [t for _, t in _c_corpus(9)]  # the size-9 corpus the suites share
     terms += enumerate_pre_terms(names, 5) + enumerate_star_terms(names, 5)
     terms += [App(bracket_abstract("x", u), v)
               for u in enumerate_pre_terms(names, 4) for v in enumerate_pre_terms(names, 2)]

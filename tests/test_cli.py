@@ -7,6 +7,7 @@ the exit code; one subprocess test proves the module entry point wires up.
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cclab
 from cclab.cli import main
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
 from cclab.syntax import ParseError, lex, parse_claims, parse_term_auto, print_c, print_ls
@@ -25,6 +27,14 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_module(*argv):
+    """python -m cclab in a subprocess that imports the cclab under test."""
+    src = os.path.dirname(os.path.dirname(cclab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "cclab", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 # ---------------------------------------------------------------- check
@@ -53,6 +63,14 @@ def test_check_ill_typed_term_fails(capsys):
                      "--ctx", "x: a, y: ~a, z: b")
     assert rc == 1
     assert out.startswith("type error:")
+
+
+def test_check_prints_unification_errors_in_the_surface_syntax(capsys):
+    rc, out, _ = run(capsys, "check", "--ccl", "u * u", "--ctx", "u : a")
+    assert rc == 1
+    assert out == "type error: cannot unify a with ~a\n"
+    rc, out, _ = run(capsys, "check", "--ccl", "S[a, b, a] u", "--ctx", "u : a")
+    assert rc == 1 and "name=" not in out
 
 
 def test_check_json_report(capsys):
@@ -88,6 +106,18 @@ def test_check_claims_file(tmp_path, capsys):
     rc, out, _ = run(capsys, "check", str(claims))
     assert rc == 0
     assert "3/3 claims hold" in out
+
+
+def test_check_reads_a_literal_when_a_flag_is_given(tmp_path, monkeypatch, capsys):
+    (tmp_path / "x").write_text("x : a\n")
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, "check", "x", "--ctx", "x : a")
+    assert (rc, out) == (0, "a\n")
+    rc, out, _ = run(capsys, "check", "x", "--ls")
+    assert (rc, out) == (1, "type error: unbound variable 'x'\n")
+    # with no flag, the file of that name is read as claims
+    rc, out, _ = run(capsys, "check", "x")
+    assert rc == 1 and "FAIL  x : a" in out and "0/1 claims hold" in out
 
 
 def test_check_claims_file_reports_failures(tmp_path, capsys):
@@ -381,8 +411,7 @@ def test_gen_prints_each_draw_before_making_the_next(capsys, monkeypatch):
     ["graph", "--ccl", "x", "--depth-budget", "-1"],
 ])
 def test_negative_counts_are_usage_errors(argv):
-    proc = subprocess.run([sys.executable, "-m", "cclab", *argv],
-                          capture_output=True, text=True)
+    proc = run_module(*argv)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage: cclab ") and proc.stderr.count("usage:") == 1
@@ -442,9 +471,7 @@ def test_missing_subcommand_is_a_usage_error():
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cclab", "check", "--ccl", "K[a,b]"],
-        capture_output=True, text=True)
+    proc = run_module("check", "--ccl", "K[a,b]")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "~a | (b | a)"
 
@@ -454,8 +481,7 @@ def test_module_entry_point():
     ["check", "--ls", "\\x:" + " & ".join(["a"] * 3000) + ". x * x"],
 ])
 def test_deeply_nested_input_is_a_parse_error(argv):
-    proc = subprocess.run([sys.executable, "-m", "cclab", *argv],
-                          capture_output=True, text=True)
+    proc = run_module(*argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("parse error: input nests deeper than")

@@ -372,8 +372,8 @@ def test_check_sn_agrees_with_the_explored_graph():
         engine, draw = (LS_ENGINE, random_ls) if i % 2 else (C_ENGINE, random_c)
         reducible += agrees(engine, draw(ctx, names, rng.randint(11, 15), rng)[1])
     assert 20 <= reducible <= 80  # both normal-form and reducible roots
-    corpus = [(LS_ENGINE, t) for _, t in _ls_corpus(2, 9)]  # shared with the suites
-    corpus += [(C_ENGINE, t) for _, t in _c_corpus(2, 9)]
+    corpus = [(LS_ENGINE, t) for _, t in _ls_corpus(9)]  # shared with the suites
+    corpus += [(C_ENGINE, t) for _, t in _c_corpus(9)]
     corpus = [(engine, t) for engine, t in corpus if engine.find(ctx, t)]
     assert len(corpus) == 2856
     assert all(agrees(engine, t) for engine, t in corpus)

@@ -13,7 +13,6 @@ from cclab.syntax import (
     parse_claims,
     parse_context,
     parse_ls,
-    parse_mtype,
     parse_term_auto,
     parse_type,
     print_c,
@@ -51,7 +50,7 @@ def test_parse_type_errors():
     with pytest.raises(ParseError):
         parse_type("a &")
     with pytest.raises(ParseError):
-        parse_mtype("#")
+        parse_ls("\\x:#. y * z")  # # is no m-type, so no binder type
 
 
 def test_parse_ls_terms():

@@ -1,8 +1,8 @@
 import pytest
 
 from cclab import translate
-from cclab.ccl import App, Comb, CStar, CVar, infer_c, scheme_type, substitute_c
-from cclab.gen import atom_names, enumerate_c, standard_context
+from cclab.ccl import App, Comb, CStar, CVar, ground_type_of, infer_c, scheme_type, substitute_c
+from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
 from cclab.lambda_sym import Pair, Star, Var, alpha_eq, infer, substitute
 from cclab.node import children
 from cclab.rewrite import C_ENGINE, LS_ENGINE, ReachabilityQuery, normalize, reaches
@@ -17,7 +17,7 @@ from cclab.translate import (
     psi,
     psi_comb,
 )
-from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, negate
+from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, TypingError, negate
 
 a, na, b, nb, c = Atom("a"), NegAtom("a"), Atom("b"), NegAtom("b"), Atom("c")
 CTX = parse_context("u : a, v : ~a, p : b, q : ~b")
@@ -178,8 +178,31 @@ def test_psi_preserves_types():
 
 
 def test_psi_requires_inst():
-    with pytest.raises(TranslationError):
+    with pytest.raises(TypingError, match="K lacks a type instantiation"):
         psi(parse_c("K u"), CTX)
+
+
+def _outcome(f, *args):
+    """The class and message of what f(*args) raises, or None if it returns."""
+    try:
+        f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def test_phi_and_psi_fail_exactly_when_their_typers_do():
+    # the size<=6 corpora, typed where u and v have each other's types
+    ctx = standard_context()
+    swapped = {**ctx, "u": ctx["v"], "v": ctx["u"]}
+    ls_terms = [t for _, t in enumerate_ls(ctx, 6, atom_names(2))]
+    c_terms = [t for _, t in enumerate_c(ctx, 6, atom_names(2))]
+    for f, typer, terms, show in [(phi, infer, ls_terms, print_ls),
+                                  (psi, ground_type_of, c_terms, print_c)]:
+        want = [_outcome(typer, swapped, t) for t in terms]
+        assert None in want and any(want)  # both verdicts occur
+        for t, w in zip(terms, want):
+            assert _outcome(f, t, swapped) == w, show(t)
 
 
 def test_psi_substitution_lemma_instances():

@@ -14,7 +14,6 @@ from cclab.types import (
     Substitution,
     TypingError,
     UnificationError,
-    is_ground,
     metavar_idents,
     negate,
     unify,
@@ -143,11 +142,13 @@ def test_unify_clash():
         unify([(Atom("a"), Atom("b"))])
     with pytest.raises(UnificationError):
         unify([(Conj(Atom("a"), Atom("b")), Disj(Atom("a"), Atom("b")))])
+    with pytest.raises(UnificationError, match=r"^cannot unify a with ~a$"):  # surface syntax
+        unify([(Atom("a"), NegAtom("a"))])
 
 
 def test_unify_occurs_check():
     m = MetaVar(0)
-    with pytest.raises(UnificationError):
+    with pytest.raises(UnificationError, match=r"^occurs check: \?0 inside \?0 & a$"):
         unify([(m, Conj(m, Atom("a")))])
 
 
@@ -172,5 +173,3 @@ def test_substitution_apply_ty_passes_bottom():
 def test_metavar_idents_and_groundness():
     ty = Conj(MetaVar(3), Disj(Atom("a"), MetaVar(7, True)))
     assert metavar_idents(ty) == frozenset({3, 7})
-    assert not is_ground(ty)
-    assert is_ground(Conj(Atom("a"), NegAtom("b")))
