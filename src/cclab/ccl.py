@@ -1,13 +1,19 @@
 """The combinatory calculus: six typed combinators, application, star.
 
-Combinators are typed by axiom schemes over m-type parameters. An
-occurrence may carry an explicit instantiation (``K[a, b]``); otherwise the
-parameters become metavariables and the checker solves for them. The
-checker never defaults a residual metavariable: if any parameter stays
-unresolved the term is reported as ambiguous so the caller can supply
-``inst``. ``infer_c`` and ``elaborate`` share that one solve and its one
-ambiguity message; ``ground_type_of`` types fully instantiated terms
-without solving and is the type check of ``translate.psi``.
+Combinators are typed by axiom schemes over m-type parameters, with
+application (modus ponens) and star (cut) as the only rules.
+``_Inference.collect`` is the one structural typing walk. An occurrence
+may carry an explicit instantiation (``K[a, b]``); otherwise the
+parameters become metavariables, and the walk records the occurrence for
+the solve. An application whose function type is already ``~A | B`` at an
+argument of type ``A``, or a star whose sides are already dual, is checked
+on the spot and adds no equation, so a fully instantiated term collects
+nothing and ``_solve`` returns at once. The solve never defaults a
+residual metavariable: if any parameter stays unresolved the term is
+reported as ambiguous so the caller can supply ``inst``. ``infer_c``,
+``elaborate``, ``ground_type_of`` (the type check of ``translate.psi``)
+and the simp side condition are entries on that one solve. Schemes are
+kept in a bounded table, so equal instantiations share one type.
 
 ``simp`` is the combinatory analogue of the lambda side's triv rule and is
 equally non-local: a typable term of type bottom with a ``(C (K U) (K V))``
@@ -25,9 +31,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from functools import lru_cache
+from typing import Iterator, Mapping, Optional
 
-from .node import StaleRedex, children, rebuild
+from .node import StaleRedex, children, rebuild, replace_at
 from .types import (
     BOTTOM,
     Bottom,
@@ -96,6 +103,17 @@ class CStar(_Compound):
 
 SCHEME_ARITY = {"K": 2, "S": 3, "C": 2, "P": 2, "Q1": 2, "Q2": 2}
 
+# Each combinator's axiom scheme over its type parameters.
+_SCHEMES = {
+    "K": lambda a, b: Disj(negate(a), Disj(b, a)),
+    "S": lambda a, b, c: Disj(Conj(a, Conj(b, negate(c))),
+                              Disj(Conj(a, negate(b)), Disj(negate(a), c))),
+    "C": lambda a, b: Disj(Conj(a, b), Disj(Conj(a, negate(b)), negate(a))),
+    "P": lambda a, b: Disj(negate(a), Disj(negate(b), Conj(a, b))),
+    "Q1": lambda a, b: Disj(negate(a), Disj(a, b)),
+    "Q2": lambda a, b: Disj(negate(b), Disj(a, b)),
+}
+
 C_RULES = ("k", "s", "c_r", "c_l", "e_r", "e_l", "pq1", "pq2", "qp1", "qp2", "simp")
 
 # I is parser sugar and a reduction-rule constant, not a combinator of its own.
@@ -118,35 +136,15 @@ class AmbiguousTypeError(TypingError):
     """Typable, but scheme parameters remain unconstrained; supply inst."""
 
 
-def scheme_type(which: str, params: Sequence[MType]) -> MType:
+@lru_cache(maxsize=4096)  # a scheme is a pure function of its arguments; share it
+def scheme_type(which: str, params: tuple[MType, ...]) -> MType:
     if which not in SCHEME_ARITY:
         raise TypingError(f"unknown combinator {which}")
     if len(params) != SCHEME_ARITY[which]:
         raise TypingError(
             f"{which} takes {SCHEME_ARITY[which]} type parameters, got {len(params)}"
         )
-    match which:
-        case "K":
-            a, b = params
-            return Disj(negate(a), Disj(b, a))
-        case "S":
-            a, b, c = params
-            return Disj(
-                Conj(a, Conj(b, negate(c))),
-                Disj(Conj(a, negate(b)), Disj(negate(a), c)),
-            )
-        case "C":
-            a, b = params
-            return Disj(Conj(a, b), Disj(Conj(a, negate(b)), negate(a)))
-        case "P":
-            a, b = params
-            return Disj(negate(a), Disj(negate(b), Conj(a, b)))
-        case "Q1":
-            a, b = params
-            return Disj(negate(a), Disj(a, b))
-        case "Q2":
-            a, b = params
-            return Disj(negate(b), Disj(a, b))
+    return _SCHEMES[which](*params)
 
 
 def term_vars(t: CTerm) -> frozenset[str]:
@@ -194,78 +192,82 @@ Context = Mapping[str, Ty]
 
 
 class _Inference:
-    """One constraint-collection pass; shared by infer_c / elaborate / simp."""
+    """One constraint-collection pass; shared by every entry on the solve."""
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self.counter = itertools.count()
         self.constraints: list[tuple[MType, MType]] = []
+        # the uninstantiated combinators: only their parameters need solving
         self.occurrences: list[tuple[tuple[int, ...], str, tuple[MType, ...]]] = []
 
     def fresh(self) -> MType:
         return MetaVar(next(self.counter))
 
     def collect(self, t: CTerm, path: tuple[int, ...]) -> Ty:
-        match t:
-            case CVar(x):
-                if x not in self.ctx:
-                    raise TypingError(f"unbound variable '{x}'", t.span)
-                return self.ctx[x]
-            case Comb(sym, inst):
-                if sym not in SCHEME_ARITY:
-                    raise TypingError(f"unknown combinator {sym}", t.span)
-                if inst is not None:
-                    if len(inst) != SCHEME_ARITY[sym]:
-                        raise TypingError(
-                            f"{sym} takes {SCHEME_ARITY[sym]} type parameters",
-                            t.span,
-                        )
-                    for p in inst:
-                        if metavar_idents(p):
-                            raise TypingError("inst types must be concrete", t.span)
-                    params = inst
-                else:
-                    params = tuple(self.fresh() for _ in range(SCHEME_ARITY[sym]))
-                self.occurrences.append((path, sym, params))
-                return scheme_type(sym, params)
-            case App(f, a):
-                ft = self.collect(f, path + (0,))
-                at = self.collect(a, path + (1,))
-                if isinstance(ft, Bottom):
-                    raise TypingError("a term of type # cannot be applied", t.span)
-                if isinstance(at, Bottom):
-                    raise TypingError("a term of type # cannot be an argument", t.span)
-                result = self.fresh()
-                self.constraints.append((ft, Disj(negate(at), result)))
-                return result
-            case CStar(l, r):
-                lt = self.collect(l, path + (0,))
-                rt = self.collect(r, path + (1,))
-                if isinstance(lt, Bottom) or isinstance(rt, Bottom):
-                    raise TypingError("both sides of * must have m-types", t.span)
-                self.constraints.append((lt, negate(rt)))
-                return BOTTOM
+        """t's type, up to the equations and occurrences recorded for the solve."""
+        c = type(t)
+        if c is App:
+            ft = self.collect(t.fun, path + (0,))
+            at = self.collect(t.arg, path + (1,))
+            if type(ft) is Bottom:
+                raise TypingError("a term of type # cannot be applied", t.span)
+            if type(at) is Bottom:
+                raise TypingError("a term of type # cannot be an argument", t.span)
+            nat = negate(at)
+            if type(ft) is Disj and ft.left == nat:
+                return ft.right  # modus ponens as it stands: nothing to solve
+            result = self.fresh()
+            self.constraints.append((ft, Disj(nat, result)))
+            return result
+        if c is CStar:
+            lt = self.collect(t.left, path + (0,))
+            rt = self.collect(t.right, path + (1,))
+            if type(lt) is Bottom or type(rt) is Bottom:
+                raise TypingError("both sides of * must have m-types", t.span)
+            nrt = negate(rt)
+            if lt != nrt:
+                self.constraints.append((lt, nrt))
+            return BOTTOM
+        if c is CVar:
+            if t.name not in self.ctx:
+                raise TypingError(f"unbound variable '{t.name}'", t.span)
+            return self.ctx[t.name]
+        if c is Comb:
+            if t.inst is not None:
+                if any(map(metavar_idents, t.inst)):
+                    raise TypingError("inst types must be concrete", t.span)
+                return scheme_type(t.which, t.inst)
+            # an unknown name gets no parameters; scheme_type rejects it
+            params = tuple(self.fresh() for _ in range(SCHEME_ARITY.get(t.which, 0)))
+            ty = scheme_type(t.which, params)
+            self.occurrences.append((path, t.which, params))
+            return ty
         raise TypeError(f"not a term: {t!r}")
 
 
 def _solve(ctx: Context, t: CTerm) -> tuple[Ty, Substitution, _Inference]:
     inf = _Inference(ctx)
     root = inf.collect(t, ())
+    if not inf.constraints:
+        return root, Substitution({}), inf
     subst = unify(inf.constraints)
     return subst.apply_ty(root), subst, inf
 
 
-def _ground(ctx: Context, t: CTerm) -> tuple[Ty, dict[tuple[int, ...], tuple[MType, ...]]]:
-    """The one solve behind infer_c and elaborate: the principal type, and
-    each combinator occurrence's parameters by path, all required ground."""
+def _ground(ctx: Context, t: CTerm) -> tuple[Ty, dict[tuple[int, ...], Comb]]:
+    """The principal type, and each uninstantiated combinator instantiated,
+    by path, all required ground. Without such combinators every
+    metavariable was an application's result, bound by the solve."""
     root, subst, inf = _solve(ctx, t)
+    if not inf.occurrences:
+        return root, {}
     solved, residual = {}, []
     for path, sym, params in inf.occurrences:
-        solved[path] = resolved = tuple(map(subst.apply, params))
-        for p in resolved:
-            if metavar_idents(p):
-                residual.append((path, sym))
-                break
+        resolved = tuple(map(subst.apply, params))
+        solved[path] = Comb(sym, resolved)
+        if any(map(metavar_idents, resolved)):
+            residual.append((path, sym))
     if not isinstance(root, Bottom) and metavar_idents(root):
         residual.append(((), "result"))
     if residual:
@@ -287,47 +289,22 @@ def infer_c(ctx: Context, t: CTerm) -> Ty:
 
 
 def elaborate(ctx: Context, t: CTerm) -> tuple[Ty, CTerm]:
-    """Like infer_c but also returns t with every combinator fully inst'ed."""
+    """Like infer_c but also returns t with every combinator fully inst'ed;
+    t itself when it already is."""
     root, solved = _ground(ctx, t)
-
-    def fill(node: CTerm, path: tuple[int, ...]) -> CTerm:
-        match node:
-            case Comb(sym, _):
-                return Comb(sym, solved[path])
-            case CVar():
-                return node
-            case _:
-                return rebuild(node, [fill(c, path + (i,)) for i, c in enumerate(children(node))])
-
-    return root, fill(t, ())
+    for path, comb in solved.items():
+        t = replace_at(t, path, comb)
+    return root, t
 
 
 def ground_type_of(ctx: Context, t: CTerm) -> Ty:
-    """Fast synthesizer for fully-inst'ed terms; no unification involved."""
-    match t:
-        case CVar(x):
-            if x not in ctx:
-                raise TypingError(f"unbound variable '{x}'", t.span)
-            return ctx[x]
-        case Comb(sym, inst):
-            if inst is None:
-                raise TypingError(f"{sym} lacks a type instantiation")
-            return scheme_type(sym, inst)
-        case App(f, a):
-            ft = ground_type_of(ctx, f)
-            at = ground_type_of(ctx, a)
-            if not isinstance(ft, Disj):
-                raise TypingError("function position must have a disjunction type")
-            if isinstance(at, Bottom) or negate(ft.left) != at:
-                raise TypingError("argument type does not match the function")
-            return ft.right
-        case CStar(l, r):
-            lt = ground_type_of(ctx, l)
-            rt = ground_type_of(ctx, r)
-            if isinstance(lt, Bottom) or isinstance(rt, Bottom) or lt != negate(rt):
-                raise TypingError("sides of * are not dual m-types")
-            return BOTTOM
-    raise TypeError(f"not a term: {t!r}")
+    """The type of a fully instantiated term: the one solve, which has
+    nothing to solve on such a term, and the rule that every combinator
+    carries its instantiation."""
+    root, _, inf = _solve(ctx, t)
+    if inf.occurrences:
+        raise TypingError(f"{inf.occurrences[0][1]} lacks a type instantiation")
+    return root
 
 
 def _typable_bottom(ctx: Context, t: CTerm) -> bool:

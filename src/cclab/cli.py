@@ -279,7 +279,9 @@ def cmd_verify(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name:22s} {r.instances:7d} instances")
-        print(f"     {r.name}: {r.seconds:.2f}s", file=sys.stderr)
+        print(f"     {r.name}: {r.seconds - r.corpus_seconds:.2f}s", file=sys.stderr)
+        if r.corpus_seconds:
+            print(f"     {r.name}: {r.corpus_seconds:.2f}s building corpora", file=sys.stderr)
         for note in r.notes:
             print(f"     note: {note}")
         for failure in r.failures:

@@ -16,12 +16,12 @@ variable at the result type, and the combinator images bind at the
 negated scheme type, so every combinator must carry its instantiation
 (use ccl.elaborate first if it does not).
 
-Neither translation checks types itself. Typed phi runs lambda_sym.infer
-and psi runs ccl.ground_type_of first, so every type error they raise is
-that typer's, message and span alike; the translations then only read
-each node's type off the accepted term. Typed phi's only errors of its
-own are bracket_typed's, for terms that type on the lambda side but have
-no combinator image, such as an abstraction over a bottom-typed variable.
+Neither translation checks types itself, so `translate` reports the errors
+`check` reports, in both directions: typed phi runs lambda_sym.infer first,
+and psi the one combinator solve, ccl.ground_type_of. They then read each
+node's type off the accepted term; bracket_typed types what it abstracts in
+the same fold. Typed phi's only error of its own is an abstraction over a
+bottom-typed variable, which has no combinator image.
 
 A combinator's image depends only on its name and instantiation, so
 psi_comb keeps the 4,096 most recently used images in a bounded table,
@@ -90,10 +90,8 @@ def bracket_abstract(x: str, t: CTerm) -> CTerm:
                 "nor a star of pre-terms"
             )
         return App(Comb("K"), t)
-    match t:
-        case App(f, a):
-            return App(App(Comb("S"), bracket_abstract(x, f)), bracket_abstract(x, a))
-    raise TranslationError(f"no abstraction clause applies to {t!r}")
+    # x occurs in t, which is neither x nor a star: an application
+    return App(App(Comb("S"), bracket_abstract(x, t.fun)), bracket_abstract(x, t.arg))
 
 
 def i_term_at(a: MType) -> CTerm:
@@ -110,35 +108,40 @@ def i_term_at(a: MType) -> CTerm:
 
 
 def bracket_typed(x: str, a: MType, t: CTerm, ctx_c: dict) -> CTerm:
-    match t:
-        case CVar(y) if y == x:
-            return i_term_at(a)
-        case CStar(l, r):
-            d = ground_type_of(ctx_c, r)
-            if isinstance(d, Bottom):
-                raise TranslationError("star of a bottom-typed term")
-            return App(
-                App(Comb("C", (a, d)), bracket_typed(x, a, l, ctx_c)),
-                bracket_typed(x, a, r, ctx_c),
-            )
-    if x not in term_vars(t):
-        b = ground_type_of(ctx_c, t)
-        if isinstance(b, Bottom):
+    """l_x t at x : a, for an instantiated t that types in ctx_c. One fold
+    returns each subterm's type with its abstraction, None where x does not
+    occur; the parent K-wraps such a subterm at the type just read off."""
+    na = negate(a)
+
+    def wrap(ty: Ty, u: CTerm, lu: Optional[CTerm]) -> CTerm:
+        if lu is not None:
+            return lu
+        if isinstance(ty, Bottom):
             raise TranslationError(
                 "cannot abstract over a bottom-typed subterm that is not a star"
             )
-        return App(Comb("K", (b, negate(a))), t)
-    match t:
-        case App(f, arg):
-            d = ground_type_of(ctx_c, arg)
-            ft = ground_type_of(ctx_c, f)
-            if isinstance(d, Bottom) or not isinstance(ft, Disj):
-                raise TranslationError("ill-typed application under abstraction")
-            return App(
-                App(Comb("S", (a, d, ft.right)), bracket_typed(x, a, f, ctx_c)),
-                bracket_typed(x, a, arg, ctx_c),
-            )
-    raise TranslationError(f"no abstraction clause applies to {t!r}")
+        return App(Comb("K", (ty, na)), u)
+
+    def go(u: CTerm) -> tuple[Ty, Optional[CTerm]]:
+        match u:
+            case CVar(y):
+                return (a, i_term_at(a)) if y == x else (ctx_c[y], None)
+            case Comb(which, inst):
+                return scheme_type(which, inst), None
+            case App(f, arg):
+                (ft, lf), (d, larg) = go(f), go(arg)
+                if lf is None and larg is None:
+                    return ft.right, None
+                s = Comb("S", (a, d, ft.right))
+                return ft.right, App(App(s, wrap(ft, f, lf)), wrap(d, arg, larg))
+            case CStar(l, r):
+                # the C clause applies to a star even when x is absent
+                (lt, ll), (d, lr) = go(l), go(r)
+                return BOTTOM, App(App(Comb("C", (a, d)), wrap(lt, l, ll)), wrap(d, r, lr))
+        raise TypeError(f"not a term: {u!r}")
+
+    ty, lx = go(t)
+    return wrap(ty, t, lx)
 
 
 def phi(t: LsTerm, ctx: Optional[Mapping[str, Ty]] = None) -> CTerm:
@@ -201,8 +204,6 @@ def pi_path(indices: str, t: LsTerm, ty: MType) -> tuple[LsTerm, MType]:
     """pi_{i1 i2 ... in} t, applied right to left; returns term and type."""
     term, cur = t, ty
     for ch in reversed(indices):
-        if not isinstance(cur, Conj):
-            raise TranslationError("projection from a non-conjunction")
         i = int(ch)
         term = pi_macro(i, term, cur)
         cur = cur.left if i == 1 else cur.right
@@ -250,8 +251,6 @@ def psi_comb(which: str, inst: tuple[MType, ...]) -> LsTerm:
         case "Q2":
             a, b = inst
             body = Star(Inj2(p("1")[0], Disj(a, b)), p("2")[0])
-        case _:
-            raise TranslationError(f"unknown combinator {which}")
     return Lam("x", t0, body)
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import count
 from random import Random
 
 import pytest
@@ -27,8 +28,8 @@ from cclab.ccl import (
     substitute_c,
     term_vars,
 )
-from cclab.gen import atom_names, random_c, standard_context
-from cclab.node import StaleRedex, children, replace_at, subterm_at, term_size
+from cclab.gen import atom_names, enumerate_c, random_c, standard_context
+from cclab.node import StaleRedex, children, rebuild, replace_at, subterm_at, term_size
 from cclab.syntax import parse_c, print_c
 from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, TypingError
 
@@ -96,7 +97,7 @@ def test_inst_annotations_are_checked():
     assert infer_c(CTX, App(App(Comb("K", (a, nb)), CVar("u")), CVar("p"))) == a
     with pytest.raises(TypingError):
         infer_c(CTX, App(App(Comb("K", (b, nb)), CVar("u")), CVar("p")))
-    with pytest.raises(TypingError):
+    with pytest.raises(TypingError, match="^K takes 2 type parameters, got 1$"):
         infer_c(CTX, Comb("K", (a,)))
 
 
@@ -110,6 +111,35 @@ def test_ground_type_of():
         ground_type_of(CTX, App(CVar("u"), CVar("u")))
     with pytest.raises(TypingError, match="unknown combinator B"):
         ground_type_of(CTX, Comb("B", (a,)))
+
+
+def _strip(t, keep):
+    """t without the instantiation of each combinator whose pre-order
+    index keep rejects."""
+    index = count()
+
+    def go(u):
+        if type(u) is Comb:
+            return u if keep(next(index)) else Comb(u.which)
+        return rebuild(u, [go(c) for c in children(u)])
+
+    return go(t)
+
+
+def test_elaborate_restores_the_instantiations_it_can_solve():
+    ctx = standard_context(2)
+    corpus = enumerate_c(ctx, 8, atom_names(2))
+    assert len(corpus) == 1384
+    solved = ambiguous = 0
+    for ty, t in corpus:
+        assert elaborate(ctx, t)[1] is t
+        for keep in (lambda i: False, lambda i: i % 2 == 1):
+            try:
+                assert elaborate(ctx, _strip(t, keep)) == (ty, t), print_c(t)
+                solved += 1
+            except AmbiguousTypeError:
+                ambiguous += 1
+    assert solved and ambiguous  # both outcomes occur
 
 
 def test_classify():

@@ -319,9 +319,22 @@ def test_translate_combinators_to_lambda_type_checks(capsys):
 
 
 def test_translate_requires_instantiated_combinators(capsys):
+    # the one solve meets the unbound u before it asks for instantiations
     rc, _, err = run(capsys, "translate", "--to", "ls", "K u")
     assert rc == 1
-    assert "instantiation" in err
+    assert "unbound variable 'u'" in err
+    rc, _, err = run(capsys, "translate", "--to", "ls", "K u", "--ctx", "u : a")
+    assert rc == 1
+    assert "K lacks a type instantiation" in err
+
+
+@pytest.mark.parametrize("term", ["v u", "K[a,b] u v * p"])
+def test_translate_reports_the_type_error_check_reports(capsys, term):
+    ctx = ["--ctx", "u:a, v:~b, p:a"]
+    rc, _, err = run(capsys, "translate", "--to", "ls", term, *ctx)
+    rc2, out2, _ = run(capsys, "check", "--ccl", term, *ctx)
+    assert rc == rc2 == 1
+    assert err.strip().removeprefix("error: ") == out2.strip().removeprefix("type error: ")
 
 
 def test_translate_names_the_missing_variable(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from cclab import translate
-from cclab.ccl import App, Comb, CStar, CVar, ground_type_of, infer_c, scheme_type, substitute_c
+from cclab.ccl import App, Comb, CStar, CVar, infer_c, scheme_type, substitute_c
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
 from cclab.lambda_sym import Pair, Star, Var, alpha_eq, infer, substitute
 from cclab.node import children
@@ -177,6 +177,11 @@ def test_psi_preserves_types():
         assert infer(ctx, image) == ty, src
 
 
+def test_psi_comb_rejects_an_unknown_combinator_as_a_type_error():
+    with pytest.raises(TypingError, match="^unknown combinator X$"):
+        psi_comb("X", ())
+
+
 def test_psi_requires_inst():
     with pytest.raises(TypingError, match="K lacks a type instantiation"):
         psi(parse_c("K u"), CTX)
@@ -198,7 +203,7 @@ def test_phi_and_psi_fail_exactly_when_their_typers_do():
     ls_terms = [t for _, t in enumerate_ls(ctx, 6, atom_names(2))]
     c_terms = [t for _, t in enumerate_c(ctx, 6, atom_names(2))]
     for f, typer, terms, show in [(phi, infer, ls_terms, print_ls),
-                                  (psi, ground_type_of, c_terms, print_c)]:
+                                  (psi, infer_c, c_terms, print_c)]:
         want = [_outcome(typer, swapped, t) for t in terms]
         assert None in want and any(want)  # both verdicts occur
         for t, w in zip(terms, want):
