@@ -13,7 +13,8 @@ residual metavariable: if any parameter stays unresolved the term is
 reported as ambiguous so the caller can supply ``inst``. ``infer_c``,
 ``elaborate``, ``ground_type_of`` (the type check of ``translate.psi``)
 and the simp side condition are entries on that one solve. Schemes are
-kept in a bounded table, so equal instantiations share one type.
+kept in a bounded table, so equal instantiations share one type; a second
+table checks each explicit instantiation for metavariables once.
 
 ``simp`` is the combinatory analogue of the lambda side's triv rule and is
 equally non-local: a typable term of type bottom with a ``(C (K U) (K V))``
@@ -147,6 +148,14 @@ def scheme_type(which: str, params: tuple[MType, ...]) -> MType:
     return _SCHEMES[which](*params)
 
 
+@lru_cache(maxsize=4096)
+def _inst_type(which: str, inst: tuple[MType, ...]) -> Optional[MType]:
+    """The scheme at an explicit instantiation; None when it holds a metavariable."""
+    if any(map(metavar_idents, inst)):
+        return None
+    return scheme_type(which, inst)
+
+
 def term_vars(t: CTerm) -> frozenset[str]:
     if type(t) is CVar:
         return frozenset((t.name,))
@@ -235,9 +244,10 @@ class _Inference:
             return self.ctx[t.name]
         if c is Comb:
             if t.inst is not None:
-                if any(map(metavar_idents, t.inst)):
+                ty = _inst_type(t.which, t.inst)
+                if ty is None:
                     raise TypingError("inst types must be concrete", t.span)
-                return scheme_type(t.which, t.inst)
+                return ty
             # an unknown name gets no parameters; scheme_type rejects it
             params = tuple(self.fresh() for _ in range(SCHEME_ARITY.get(t.which, 0)))
             ty = scheme_type(t.which, params)

@@ -15,7 +15,18 @@ meaningful. Type size is node count.
 A star has type bottom and both calculi type star sides at m-types, so
 in a typable term the star can only sit at the root. The enumerators
 exploit this: m-typed terms are built by a size-indexed dynamic
-program, bottom-typed terms by pairing duals on top.
+program, bottom-typed terms by pairing duals on top. Each level keeps
+one list per type, filled in a fixed order, so the output order is
+deterministic.
+
+Two consequences of the weights bound the lambda enumeration. No
+annotation has more than ``max_size - 4`` nodes: a binder costs 1 plus
+its annotation and its body is a star of weight at least 3, and an
+injection's free half shares its weight with the injected term (at
+least 1) and the ``Disj`` node; so the type levels stop there. Every
+weight is odd (a leaf weighs 1, any other node 1 plus two odd parts: two
+subterms, or an annotation of odd size and a subterm), so the size-10
+corpus equals the size-9 one.
 """
 
 from __future__ import annotations
@@ -113,10 +124,6 @@ def ls_weight(t: LsTerm) -> int:
     return own + sum([ls_weight(c) for c in children(t)])
 
 
-def _add(level: dict[Ty, list], ty: Ty, t) -> None:
-    level.setdefault(ty, []).append(t)
-
-
 def enumerate_c(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> list[tuple[Ty, CTerm]]:
     """Every typable c-term of size <= max_size over ctx, by size.
 
@@ -127,10 +134,10 @@ def enumerate_c(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> list
     m: list[dict[Ty, list[CTerm]]] = [{} for _ in range(max_size + 1)]
     if max_size >= 1:
         for x, ty in ctx.items():
-            _add(m[1], ty, CVar(x))
+            m[1].setdefault(ty, []).append(CVar(x))
         for comb in combinator_variants(atoms):
             assert comb.inst is not None
-            _add(m[1], scheme_type(comb.which, comb.inst), comb)
+            m[1].setdefault(scheme_type(comb.which, comb.inst), []).append(comb)
     for s in range(3, max_size + 1):
         for fs in range(1, s - 1):
             for ft, fl in m[fs].items():
@@ -139,9 +146,7 @@ def enumerate_c(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> list
                 args = m[s - 1 - fs].get(negate(ft.left))
                 if not args:
                     continue
-                for f in fl:
-                    for a in args:
-                        _add(m[s], ft.right, App(f, a))
+                m[s].setdefault(ft.right, []).extend([App(f, a) for f in fl for a in args])
     out: list[tuple[Ty, CTerm]] = []
     for s in range(1, max_size + 1):
         for ty, terms in m[s].items():
@@ -167,7 +172,7 @@ def enumerate_ls(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> lis
     all m-types the weight budget leaves room for.
     """
     atoms = tuple(atoms)
-    ty_levels = types_by_size(atoms, max_size, signed=True)
+    ty_levels = types_by_size(atoms, max(max_size - 4, 0), signed=True)
     # memo: binder stack -> (m-typed levels, bottom-typed levels)
     memo: dict[tuple[Ty, ...], tuple[list[dict[Ty, list[LsTerm]]], list[list[LsTerm]]]] = {}
 
@@ -176,23 +181,23 @@ def enumerate_ls(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> lis
         if got is not None:
             return got
         budget = max_size - sum(1 + term_size(a) for a in stack)
+        binder = f"b{len(stack)}"
         m: list[dict[Ty, list[LsTerm]]] = [{} for _ in range(max(budget, 0) + 1)]
         b: list[list[LsTerm]] = [[] for _ in range(max(budget, 0) + 1)]
         if budget >= 1:
             for x, ty in ctx.items():
-                _add(m[1], ty, Var(x))
+                m[1].setdefault(ty, []).append(Var(x))
             for i, ann in enumerate(stack):
-                _add(m[1], ann, Var(f"b{i}"))
+                m[1].setdefault(ann, []).append(Var(f"b{i}"))
+        # a bucket is taken only when it gets a term, so key order is first use
         for w in range(2, budget + 1):
+            mw = m[w]
             for wl in range(1, w - 1):
                 wr = w - 1 - wl
                 for lt, ll in m[wl].items():
                     # pairs with every right side, stars with the duals
                     for rt, rl in m[wr].items():
-                        ty = Conj(lt, rt)
-                        for l in ll:
-                            for r in rl:
-                                _add(m[w], ty, Pair(l, r))
+                        mw.setdefault(Conj(lt, rt), []).extend([Pair(l, r) for l in ll for r in rl])
                     for r in m[wr].get(negate(lt), ()):
                         for l in ll:
                             b[w].append(Star(l, r))
@@ -203,21 +208,25 @@ def enumerate_ls(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> lis
                         continue
                     for other in ty_levels[ts_other]:
                         ann1, ann2 = Disj(bty, other), Disj(other, bty)
+                        # one bucket when bty == other: Inj1/Inj2 interleave
+                        b1, b2 = mw.setdefault(ann1, []), mw.setdefault(ann2, [])
                         for bt in bl:
-                            _add(m[w], ann1, Inj1(bt, ann1))
-                            _add(m[w], ann2, Inj2(bt, ann2))
+                            b1.append(Inj1(bt, ann1))
+                            b2.append(Inj2(bt, ann2))
             for ts_ann in range(1, w - 3):  # a bottom body is a star, never smaller than 3
                 wb = w - 1 - ts_ann
                 for ann in ty_levels[ts_ann]:
                     _, sub_b = levels(stack + (ann,))
-                    if wb < len(sub_b):
-                        ty = negate(ann)
-                        for body in sub_b[wb]:
-                            _add(m[w], ty, Lam(f"b{len(stack)}", ann, body))
+                    bodies = sub_b[wb] if wb < len(sub_b) else ()
+                    if bodies:
+                        mw.setdefault(negate(ann), []).extend([Lam(binder, ann, t) for t in bodies])
         memo[stack] = (m, b)
         return m, b
 
     m, b = levels(())
+    # levels holds itself through its closure, and with it the memo, so only
+    # the cycle collector would free the other stacks' levels; free them now
+    memo.clear()
     out: list[tuple[Ty, LsTerm]] = []
     for w in range(1, max_size + 1):
         for ty, terms in m[w].items():

@@ -8,6 +8,11 @@ function and an involution.
 ``Bottom`` is the absurdity type. It is a separate class, never a
 subexpression of an ``MType``: conjunction and disjunction are defined on
 m-types only.
+
+``Atom``/``NegAtom`` and ``Conj``/``Disj`` have the same fields, so the
+hash of each carries its class: a field-only hash would put ``a & b`` and
+``a | b`` in one dict slot and turn lookups into equality tests. The hash
+is computed on each call, not kept.
 """
 
 from __future__ import annotations
@@ -39,10 +44,16 @@ class MType:
 class Atom(MType):
     name: str
 
+    def __hash__(self) -> int:
+        return hash((Atom, self.name))
+
 
 @dataclass(frozen=True, slots=True)
 class NegAtom(MType):
     name: str
+
+    def __hash__(self) -> int:
+        return hash((NegAtom, self.name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,12 +62,18 @@ class Conj(MType):
     left: MType
     right: MType
 
+    def __hash__(self) -> int:
+        return hash((Conj, self.left, self.right))
+
 
 @dataclass(frozen=True, slots=True)
 class Disj(MType):
     KIDS = ("left", "right")
     left: MType
     right: MType
+
+    def __hash__(self) -> int:
+        return hash((Disj, self.left, self.right))
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,7 +31,7 @@ from cclab.ccl import (
 from cclab.gen import atom_names, enumerate_c, random_c, standard_context
 from cclab.node import StaleRedex, children, rebuild, replace_at, subterm_at, term_size
 from cclab.syntax import parse_c, print_c
-from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, TypingError
+from cclab.types import BOTTOM, Atom, Conj, Disj, MetaVar, NegAtom, TypingError
 
 a, na = Atom("a"), NegAtom("a")
 b, nb = Atom("b"), NegAtom("b")
@@ -99,6 +99,14 @@ def test_inst_annotations_are_checked():
         infer_c(CTX, App(App(Comb("K", (b, nb)), CVar("u")), CVar("p")))
     with pytest.raises(TypingError, match="^K takes 2 type parameters, got 1$"):
         infer_c(CTX, Comb("K", (a,)))
+
+
+def test_inst_with_a_metavariable_is_rejected_every_time():
+    t = Comb("K", (MetaVar(0), a), span=(0, 1))
+    for _ in range(2):  # the second check is answered from the cache
+        with pytest.raises(TypingError, match="^inst types must be concrete$") as err:
+            infer_c(CTX, t)
+        assert err.value.span == (0, 1)
 
 
 def test_ground_type_of():

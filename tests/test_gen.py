@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 from cclab.ccl import CStar, CVar, infer_c
@@ -18,7 +19,8 @@ from cclab.gen import (
 )
 from cclab.lambda_sym import Lam, Star, Var, infer
 from cclab.node import term_size
-from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, negate
+from cclab.syntax import print_c, print_ls
+from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, negate, print_type
 
 a, na = Atom("a"), NegAtom("a")
 
@@ -117,3 +119,20 @@ def test_random_generators_typable_and_seeded():
 def test_atom_pool_order():
     assert atom_pool(("a", "b")) == (a, na, Atom("b"), NegAtom("b"))
     assert negate(Conj(a, na)) == Disj(na, a)
+
+
+def _digest(corpus, show):
+    text = "".join(f"{print_type(ty)}\t{show(t)}\n" for ty, t in corpus)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_size_9_corpora_keep_their_order():
+    """The size-9 corpora, printed in order, are pinned: verify reports the
+    first failing instance, so a reordering would change its reports."""
+    from cclab.verify import _c_corpus, _ls_corpus
+
+    # enumerate_ls/enumerate_c(standard_context(2), 9, atom_names(2)), shared with the suites
+    ls, c = _ls_corpus(9), _c_corpus(9)
+    assert (len(ls), len(c)) == (32048, 4024)
+    assert _digest(ls, print_ls) == "fa439d4c7538db9805c788832025c78b1aac131648aec6866756a1a590750eb0"
+    assert _digest(c, print_c) == "79381129f9528c0e256ace1290696352da865ce99dbbe740fda977851510dc58"

@@ -173,3 +173,27 @@ def test_substitution_apply_ty_passes_bottom():
 def test_metavar_idents_and_groundness():
     ty = Conj(MetaVar(3), Disj(Atom("a"), MetaVar(7, True)))
     assert metavar_idents(ty) == frozenset({3, 7})
+
+
+def _rebuilt(t):
+    """A fresh copy of t, built field by field."""
+    if type(t) in (Atom, NegAtom):
+        return type(t)(t.name)
+    return type(t)(_rebuilt(t.left), _rebuilt(t.right))
+
+
+def test_type_hashes_carry_the_class():
+    from cclab.gen import types_by_size
+
+    tys = [t for level in types_by_size(("a", "b"), 7) for t in level]
+    assert len(tys) == 4 + 32 + 512 + 10240
+    # no specific value: string hashes vary with PYTHONHASHSEED
+    assert len({hash(t) for t in tys}) == len(tys)
+    for t in tys:
+        copy = _rebuilt(t)
+        assert copy is not t and copy == t and hash(copy) == hash(t)
+    x, y = Atom("a"), NegAtom("b")
+    d = {Conj(x, y): "and", Disj(x, y): "or", Atom("a"): "pos", NegAtom("a"): "neg"}
+    assert len(d) == 4
+    assert d[Conj(Atom("a"), NegAtom("b"))] == "and" and d[Disj(x, y)] == "or"
+    assert d[NegAtom("a")] == "neg"
