@@ -70,15 +70,15 @@ def standard_context(n_atoms: int = 2) -> dict[str, Ty]:
     return ctx
 
 
-def types_by_size(atoms: Iterable[str], max_size: int, signed: bool = True) -> list[list[MType]]:
+def types_by_size(atoms: Iterable[str], max_size: int) -> list[list[MType]]:
     """All m-types of each node count up to max_size, indexed by size.
 
-    Leaves are the atoms (and their negations when signed); every
-    compound size is odd, so even slots stay empty.
+    Leaves are the atoms and their negations; every compound size is
+    odd, so even slots stay empty.
     """
     levels: list[list[MType]] = [[] for _ in range(max_size + 1)]
     if max_size >= 1:
-        levels[1] = list(atom_pool(atoms) if signed else tuple(Atom(a) for a in atoms))
+        levels[1] = list(atom_pool(atoms))
     for s in range(3, max_size + 1):
         for ls in range(1, s - 1):
             for lt in levels[ls]:
@@ -172,7 +172,7 @@ def enumerate_ls(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> lis
     all m-types the weight budget leaves room for.
     """
     atoms = tuple(atoms)
-    ty_levels = types_by_size(atoms, max(max_size - 4, 0), signed=True)
+    ty_levels = types_by_size(atoms, max(max_size - 4, 0))
     # memo: binder stack -> (m-typed levels, bottom-typed levels)
     memo: dict[tuple[Ty, ...], tuple[list[dict[Ty, list[LsTerm]]], list[list[LsTerm]]]] = {}
 

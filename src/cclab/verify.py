@@ -6,21 +6,27 @@ pass means "no counterexample below the size bound", not a proof. Each
 returns a SuiteResult with the instance count, failures (empty = pass),
 wall time, and free-form notes.
 
+A suite is a generator decorated with ``@suite(name, *aliases)``. It
+yields one ``(ok, describe)`` pair per instance and returns its notes
+(or nothing). The decorator records each pair with ``SuiteResult.check``
+before it resumes the generator, so ``describe`` may read the loop
+variables as they stand. It also registers the suite in ``SUITES`` under
+its descriptive name and in ``ALIASES`` under the short historical ids
+the command line accepts. ``verify --suite all`` reports the suites in
+the order they are defined here, which is the paper's order.
+
 Every reduction sequence a suite follows comes from ``rewrite.trace`` or
 ``rewrite.search``. Every reachability question, rule-simulation's
 included, is one ``rewrite.reaches`` call, which tries its strategies in
 one fixed order.
-
-Suites are registered under a descriptive name plus short historical
-aliases accepted by the command line.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, wraps
+from typing import Callable, Generator, Optional
 
 from .ccl import (
     App,
@@ -124,6 +130,38 @@ class SuiteResult:
         }
 
 
+# what a suite body yields per instance, and returns at the end: its notes
+Checks = Generator[tuple[bool, Callable[[], str]], None, Optional[list[str]]]
+
+SUITES: dict[str, Callable[..., SuiteResult]] = {}
+ALIASES: dict[str, str] = {}  # short historical ids accepted on the command line
+
+
+def suite(
+    name: str, *aliases: str
+) -> Callable[[Callable[..., Checks]], Callable[..., SuiteResult]]:
+    """Register a generator of checks as the suite `name`; see the module doc."""
+
+    def register(body: Callable[..., Checks]) -> Callable[..., SuiteResult]:
+        @wraps(body)
+        def run(*args, **kwargs) -> SuiteResult:
+            r = SuiteResult(name)
+            checks = body(*args, **kwargs)
+            while True:
+                try:
+                    ok, describe = next(checks)
+                except StopIteration as done:
+                    r.notes = done.value or []
+                    return r
+                r.check(ok, describe)
+
+        SUITES[name] = run
+        ALIASES.update(dict.fromkeys(aliases, name))
+        return run
+
+    return register
+
+
 _corpus_seconds = 0.0  # spent building the shared corpora so far; see run_suite
 
 
@@ -145,88 +183,80 @@ def _c_corpus(max_size: int) -> tuple[tuple[Ty, CTerm], ...]:
     return _build_corpus(enumerate_c, max_size)
 
 
-def suite_involution() -> SuiteResult:
-    """negate is an involution and injective on deep finite type families."""
-    r = SuiteResult("involution")
-    positive = types_to_depth(("a", "b"), 4, signed=False)
-    for t in positive:
-        r.check(negate(negate(t)) == t, lambda: f"negate^2 != id at {print_type(t)}")
-    signed = types_to_depth(("a", "b"), 3, signed=True)
-    for t in signed:
-        r.check(negate(negate(t)) == t, lambda: f"negate^2 != id at {print_type(t)}")
-    images = {negate(t) for t in signed}
-    r.check(len(images) == len(signed), lambda: "negate not injective on signed depth-3 family")
-    r.notes.append(f"{len(positive)} depth-4 positive types, {len(signed)} signed depth-3 types")
-    return r
-
-
-def _suite_subject_reduction(name: str, engine, corpus) -> SuiteResult:
-    r = SuiteResult(name)
+def _subject_reduction(engine, corpus) -> Checks:
     ctx = standard_context(2)
-    n_terms = 0
+    n_terms = n_redexes = 0
     for ty, t in corpus:
         n_terms += 1
         for redex in engine.find(ctx, t):
+            n_redexes += 1
             got = engine.typeof(ctx, engine.step(t, redex))
-            r.check(
-                got == ty,
-                lambda t=t, redex=redex, ty=ty, got=got: (
-                    f"{engine.show(t)}: {redex.rule} at {redex.path} changed "
-                    f"{print_type(ty)} to {print_type(got)}"
-                ),
+            yield got == ty, lambda: (
+                f"{engine.show(t)}: {redex.rule} at {redex.path} changed "
+                f"{print_type(ty)} to {print_type(got)}"
             )
-    r.notes.append(f"{n_terms} typable terms, {r.instances} redex contractions")
-    return r
+    return [f"{n_terms} typable terms, {n_redexes} redex contractions"]
 
 
-def suite_subject_reduction_ls(max_size: int = 9) -> SuiteResult:
-    return _suite_subject_reduction("subject-reduction-ls", LS_ENGINE, _ls_corpus(max_size))
-
-
-def suite_subject_reduction_cc(max_size: int = 9) -> SuiteResult:
-    return _suite_subject_reduction("subject-reduction-cc", C_ENGINE, _c_corpus(max_size))
-
-
-def suite_dichotomy(max_size: int = 9) -> SuiteResult:
-    """Typable c-terms split into pre-terms (m-typed) and star-terms (bottom)."""
-    r = SuiteResult("dichotomy")
-    for ty, t in _c_corpus(max_size):
-        want = TermClass.STAR_TERM if isinstance(ty, Bottom) else TermClass.PRE_TERM
-        got = classify(t)
-        r.check(
-            got is want,
-            lambda t=t, want=want, got=got: f"{print_c(t)} classified {got.name}, expected {want.name}",
-        )
-    return r
-
-
-def _suite_sn(name: str, engine, corpus) -> SuiteResult:
-    r = SuiteResult(name)
+def _sn(engine, corpus) -> Checks:
     ctx = standard_context(2)
     worst = 0
     for _, t in corpus:
         res = check_sn(engine, ctx, t, node_budget=100_000)
         if res.max_path is not None:
             worst = max(worst, res.max_path)
-        r.check(
-            res.terminating,
-            lambda t=t, res=res: f"{engine.show(t)}: {res.reason or 'cycle found'}",
+        yield res.terminating, lambda: f"{engine.show(t)}: {res.reason or 'cycle found'}"
+    return [f"longest reduction path: {worst}"]
+
+
+def _translation_typing(corpus, translate, typer, show, label: str) -> Checks:
+    ctx = standard_context(2)
+    for ty, t in corpus:
+        got = typer(ctx, translate(t, ctx))
+        yield got == ty, lambda: (
+            f"{label}({show(t)}) : {print_type(got)}, source {print_type(ty)}"
         )
-    r.notes.append(f"longest reduction path: {worst}")
-    return r
 
 
-def suite_sn_ls(max_size: int = 9) -> SuiteResult:
-    return _suite_sn("sn-ls", LS_ENGINE, _ls_corpus(max_size))
+@suite("involution", "lemma2.2")
+def suite_involution() -> Checks:
+    """negate is an involution and injective on deep finite type families."""
+    positive = types_to_depth(("a", "b"), 4, signed=False)
+    signed = types_to_depth(("a", "b"), 3, signed=True)
+    for t in positive + signed:
+        yield negate(negate(t)) == t, lambda: f"negate^2 != id at {print_type(t)}"
+    images = {negate(t) for t in signed}
+    yield len(images) == len(signed), lambda: "negate not injective on signed depth-3 family"
+    return [f"{len(positive)} depth-4 positive types, {len(signed)} signed depth-3 types"]
 
 
-def suite_sn_cc(max_size: int = 9) -> SuiteResult:
-    return _suite_sn("sn-cc", C_ENGINE, _c_corpus(max_size))
+@suite("subject-reduction-ls", "thm2.5")
+def suite_subject_reduction_ls(max_size: int = 9) -> Checks:
+    return _subject_reduction(LS_ENGINE, _ls_corpus(max_size))
 
 
-def suite_bracket_typing(max_size: int = 5) -> SuiteResult:
+@suite("sn-ls", "thm2.6")
+def suite_sn_ls(max_size: int = 9) -> Checks:
+    return _sn(LS_ENGINE, _ls_corpus(max_size))
+
+
+@suite("subject-reduction-cc", "thm3.3")
+def suite_subject_reduction_cc(max_size: int = 9) -> Checks:
+    return _subject_reduction(C_ENGINE, _c_corpus(max_size))
+
+
+@suite("dichotomy", "lemma3.5")
+def suite_dichotomy(max_size: int = 9) -> Checks:
+    """Typable c-terms split into pre-terms (m-typed) and star-terms (bottom)."""
+    for ty, t in _c_corpus(max_size):
+        want = TermClass.STAR_TERM if isinstance(ty, Bottom) else TermClass.PRE_TERM
+        got = classify(t)
+        yield got is want, lambda: f"{print_c(t)} classified {got.name}, expected {want.name}"
+
+
+@suite("bracket-typing", "lemma4.2")
+def suite_bracket_typing(max_size: int = 5) -> Checks:
     """Abstracting x:A out of T:B yields type ~A | B; out of T:bottom, ~A."""
-    r = SuiteResult("bracket-typing")
     ctx = standard_context(2)
     atoms = atom_names(2)
     for a in atom_pool(atoms):
@@ -235,85 +265,46 @@ def suite_bracket_typing(max_size: int = 5) -> SuiteResult:
             image = bracket_typed("x", a, t, ectx)
             want = negate(a) if isinstance(ty, Bottom) else Disj(negate(a), ty)
             got = infer_c(ctx, image)
-            r.check(
-                got == want and "x" not in term_vars(image),
-                lambda t=t, a=a, want=want, got=got: (
-                    f"l_x {print_c(t)} with x:{print_type(a)}: got {print_type(got)}, "
-                    f"want {print_type(want)}"
-                ),
+            yield got == want and "x" not in term_vars(image), lambda: (
+                f"l_x {print_c(t)} with x:{print_type(a)}: got {print_type(got)}, "
+                f"want {print_type(want)}"
             )
-    return r
 
 
-def suite_bracket_reduction(u_size: int = 6, v_size: int = 3, max_steps: int = 50) -> SuiteResult:
+@suite("phi-typing", "thm4.3")
+def suite_phi_typing(max_size: int = 8) -> Checks:
+    return _translation_typing(_ls_corpus(max_size), phi, infer_c, print_ls, "phi")
+
+
+@suite("bracket-reduction", "lemma4.4")
+def suite_bracket_reduction(u_size: int = 6, v_size: int = 3, max_steps: int = 50) -> Checks:
     """Bracket abstraction computes substitution, untyped.
 
     Pre-terms are applied: (l_x U) V. Star-terms instead meet their
     argument across a star, on either side.
     """
-    r = SuiteResult("bracket-reduction")
     names = ("x", "y")
     pres = enumerate_pre_terms(names, u_size)
     stars = enumerate_star_terms(names, u_size)
     vs = enumerate_pre_terms(names, v_size)
-    for u in pres:
+    for u in pres + stars:
         lu = bracket_abstract("x", u)
+        starred = isinstance(u, CStar)
+        shape = "l_x {} starred with {}" if starred else "(l_x {}) {}"
         for v in vs:
             rhs = substitute_c(u, "x", v)
-            ok, _ = reaches(C_ENGINE, None, ReachabilityQuery(App(lu, v), rhs, max_steps, False))
-            r.check(
-                ok,
-                lambda u=u, v=v: f"(l_x {print_c(u)}) {print_c(v)} missed its substitution",
+            sources = (CStar(lu, v), CStar(v, lu)) if starred else (App(lu, v),)
+            ok = all(
+                reaches(C_ENGINE, None, ReachabilityQuery(s, rhs, max_steps, False))[0]
+                for s in sources
             )
-    for u in stars:
-        lu = bracket_abstract("x", u)
-        for v in vs:
-            rhs = substitute_c(u, "x", v)
-            ok1, _ = reaches(C_ENGINE, None, ReachabilityQuery(CStar(lu, v), rhs, max_steps, False))
-            ok2, _ = reaches(C_ENGINE, None, ReachabilityQuery(CStar(v, lu), rhs, max_steps, False))
-            r.check(
-                ok1 and ok2,
-                lambda u=u, v=v: (
-                    f"l_x {print_c(u)} starred with {print_c(v)} missed its substitution"
-                ),
-            )
-    r.notes.append(
-        f"{len(pres)} pre-term and {len(stars)} star-term bodies x {len(vs)} arguments"
-    )
-    return r
+            yield ok, lambda: shape.format(print_c(u), print_c(v)) + " missed its substitution"
+    return [f"{len(pres)} pre-term and {len(stars)} star-term bodies x {len(vs)} arguments"]
 
 
-def suite_phi_typing(max_size: int = 8) -> SuiteResult:
-    r = SuiteResult("phi-typing")
-    ctx = standard_context(2)
-    for ty, t in _ls_corpus(max_size):
-        got = infer_c(ctx, phi(t, ctx))
-        r.check(
-            got == ty,
-            lambda t=t, ty=ty, got=got: (
-                f"phi({print_ls(t)}) : {print_type(got)}, source {print_type(ty)}"
-            ),
-        )
-    return r
-
-
-def suite_psi_typing(max_size: int = 8) -> SuiteResult:
-    r = SuiteResult("psi-typing")
-    ctx = standard_context(2)
-    for ty, t in _c_corpus(max_size):
-        got = infer(ctx, psi(t, ctx))
-        r.check(
-            got == ty,
-            lambda t=t, ty=ty, got=got: (
-                f"psi({print_c(t)}) : {print_type(got)}, source {print_type(ty)}"
-            ),
-        )
-    return r
-
-
-def suite_phi_substitution(u_size: int = 6, v_size: int = 5) -> SuiteResult:
+@suite("phi-substitution", "lemma4.5")
+def suite_phi_substitution(u_size: int = 6, v_size: int = 5) -> Checks:
     """phi commutes with substitution, instantiations included, on the nose."""
-    r = SuiteResult("phi-substitution")
     ctx = standard_context(2)
     atoms = atom_names(2)
     for b in atom_pool(atoms):
@@ -323,41 +314,15 @@ def suite_phi_substitution(u_size: int = 6, v_size: int = 5) -> SuiteResult:
             for v in vs:
                 lhs = phi(substitute(u, "y", v), ctx)
                 rhs = substitute_c(phi(u, ectx), "y", phi(v, ctx))
-                r.check(
-                    lhs == rhs,
-                    lambda u=u, v=v: (
-                        f"phi({print_ls(u)})[y:={print_ls(v)}] differs from "
-                        "the substituted translation"
-                    ),
+                yield lhs == rhs, lambda: (
+                    f"phi({print_ls(u)})[y:={print_ls(v)}] differs from "
+                    "the substituted translation"
                 )
-    return r
 
 
-def suite_psi_substitution(u_size: int = 5, v_size: int = 5) -> SuiteResult:
-    """psi commutes with substitution up to alpha."""
-    r = SuiteResult("psi-substitution")
-    ctx = standard_context(2)
-    atoms = atom_names(2)
-    for a in atom_pool(atoms):
-        ectx = {**ctx, "x": a}
-        vs = [t for ty, t in _c_corpus(v_size) if ty == a]
-        for _, u in enumerate_c(ectx, u_size, atoms):
-            for v in vs:
-                lhs = psi(substitute_c(u, "x", v), ctx)
-                rhs = substitute(psi(u, ectx), "x", psi(v, ctx))
-                r.check(
-                    alpha_eq(lhs, rhs),
-                    lambda u=u, v=v: (
-                        f"psi({print_c(u)})[x:={print_c(v)}] differs from "
-                        "the substituted translation"
-                    ),
-                )
-    return r
-
-
-def suite_omega_simulation(max_size: int = 8, max_steps: int = 50) -> SuiteResult:
+@suite("omega-simulation", "thm4.7")
+def suite_omega_simulation(max_size: int = 8, max_steps: int = 50) -> Checks:
     """Reductions outside every lambda are simulated through phi."""
-    r = SuiteResult("omega-simulation")
     ctx = standard_context(2)
     n_terms = 0
     for _, t in _ls_corpus(max_size):
@@ -368,19 +333,13 @@ def suite_omega_simulation(max_size: int = 8, max_steps: int = 50) -> SuiteResul
                 C_ENGINE, ctx,
                 ReachabilityQuery(phi(t, ctx), phi(reduct, ctx), max_steps, True),
             )
-            r.check(
-                ok,
-                lambda t=t, redex=redex: (
-                    f"{print_ls(t)}: {redex.rule} at {redex.path} not simulated"
-                ),
-            )
-    r.notes.append(f"{n_terms} typable terms scanned for unguarded redexes")
-    return r
+            yield ok, lambda: f"{print_ls(t)}: {redex.rule} at {redex.path} not simulated"
+    return [f"{n_terms} typable terms scanned for unguarded redexes"]
 
 
-def suite_projection(max_size: int = 7, pair_size: int = 4) -> SuiteResult:
+@suite("projection", "lemma5.2")
+def suite_projection(max_size: int = 7, pair_size: int = 4) -> Checks:
     """The projection macro both computes and types componentwise."""
-    r = SuiteResult("projection")
     ctx = standard_context(2)
     small = [(ty, t) for ty, t in _ls_corpus(pair_size) if not isinstance(ty, Bottom)]
     for tu, u in small:
@@ -393,22 +352,20 @@ def suite_projection(max_size: int = 7, pair_size: int = 4) -> SuiteResult:
             ok2, _ = reaches(
                 LS_ENGINE, None, ReachabilityQuery(pi_macro(2, pr, conj), v, 20, False)
             )
-            r.check(ok1 and ok2, lambda u=u, v=v: f"projections of <{print_ls(u)}, {print_ls(v)}> stuck")
+            yield ok1 and ok2, lambda: f"projections of <{print_ls(u)}, {print_ls(v)}> stuck"
     for ty, t in _ls_corpus(max_size):
         if not isinstance(ty, Conj):
             continue
         got1 = infer(ctx, pi_macro(1, t, ty))
         got2 = infer(ctx, pi_macro(2, t, ty))
-        r.check(
-            got1 == ty.left and got2 == ty.right,
-            lambda t=t, ty=ty: f"projection types of {print_ls(t)} : {print_type(ty)} wrong",
+        yield got1 == ty.left and got2 == ty.right, lambda: (
+            f"projection types of {print_ls(t)} : {print_type(ty)} wrong"
         )
-    return r
 
 
-def suite_application(max_size: int = 7, v_size: int = 3) -> SuiteResult:
+@suite("application", "lemma5.4")
+def suite_application(max_size: int = 7, v_size: int = 3) -> Checks:
     """The application macro beta-computes and types like an application."""
-    r = SuiteResult("application")
     ctx = standard_context(2)
     lams = [t for _, t in _ls_corpus(max_size) if isinstance(t, Lam)]
     args = [t for ty, t in _ls_corpus(v_size) if not isinstance(ty, Bottom)]
@@ -420,12 +377,7 @@ def suite_application(max_size: int = 7, v_size: int = 3) -> SuiteResult:
             z = lhs.var
             target = Lam(z, lhs.ann, substitute(lam.body, lam.var, Pair(v, Var(z))))
             ok, _ = reaches(LS_ENGINE, None, ReachabilityQuery(lhs, target, 10, False))
-            r.check(
-                ok,
-                lambda lam=lam, v=v: (
-                    f"[{print_ls(lam)}, {print_ls(v)}] missed its beta contraction"
-                ),
-            )
+            yield ok, lambda: f"[{print_ls(lam)}, {print_ls(v)}] missed its beta contraction"
     fns = [(ty, t) for ty, t in _ls_corpus(max_size) if isinstance(ty, Disj)]
     args_by_type: dict[Ty, list[LsTerm]] = {}
     for ty, t in _ls_corpus(v_size):
@@ -434,14 +386,33 @@ def suite_application(max_size: int = 7, v_size: int = 3) -> SuiteResult:
     for ty, u in fns:
         for v in args_by_type.get(negate(ty.left), ()):
             got = infer(ctx, pair_app(u, v, ty.right))
-            r.check(
-                got == ty.right,
-                lambda u=u, v=v, got=got, ty=ty: (
-                    f"[{print_ls(u)}, {print_ls(v)}] : {print_type(got)}, "
-                    f"want {print_type(ty.right)}"
-                ),
+            yield got == ty.right, lambda: (
+                f"[{print_ls(u)}, {print_ls(v)}] : {print_type(got)}, "
+                f"want {print_type(ty.right)}"
             )
-    return r
+
+
+@suite("psi-typing")
+def suite_psi_typing(max_size: int = 8) -> Checks:
+    return _translation_typing(_c_corpus(max_size), psi, infer, print_c, "psi")
+
+
+@suite("psi-substitution")
+def suite_psi_substitution(u_size: int = 5, v_size: int = 5) -> Checks:
+    """psi commutes with substitution up to alpha."""
+    ctx = standard_context(2)
+    atoms = atom_names(2)
+    for a in atom_pool(atoms):
+        ectx = {**ctx, "x": a}
+        vs = [t for ty, t in _c_corpus(v_size) if ty == a]
+        for _, u in enumerate_c(ectx, u_size, atoms):
+            for v in vs:
+                lhs = psi(substitute_c(u, "x", v), ctx)
+                rhs = substitute(psi(u, ectx), "x", psi(v, ctx))
+                yield alpha_eq(lhs, rhs), lambda: (
+                    f"psi({print_c(u)})[x:={print_c(v)}] differs from "
+                    "the substituted translation"
+                )
 
 
 def _k(i1: MType, i2: MType) -> Comb:
@@ -557,122 +528,68 @@ def _table_rows() -> list[tuple[str, dict, LsTerm, LsTerm]]:
     return rows
 
 
-def suite_rule_simulation(max_steps: int = 100) -> SuiteResult:
+@suite("rule-simulation", "thm5.6")
+def suite_rule_simulation(max_steps: int = 100) -> Checks:
     """Every combinatory rule, and the worked reduction table behind it,
     is simulated by the lambda-side translation."""
-    r = SuiteResult("rule-simulation")
     for rule, ctx, lhs in _rule_instances():
         matches = [x for x in find_redexes_c(ctx, lhs) if x.rule == rule]
         if not matches:
-            r.check(False, lambda rule=rule: f"{rule}: instance has no such redex")
+            yield False, lambda: f"{rule}: instance has no such redex"
             continue
         rhs = reduce_at_c(lhs, matches[0])
         query = ReachabilityQuery(psi(lhs, ctx), psi(rhs, ctx), max_steps, require_nonempty=True)
         ok, _ = reaches(LS_ENGINE, ctx, query, node_budget=4000)
-        r.check(ok, lambda rule=rule, lhs=lhs: f"{rule}: psi({print_c(lhs)}) does not simulate")
+        yield ok, lambda: f"{rule}: psi({print_c(lhs)}) does not simulate"
     for label, ctx, lhs, target in _table_rows():
         query = ReachabilityQuery(lhs, target, max_steps, require_nonempty=True)
         ok, _ = reaches(LS_ENGINE, ctx, query, node_budget=4000)
-        r.check(ok, lambda label=label: f"{label} does not reach its stated reduct")
-
-    r.notes.append(
+        yield ok, lambda: f"{label} does not reach its stated reduct"
+    return [
         "row 5 as printed mixes an untranslated combinator into a lambda term; "
-        "checked with the translated form"
-    )
-    r.notes.append(
+        "checked with the translated form",
         "row 12 as printed repeats [psi K, u]: its right side then mentions a "
         "variable the left side never contains, so the literal row is unprovable; "
-        "checked with the second argument corrected to [psi K, v]"
-    )
-    return r
+        "checked with the second argument corrected to [psi K, v]",
+    ]
 
 
-def suite_round_trip(max_size: int = 9) -> SuiteResult:
+@suite("sn-cc", "thm5.7")
+def suite_sn_cc(max_size: int = 9) -> Checks:
+    return _sn(C_ENGINE, _c_corpus(max_size))
+
+
+@suite("round-trip")
+def suite_round_trip(max_size: int = 9) -> Checks:
     """print and parse are mutually inverse over the whole corpus."""
-    r = SuiteResult("round-trip")
-    for ty, t in _ls_corpus(max_size):
+    for _, t in _ls_corpus(max_size):
         s = print_ls(t)
-        r.check(
-            alpha_eq(parse_ls(s), t),
-            lambda s=s: f"lambda term changed through print/parse: {s}",
-        )
-    for ty, t in _c_corpus(max_size):
+        yield alpha_eq(parse_ls(s), t), lambda: f"lambda term changed through print/parse: {s}"
+    for _, t in _c_corpus(max_size):
         s = print_c(t)
-        r.check(
-            parse_c(s) == t,
-            lambda s=s: f"combinatory term changed through print/parse: {s}",
-        )
+        yield parse_c(s) == t, lambda: f"combinatory term changed through print/parse: {s}"
     for ty in types_to_depth(("a", "b"), 3, signed=True):
         s = print_type(ty)
-        r.check(
-            parse_type(s) == ty,
-            lambda s=s: f"type changed through print/parse: {s}",
-        )
-    return r
+        yield parse_type(s) == ty, lambda: f"type changed through print/parse: {s}"
 
 
-def suite_non_confluence() -> SuiteResult:
+@suite("non-confluence")
+def suite_non_confluence() -> Checks:
     """Both calculi expose the two-normal-form witnesses."""
-    r = SuiteResult("non-confluence")
     want = ["y * z", "y' * z'"]
     g1 = explore(LS_ENGINE, None, parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'"))
-    r.check(
-        sorted(g1.normal_form_strings()) == want,
-        lambda: f"lambda witness normal forms: {sorted(g1.normal_form_strings())}",
-    )
+    got1 = sorted(g1.normal_form_strings())
+    yield got1 == want, lambda: f"lambda witness normal forms: {got1}"
     g2 = explore(C_ENGINE, None, parse_c("C (K y) (K z) * C (K y') (K z')"))
-    r.check(
-        sorted(g2.normal_form_strings()) == want,
-        lambda: f"combinatory witness normal forms: {sorted(g2.normal_form_strings())}",
-    )
+    got2 = sorted(g2.normal_form_strings())
+    yield got2 == want, lambda: f"combinatory witness normal forms: {got2}"
     ctx = parse_context("y : ~a, z : a, y' : ~b, z' : b")
     g3 = explore(LS_ENGINE, ctx, parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'"))
     g4 = explore(C_ENGINE, ctx, parse_c("C (K y) (K z) * C (K y') (K z')"))
-    r.check(
+    yield (
         sorted(g3.normal_form_strings()) == want and sorted(g4.normal_form_strings()) == want,
         lambda: "typed witnesses changed their normal forms",
     )
-    return r
-
-
-SUITES: dict[str, Callable[[], SuiteResult]] = {
-    "involution": suite_involution,
-    "subject-reduction-ls": suite_subject_reduction_ls,
-    "sn-ls": suite_sn_ls,
-    "subject-reduction-cc": suite_subject_reduction_cc,
-    "dichotomy": suite_dichotomy,
-    "bracket-typing": suite_bracket_typing,
-    "phi-typing": suite_phi_typing,
-    "bracket-reduction": suite_bracket_reduction,
-    "phi-substitution": suite_phi_substitution,
-    "omega-simulation": suite_omega_simulation,
-    "projection": suite_projection,
-    "application": suite_application,
-    "psi-typing": suite_psi_typing,
-    "psi-substitution": suite_psi_substitution,
-    "rule-simulation": suite_rule_simulation,
-    "sn-cc": suite_sn_cc,
-    "round-trip": suite_round_trip,
-    "non-confluence": suite_non_confluence,
-}
-
-# short historical ids accepted on the command line
-ALIASES: dict[str, str] = {
-    "lemma2.2": "involution",
-    "thm2.5": "subject-reduction-ls",
-    "thm2.6": "sn-ls",
-    "thm3.3": "subject-reduction-cc",
-    "lemma3.5": "dichotomy",
-    "lemma4.2": "bracket-typing",
-    "thm4.3": "phi-typing",
-    "lemma4.4": "bracket-reduction",
-    "lemma4.5": "phi-substitution",
-    "thm4.7": "omega-simulation",
-    "lemma5.2": "projection",
-    "lemma5.4": "application",
-    "thm5.6": "rule-simulation",
-    "thm5.7": "sn-cc",
-}
 
 
 def resolve_suite(name: str) -> str:

@@ -11,39 +11,108 @@ from cclab import verify
 from cclab.verify import ALIASES, SUITES, SuiteResult, resolve_suite, run_suite
 
 
+RULE_SIMULATION_NOTES = [
+    "row 5 as printed mixes an untranslated combinator into a lambda term; "
+    "checked with the translated form",
+    "row 12 as printed repeats [psi K, u]: its right side then mentions a "
+    "variable the left side never contains, so the literal row is unprovable; "
+    "checked with the second argument corrected to [psi K, v]",
+]
+
+# each suite at a reduced size, with its (name, instances, notes) report
 SMALL = [
-    lambda: verify.suite_involution(),
-    lambda: verify.suite_subject_reduction_ls(6),
-    lambda: verify.suite_subject_reduction_cc(6),
-    lambda: verify.suite_dichotomy(6),
-    lambda: verify.suite_sn_ls(6),
-    lambda: verify.suite_sn_cc(6),
-    lambda: verify.suite_bracket_typing(4),
-    lambda: verify.suite_bracket_reduction(4, 2),
-    lambda: verify.suite_phi_typing(5),
-    lambda: verify.suite_psi_typing(5),
-    lambda: verify.suite_phi_substitution(4, 3),
-    lambda: verify.suite_psi_substitution(4, 3),
-    lambda: verify.suite_omega_simulation(5),
-    lambda: verify.suite_projection(5, 3),
-    lambda: verify.suite_application(5, 2),
-    lambda: verify.suite_rule_simulation(),
-    lambda: verify.suite_round_trip(6),
-    lambda: verify.suite_non_confluence(),
+    (
+        lambda: verify.suite_involution(),
+        ("involution", 84207, ["81610 depth-4 positive types, 2596 signed depth-3 types"]),
+    ),
+    (
+        lambda: verify.suite_subject_reduction_ls(6),
+        ("subject-reduction-ls", 8, ["208 typable terms, 8 redex contractions"]),
+    ),
+    (
+        lambda: verify.suite_subject_reduction_cc(6),
+        ("subject-reduction-cc", 16, ["376 typable terms, 16 redex contractions"]),
+    ),
+    (lambda: verify.suite_dichotomy(6), ("dichotomy", 376, [])),
+    (lambda: verify.suite_sn_ls(6), ("sn-ls", 208, ["longest reduction path: 1"])),
+    (lambda: verify.suite_sn_cc(6), ("sn-cc", 376, ["longest reduction path: 1"])),
+    (lambda: verify.suite_bracket_typing(4), ("bracket-typing", 1132, [])),
+    (
+        lambda: verify.suite_bracket_reduction(4, 2),
+        ("bracket-reduction", 1088, ["72 pre-term and 64 star-term bodies x 8 arguments"]),
+    ),
+    (lambda: verify.suite_phi_typing(5), ("phi-typing", 208, [])),
+    (lambda: verify.suite_psi_typing(5), ("psi-typing", 376, [])),
+    (lambda: verify.suite_phi_substitution(4, 3), ("phi-substitution", 144, [])),
+    (lambda: verify.suite_psi_substitution(4, 3), ("psi-substitution", 1132, [])),
+    (
+        lambda: verify.suite_omega_simulation(5),
+        ("omega-simulation", 8, ["208 typable terms scanned for unguarded redexes"]),
+    ),
+    (lambda: verify.suite_projection(5, 3), ("projection", 544, [])),
+    (lambda: verify.suite_application(5, 2), ("application", 128, [])),
+    (lambda: verify.suite_rule_simulation(), ("rule-simulation", 23, RULE_SIMULATION_NOTES)),
+    (lambda: verify.suite_round_trip(6), ("round-trip", 3180, [])),
+    (lambda: verify.suite_non_confluence(), ("non-confluence", 3, [])),
 ]
 
 
-@pytest.mark.parametrize("make", SMALL, ids=lambda f: "small-suite")
-def test_suite_passes_at_reduced_size(make):
+@pytest.mark.parametrize("make, report", SMALL, ids=["small-suite"] * len(SMALL))
+def test_suite_passes_at_reduced_size(make, report):
     r = make()
     assert r.passed, r.failures[:3]
-    assert r.instances > 0
+    assert (r.name, r.instances, r.notes) == report
 
 
 def test_registry_covers_every_suite_function():
     assert len(SUITES) == 18
     for name, fn in SUITES.items():
         assert callable(fn), name
+
+
+def test_registry_keeps_the_report_order_and_aliases():
+    assert list(SUITES) == [
+        "involution", "subject-reduction-ls", "sn-ls", "subject-reduction-cc",
+        "dichotomy", "bracket-typing", "phi-typing", "bracket-reduction",
+        "phi-substitution", "omega-simulation", "projection", "application",
+        "psi-typing", "psi-substitution", "rule-simulation", "sn-cc",
+        "round-trip", "non-confluence",
+    ]
+    assert ALIASES == {
+        "lemma2.2": "involution",
+        "thm2.5": "subject-reduction-ls",
+        "thm2.6": "sn-ls",
+        "thm3.3": "subject-reduction-cc",
+        "lemma3.5": "dichotomy",
+        "lemma4.2": "bracket-typing",
+        "thm4.3": "phi-typing",
+        "lemma4.4": "bracket-reduction",
+        "lemma4.5": "phi-substitution",
+        "thm4.7": "omega-simulation",
+        "lemma5.2": "projection",
+        "lemma5.4": "application",
+        "thm5.6": "rule-simulation",
+        "thm5.7": "sn-cc",
+    }
+
+
+def test_suite_decorator_registers_a_generator_of_checks(monkeypatch):
+    monkeypatch.setattr(verify, "SUITES", {})
+    monkeypatch.setattr(verify, "ALIASES", {})
+
+    @verify.suite("demo", "d1")
+    def suite_demo():
+        for i in range(3):
+            yield i != 1, lambda: f"failed at {i}"
+        return ["note"]
+
+    r = suite_demo()
+    assert isinstance(r, SuiteResult) and r.name == "demo"
+    assert r.instances == 3
+    assert r.failures == ["failed at 1"]  # described before the loop moved on
+    assert r.notes == ["note"]
+    assert verify.SUITES == {"demo": suite_demo}
+    assert verify.resolve_suite("D1") == "demo"
 
 
 def test_aliases_resolve_into_the_registry():
