@@ -40,9 +40,8 @@ from .lambda_sym import Inj1, Inj2, Lam, LsTerm, Pair, Star, Var
 from .node import children, term_size
 from .types import BOTTOM, Atom, Conj, Disj, MType, NegAtom, Ty, negate
 
-COMBINATOR_ORDER = ("K", "S", "C", "P", "Q1", "Q2")
-
-ATOM_NAMES = "abcdefgh"
+ATOM_NAMES = "abcd"
+_DUAL_VARS = ("uv", "pq", "rs", "mn")  # standard_context's pair for each atom
 
 
 def atom_names(n: int) -> tuple[str, ...]:
@@ -62,11 +61,10 @@ def atom_pool(atoms: Iterable[str]) -> tuple[MType, ...]:
 
 def standard_context(n_atoms: int = 2) -> dict[str, Ty]:
     """Dual variable pairs, one pair per atom: u:a, v:~a, p:b, q:~b, ..."""
-    names = "uvpqrsmn"
     ctx: dict[str, Ty] = {}
-    for i, a in enumerate(atom_names(n_atoms)):
-        ctx[names[2 * i]] = Atom(a)
-        ctx[names[2 * i + 1]] = NegAtom(a)
+    for a, (x, y) in zip(atom_names(n_atoms), _DUAL_VARS):
+        ctx[x] = Atom(a)
+        ctx[y] = NegAtom(a)
     return ctx
 
 
@@ -112,8 +110,8 @@ def combinator_variants(atoms: Iterable[str]) -> list[Comb]:
     """Every combinator instantiated over the signed atoms, fixed order."""
     pool = atom_pool(atoms)
     out: list[Comb] = []
-    for which in COMBINATOR_ORDER:
-        for inst in itertools.product(pool, repeat=SCHEME_ARITY[which]):
+    for which, arity in SCHEME_ARITY.items():
+        for inst in itertools.product(pool, repeat=arity):
             out.append(Comb(which, tuple(inst)))
     return out
 
@@ -240,7 +238,7 @@ def enumerate_ls(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> lis
 def _pre_levels(names: Iterable[str], max_size: int) -> list[list[CTerm]]:
     levels: list[list[CTerm]] = [[] for _ in range(max_size + 1)]
     if max_size >= 1:
-        levels[1] = [CVar(x) for x in names] + [Comb(w, None) for w in COMBINATOR_ORDER]
+        levels[1] = [CVar(x) for x in names] + [Comb(w, None) for w in SCHEME_ARITY]
     for s in range(3, max_size + 1):
         for fs in range(1, s - 1):
             for f in levels[fs]:

@@ -366,21 +366,27 @@ def _dot_quote(s: str) -> str:
 
 
 def to_dot(graph: ReductionGraph) -> str:
-    """Render the graph in DOT; nodes are labeled with representative terms."""
+    """Render the graph in DOT; nodes are labeled with representative terms.
+
+    Each class is printed once: its representative labels its node, and
+    its canonical key orders the edges.
+    """
     show = graph.engine.show
-    keys = sorted(graph.nodes, key=lambda k: show(graph.nodes[k]))
+    labels = {k: show(t) for k, t in graph.nodes.items()}
+    printed = {k: labels[k] if k is t else show(k) for k, t in graph.nodes.items()}
+    keys = sorted(graph.nodes, key=labels.__getitem__)
     ids = {k: f"n{i}" for i, k in enumerate(keys)}
     lines = ["digraph reduction {", "  rankdir=LR;"]
     nf = set(graph.normal_forms)
     for k in keys:
-        attrs = [f"label={_dot_quote(show(graph.nodes[k]))}"]
+        attrs = [f"label={_dot_quote(labels[k])}"]
         if k == graph.root:
             attrs.append("shape=box")
         if k in nf:
             attrs.append("peripheries=2")
         lines.append(f"  {ids[k]} [{', '.join(attrs)}];")
     for e in sorted(
-        graph.edges, key=lambda e: (show(e.source), e.rule, e.path, show(e.target))
+        graph.edges, key=lambda e: (printed[e.source], e.rule, e.path, printed[e.target])
     ):
         label = _dot_quote(e.rule)
         lines.append(f"  {ids[e.source]} -> {ids[e.target]} [label={label}];")

@@ -86,7 +86,7 @@ _SYMBOLS = {
     "⊥": "BOT", "⟨": "LANGLE", "⟩": "RANGLE", "⊢": "TURNSTILE",
 }
 _SIGMA = {"σ1": "s1", "σ₁": "s1", "σ2": "s2", "σ₂": "s2"}
-_COMB_NAMES = frozenset({"K", "S", "C", "P", "Q1", "Q2", "I"})
+_COMB_NAMES = frozenset([*SCHEME_ARITY, "I"])
 # One alternative per token class, after optional blanks; a character no
 # class takes falls to ERROR. Longer symbols come first, so |- beats |.
 _BLANKS = " \t\r\n"
@@ -113,7 +113,7 @@ def lex(src: str) -> list[Token]:
             text = text.replace("′", "'")
         elif kind == "COMB" and text not in _COMB_NAMES:
             raise ParseError(
-                f"unknown combinator '{text}' (expected K, S, C, P, Q1, Q2 or I)",
+                f"unknown combinator '{text}' (expected {', '.join(SCHEME_ARITY)} or I)",
                 (offs[i], offs[j]),
             )
         elif kind == "SIGMA":

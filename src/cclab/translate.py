@@ -41,6 +41,7 @@ from .ccl import (
     CStar,
     CTerm,
     CVar,
+    IDENT,
     contains_star,
     ground_type_of,
     scheme_type,
@@ -80,7 +81,7 @@ def bracket_abstract(x: str, t: CTerm) -> CTerm:
     """l_x on bare (uninstantiated) combinator terms."""
     match t:
         case CVar(y) if y == x:
-            return App(App(Comb("S"), Comb("K")), Comb("K"))
+            return IDENT
         case CStar(l, r):
             return App(App(Comb("C"), bracket_abstract(x, l)), bracket_abstract(x, r))
     if x not in term_vars(t):

@@ -186,17 +186,22 @@ def print_type(ty: Ty) -> str:
 
 @dataclass
 class Substitution:
-    """Solved metavariable bindings, fully resolved (hence idempotent)."""
+    """Solved metavariable bindings, each kept as it was bound (triangular:
+    a bound type may mention metavariables bound later). ``walk`` reads
+    through chains of bindings, and ``apply`` rebuilds through ``walk``."""
 
     bindings: dict[int, MType]
 
+    def walk(self, t: MType) -> MType:
+        """t, or what its metavariable is bound to, until that is unbound."""
+        while isinstance(t, MetaVar) and t.ident in self.bindings:
+            bound = self.bindings[t.ident]
+            t = negate(bound) if t.negated else bound
+        return t
+
     def apply(self, t: MType) -> MType:
+        t = self.walk(t)
         match t:
-            case MetaVar(i, p):
-                if i in self.bindings:
-                    v = self.bindings[i]
-                    return negate(v) if p else v
-                return t
             case Conj(l, r):
                 return Conj(self.apply(l), self.apply(r))
             case Disj(l, r):
@@ -215,37 +220,20 @@ def unify(constraints: Iterable[tuple[MType, MType]]) -> Substitution:
     negate(T); this keeps solutions in negation normal form for free. Raises
     UnificationError on clash or occurs-check failure.
     """
-    env: dict[int, MType] = {}
-
-    def walk(t: MType) -> MType:
-        while isinstance(t, MetaVar) and t.ident in env:
-            bound = env[t.ident]
-            t = negate(bound) if t.negated else bound
-        return t
-
-    def occurs(ident: int, t: MType) -> bool:
-        t = walk(t)
-        match t:
-            case MetaVar(i, _):
-                return i == ident
-            case Conj(l, r) | Disj(l, r):
-                return occurs(ident, l) or occurs(ident, r)
-            case _:
-                return False
-
-    work = [(s, t) for (s, t) in constraints]
+    subst = Substitution({})
+    work = list(constraints)
     while work:
         s, t = work.pop()
-        s, t = walk(s), walk(t)
+        s, t = subst.walk(s), subst.walk(t)
         if s == t:
             continue
         if isinstance(s, MetaVar) or isinstance(t, MetaVar):
             m, other = (s, t) if isinstance(s, MetaVar) else (t, s)
-            if occurs(m.ident, other):
+            if m.ident in metavar_idents(subst.apply(other)):
                 raise UnificationError(
                     f"occurs check: ?{m.ident} inside {print_type(other)}"
                 )
-            env[m.ident] = negate(other) if m.negated else other
+            subst.bindings[m.ident] = negate(other) if m.negated else other
             continue
         match s, t:
             case (Conj(a, b), Conj(c, d)) | (Disj(a, b), Disj(c, d)):
@@ -253,15 +241,4 @@ def unify(constraints: Iterable[tuple[MType, MType]]) -> Substitution:
                 work.append((b, d))
             case _:
                 raise UnificationError(f"cannot unify {print_type(s)} with {print_type(t)}")
-
-    def resolve(t: MType) -> MType:
-        t = walk(t)
-        match t:
-            case Conj(l, r):
-                return Conj(resolve(l), resolve(r))
-            case Disj(l, r):
-                return Disj(resolve(l), resolve(r))
-            case _:
-                return t
-
-    return Substitution({i: resolve(MetaVar(i)) for i in env})
+    return subst

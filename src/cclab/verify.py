@@ -309,11 +309,12 @@ def suite_phi_substitution(u_size: int = 6, v_size: int = 5) -> Checks:
     atoms = atom_names(2)
     for b in atom_pool(atoms):
         ectx = {**ctx, "y": b}
-        vs = [t for ty, t in _ls_corpus(v_size) if ty == b]
+        vs = [(t, phi(t, ctx)) for ty, t in _ls_corpus(v_size) if ty == b]
         for _, u in enumerate_ls(ectx, u_size, atoms):
-            for v in vs:
+            phi_u = phi(u, ectx)
+            for v, phi_v in vs:
                 lhs = phi(substitute(u, "y", v), ctx)
-                rhs = substitute_c(phi(u, ectx), "y", phi(v, ctx))
+                rhs = substitute_c(phi_u, "y", phi_v)
                 yield lhs == rhs, lambda: (
                     f"phi({print_ls(u)})[y:={print_ls(v)}] differs from "
                     "the substituted translation"
@@ -404,11 +405,12 @@ def suite_psi_substitution(u_size: int = 5, v_size: int = 5) -> Checks:
     atoms = atom_names(2)
     for a in atom_pool(atoms):
         ectx = {**ctx, "x": a}
-        vs = [t for ty, t in _c_corpus(v_size) if ty == a]
+        vs = [(t, psi(t, ctx)) for ty, t in _c_corpus(v_size) if ty == a]
         for _, u in enumerate_c(ectx, u_size, atoms):
-            for v in vs:
+            psi_u = psi(u, ectx)
+            for v, psi_v in vs:
                 lhs = psi(substitute_c(u, "x", v), ctx)
-                rhs = substitute(psi(u, ectx), "x", psi(v, ctx))
+                rhs = substitute(psi_u, "x", psi_v)
                 yield alpha_eq(lhs, rhs), lambda: (
                     f"psi({print_c(u)})[x:={print_c(v)}] differs from "
                     "the substituted translation"
@@ -420,112 +422,64 @@ def _k(i1: MType, i2: MType) -> Comb:
 
 
 def _rule_instances() -> list[tuple[str, dict, CTerm]]:
-    """One typed instance of each reduction rule, schemes at atoms."""
+    """One typed instance of each reduction rule, schemes at atoms, over
+    the worked table's variables u, v and w."""
     a, b, c = Atom("a"), Atom("b"), Atom("c")
     na, nb = NegAtom("a"), NegAtom("b")
-    u, v, p, q, f, g, x = (CVar(n) for n in "uvpqfgx")
+    u, v, w = CVar("u"), CVar("v"), CVar("w")
+    s_ctx = {"u": Disj(na, Disj(nb, c)), "v": Disj(na, b), "w": a}
+    c_ctx = {"u": Disj(na, nb), "v": Disj(na, b), "w": a}
+    cuv, puv = (App(App(Comb(which, (a, b)), u), v) for which in "CP")
     return [
-        ("k", {"u": a, "q": nb}, App(App(_k(a, b), u), q)),
-        (
-            "s",
-            {"f": Disj(na, Disj(nb, c)), "g": Disj(na, b), "x": a},
-            App(App(App(Comb("S", (a, b, c)), f), g), x),
-        ),
-        (
-            "c_r",
-            {"f": Disj(na, nb), "g": Disj(na, b), "x": a},
-            CStar(App(App(Comb("C", (a, b)), f), g), x),
-        ),
-        (
-            "c_l",
-            {"f": Disj(na, nb), "g": Disj(na, b), "x": a},
-            CStar(x, App(App(Comb("C", (a, b)), f), g)),
-        ),
-        ("e_r", {"v": na}, App(App(Comb("C", (a, a)), App(_k(na, na), v)), i_term_at(a))),
+        ("k", {"u": a, "v": nb}, App(App(_k(a, b), u), v)),
+        ("s", s_ctx, App(App(App(Comb("S", (a, b, c)), u), v), w)),
+        ("c_r", c_ctx, CStar(cuv, w)),
+        ("c_l", c_ctx, CStar(w, cuv)),
+        ("e_r", {"u": na}, App(App(Comb("C", (a, a)), App(_k(na, na), u)), i_term_at(a))),
         ("e_l", {"u": a}, App(App(Comb("C", (na, a)), i_term_at(na)), App(_k(a, a), u))),
-        (
-            "pq1",
-            {"u": a, "p": b, "v": na},
-            CStar(App(App(Comb("P", (a, b)), u), p), App(Comb("Q1", (na, nb)), v)),
-        ),
-        (
-            "pq2",
-            {"u": a, "p": b, "q": nb},
-            CStar(App(App(Comb("P", (a, b)), u), p), App(Comb("Q2", (na, nb)), q)),
-        ),
-        (
-            "qp1",
-            {"u": a, "p": b, "v": na},
-            CStar(App(Comb("Q1", (na, nb)), v), App(App(Comb("P", (a, b)), u), p)),
-        ),
-        (
-            "qp2",
-            {"u": a, "p": b, "q": nb},
-            CStar(App(Comb("Q2", (na, nb)), q), App(App(Comb("P", (a, b)), u), p)),
-        ),
+        ("pq1", {"u": a, "v": b, "w": na}, CStar(puv, App(Comb("Q1", (na, nb)), w))),
+        ("pq2", {"u": a, "v": b, "w": nb}, CStar(puv, App(Comb("Q2", (na, nb)), w))),
+        ("qp1", {"u": a, "v": b, "w": na}, CStar(App(Comb("Q1", (na, nb)), w), puv)),
+        ("qp2", {"u": a, "v": b, "w": nb}, CStar(App(Comb("Q2", (na, nb)), w), puv)),
         (
             "simp",
-            {"q": nb, "p": b, "u": a},
-            CStar(App(App(Comb("C", (a, b)), App(_k(nb, na), q)), App(_k(b, na), p)), u),
+            {"u": nb, "v": b, "w": a},
+            CStar(App(App(Comb("C", (a, b)), App(_k(nb, na), u)), App(_k(b, na), v)), w),
         ),
     ]
 
 
 def _table_rows() -> list[tuple[str, dict, LsTerm, LsTerm]]:
-    """The worked table's twelve (label, context, source, target) rows."""
+    """The worked table's twelve (label, context, source, target) rows.
+
+    Each source is psi of a rule instance, in rule order: row 12 takes the
+    left side of the simp instance's star, and row 3 (psi I) has no rule
+    of its own. The targets are the table's stated reducts.
+    """
     a, b, c = Atom("a"), Atom("b"), Atom("c")
-    na, nb = NegAtom("a"), NegAtom("b")
-    rows: list[tuple[str, dict, LsTerm, LsTerm]] = []
-    # 1: [[psi K, u], v] -> u
-    ctx1 = {"u": a, "v": nb}
-    rows.append(("row 1", ctx1, psi(App(App(_k(a, b), CVar("u")), CVar("v")), ctx1), Var("u")))
-    # 2: [[[psi S, u], v], w] -> [[u, w], [v, w]]
-    ctx2 = {"u": Disj(na, Disj(nb, c)), "v": Disj(na, b), "w": a}
-    lhs2 = psi(App(App(App(Comb("S", (a, b, c)), CVar("u")), CVar("v")), CVar("w")), ctx2)
-    uw = pair_app(Var("u"), Var("w"), Disj(nb, c))
-    vw = pair_app(Var("v"), Var("w"), b)
-    rows.append(("row 2", ctx2, lhs2, pair_app(uw, vw, c)))
-    # 3: [psi I, u] -> u
-    ctx3 = {"u": a}
-    rows.append(("row 3", ctx3, psi(App(i_term_at(a), CVar("u")), ctx3), Var("u")))
-    # 4: [[psi C, u], v] * w -> [u, w] * [v, w]
-    ctx4 = {"u": Disj(na, nb), "v": Disj(na, b), "w": a}
-    lhs4 = psi(CStar(App(App(Comb("C", (a, b)), CVar("u")), CVar("v")), CVar("w")), ctx4)
-    rhs4 = Star(pair_app(Var("u"), Var("w"), nb), pair_app(Var("v"), Var("w"), b))
-    rows.append(("row 4", ctx4, lhs4, rhs4))
-    # 5 (corrected): w * [[psi C, u], v] -> [u, w] * [v, w]
-    lhs5 = psi(CStar(CVar("w"), App(App(Comb("C", (a, b)), CVar("u")), CVar("v"))), ctx4)
-    rows.append(("row 5", ctx4, lhs5, rhs4))
-    # 6: [[psi C, [psi K, u]], psi I] -> u
-    ctx6 = {"u": na}
-    lhs6 = psi(App(App(Comb("C", (a, a)), App(_k(na, na), CVar("u"))), i_term_at(a)), ctx6)
-    rows.append(("row 6", ctx6, lhs6, Var("u")))
-    # 7: [[psi C, psi I], [psi K, u]] -> u
-    ctx7 = {"u": a}
-    lhs7 = psi(App(App(Comb("C", (na, a)), i_term_at(na)), App(_k(a, a), CVar("u"))), ctx7)
-    rows.append(("row 7", ctx7, lhs7, Var("u")))
-    # 8..11: the pairing/injection rows
-    ctx8 = {"u": a, "v": b, "w": na}
-    puv = App(App(Comb("P", (a, b)), CVar("u")), CVar("v"))
-    rows.append(("row 8", ctx8, psi(CStar(puv, App(Comb("Q1", (na, nb)), CVar("w"))), ctx8),
-                 Star(Var("u"), Var("w"))))
-    ctx9 = {"u": a, "v": b, "w": nb}
-    rows.append(("row 9", ctx9, psi(CStar(puv, App(Comb("Q2", (na, nb)), CVar("w"))), ctx9),
-                 Star(Var("v"), Var("w"))))
-    ctx10 = {"u": a, "v": b, "w": na}
-    rows.append(("row 10", ctx10, psi(CStar(App(Comb("Q1", (na, nb)), CVar("w")), puv), ctx10),
-                 Star(Var("w"), Var("u"))))
-    ctx11 = {"u": a, "v": b, "w": nb}
-    rows.append(("row 11", ctx11, psi(CStar(App(Comb("Q2", (na, nb)), CVar("w")), puv), ctx11),
-                 Star(Var("w"), Var("v"))))
-    # 12 (corrected): [[psi C, [psi K, u]], [psi K, v]] -> \z:a. u * v
-    ctx12 = {"u": nb, "v": b}
-    lhs12 = psi(
-        App(App(Comb("C", (a, b)), App(_k(nb, na), CVar("u"))), App(_k(b, na), CVar("v"))),
-        ctx12,
-    )
-    rows.append(("row 12", ctx12, lhs12, Lam("z", a, Star(Var("u"), Var("v")))))
-    return rows
+    nb = NegAtom("b")
+    u, v, w = Var("u"), Var("v"), Var("w")
+    sources = [(ctx, lhs.left if rule == "simp" else lhs) for rule, ctx, lhs in _rule_instances()]
+    sources.insert(2, ({"u": a}, App(i_term_at(a), CVar("u"))))
+    c_reduct = Star(pair_app(u, w, nb), pair_app(v, w, b))
+    reducts = [
+        u,  # 1: [[psi K, u], v]
+        pair_app(pair_app(u, w, Disj(nb, c)), pair_app(v, w, b), c),  # 2: [[[psi S, u], v], w]
+        u,  # 3: [psi I, u]
+        c_reduct,  # 4: [[psi C, u], v] * w
+        c_reduct,  # 5 (corrected): w * [[psi C, u], v]
+        u,  # 6: [[psi C, [psi K, u]], psi I]
+        u,  # 7: [[psi C, psi I], [psi K, u]]
+        Star(u, w),  # 8..11: the pairing/injection rows
+        Star(v, w),
+        Star(w, u),
+        Star(w, v),
+        Lam("z", a, Star(u, v)),  # 12 (corrected): [[psi C, [psi K, u]], [psi K, v]]
+    ]
+    return [
+        (f"row {i}", ctx, psi(source, ctx), reduct)
+        for i, ((ctx, source), reduct) in enumerate(zip(sources, reducts), 1)
+    ]
 
 
 @suite("rule-simulation", "thm5.6")

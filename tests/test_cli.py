@@ -233,6 +233,16 @@ def test_reduce_fuel_exhaustion(capsys):
     assert "fuel exhausted" in err
 
 
+@pytest.mark.parametrize("strategy, want", [
+    ("omega", ["\\z:a. (\\x:a. y * x) * u", "0 steps"]),  # the redex sits under \z
+    ("lo", ["\\z:a. y * u", "1 step"]),
+])
+def test_reduce_omega_strategy_leaves_redexes_inside_lambdas(capsys, strategy, want):
+    rc, out, _ = run(capsys, "reduce", "\\z:a. (\\x:a. y * x) * u", "--strategy", strategy)
+    assert rc == 0
+    assert out.strip().splitlines() == want
+
+
 def test_reduce_omega_strategy_rejects_combinators(capsys):
     rc, _, err = run(capsys, "reduce", "--ccl", "I x", "--strategy", "omega")
     assert rc == 2
@@ -303,9 +313,14 @@ def test_graph_depth_budget_truncates(capsys):
 
 
 def test_translate_lambda_to_combinators(capsys):
-    rc, out, _ = run(capsys, "translate", "--to", "ccl", "\\x:a.(y * x)")
-    assert rc == 0
-    assert out.strip() == "C (K y) I"
+    for term, want in [
+        ("\\x:a.(y * x)", "C (K y) I"),
+        ("<u, v> * s1(w : a | b)", "P u v * Q1 w"),  # untyped: pairs and injections
+        ("s2(w : a | b) * <u, v>", "Q2 w * P u v"),
+    ]:
+        rc, out, _ = run(capsys, "translate", "--to", "ccl", term)
+        assert rc == 0
+        assert out.strip() == want
 
 
 def test_translate_combinators_to_lambda_type_checks(capsys):
@@ -430,6 +445,13 @@ def test_negative_counts_are_usage_errors(argv):
     assert proc.stderr.startswith("usage: cclab ") and proc.stderr.count("usage:") == 1
     assert proc.stderr.splitlines()[-1].endswith(
         f"error: argument {argv[-2]}: expected a non-negative integer, got '-1'")
+
+
+@pytest.mark.parametrize("calc", ["--ls", "--ccl"])
+@pytest.mark.parametrize("atoms", ["5", "8"])
+def test_gen_rejects_atom_counts_past_the_standard_context(capsys, calc, atoms):
+    rc, out, err = run(capsys, "gen", calc, "--max-size", "1", "--atoms", atoms)
+    assert (rc, out, err) == (2, "", "error: supported atom counts are 1..4\n")
 
 
 def test_gen_demands_a_calculus(capsys):

@@ -209,6 +209,27 @@ def test_to_dot_stable_and_escaped():
     assert "!0" not in dot  # labels show the written names, not alpha-canonical ones
 
 
+def test_to_dot_orders_edges_by_canonical_keys_and_labels_by_representatives():
+    g = explore(LS_ENGINE, None, parse_ls("<(\\x:a. x * y) * u, p> * s1(q : c | d)"))
+    assert LS_ENGINE.show(g.root) != LS_ENGINE.show(g.nodes[g.root])  # \!0 against \x
+    assert to_dot(g) == """digraph reduction {
+  rankdir=LR;
+  n0 [label="((\\\\x:a. x * y) * u) * q"];
+  n1 [label="(u * y) * q", peripheries=2];
+  n2 [label="(y * u) * q", peripheries=2];
+  n3 [label="<(\\\\x:a. x * y) * u, p> * s1(q : c | d)", shape=box];
+  n4 [label="<u * y, p> * s1(q : c | d)"];
+  n5 [label="<y * u, p> * s1(q : c | d)"];
+  n0 -> n1 [label="beta"];
+  n0 -> n2 [label="eta_perp"];
+  n3 -> n4 [label="beta"];
+  n3 -> n5 [label="eta_perp"];
+  n3 -> n0 [label="pi1"];
+  n4 -> n1 [label="pi1"];
+  n5 -> n2 [label="pi1"];
+}"""
+
+
 def _postorder_paths(t, at=()):
     for i, c in enumerate(children(t)):
         yield from _postorder_paths(c, at + (i,))
