@@ -230,7 +230,7 @@ class _P:
         right = side()
         if self.peek().kind == "STAR":
             self.err("'*' is not associative; parenthesize one side")
-        return node(left, right, span=(_sp(left) or op.start, op.end))
+        return node(left, right, span=(left.span[0], op.end))
 
     def ls_term(self) -> LsTerm:
         return self.star(self.ls_simple, Star)
@@ -244,7 +244,7 @@ class _P:
             ann = self.disj()
             self.expect("DOT", "'.' before the body")
             body = self.nest(self.ls_term)
-            return Lam(nm.text, ann, body, span=(t.start, _ep(body) or t.end))
+            return Lam(nm.text, ann, body, span=(t.start, body.span[1]))
         return self.ls_atom()
 
     def ls_atom(self) -> LsTerm:
@@ -286,7 +286,7 @@ class _P:
         t = self.c_prim()
         while self.peek().kind in ("NAME", "COMB", "LPAREN"):
             arg = self.c_prim()
-            t = App(t, arg, span=(_sp(t), _ep(arg)))
+            t = App(t, arg, span=(t.span[0], arg.span[1]))
         return t
 
     def c_prim(self) -> CTerm:
@@ -349,14 +349,6 @@ class _P:
             return left, term(self)
         self.expect("COLON", "':' and the claimed type")
         return left, self.type_top()
-
-
-def _sp(t) -> Optional[int]:
-    return t.span[0] if getattr(t, "span", None) else None
-
-
-def _ep(t) -> Optional[int]:
-    return t.span[1] if getattr(t, "span", None) else None
 
 
 def _read(toks: list[Token], rule, what: str = "term"):
@@ -497,7 +489,7 @@ Claim = Union[TypingClaim, ReductionClaim]
 def parse_claims(text: str) -> list[Claim]:
     claims: list[Claim] = []
     header_ctx: Optional[dict[str, Ty]] = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -5,6 +5,7 @@ the exit code; one subprocess test proves the module entry point wires up.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -581,17 +582,20 @@ def test_mutated_terms_fail_inside_the_text_they_came_in():
     mutants = _mutants()
     assert len(mutants) > 9000
     failed = 0
+    errors = hashlib.sha256()  # each failing literal and claim line with its error
     for s in mutants:
         try:
             parse_term_auto(s)
         except ParseError as e:
             failed += 1
+            errors.update(f"{s}\t{e}\n".encode())
             _one_line_span(f"parse error: {e}\n", len(s.encode()))
         line = f"{s} : a"
         try:
             parse_claims(line)
             continue
         except ParseError as e:
+            errors.update(f"{line}\t{e}\n".encode())
             i, j = _one_line_span(f"parse error: {e}\n", len(line.encode()))
         above, blanks = _CLAIM_PLACES[len(s) % len(_CLAIM_PLACES)]
         with pytest.raises(ParseError) as ei:
@@ -599,6 +603,7 @@ def test_mutated_terms_fail_inside_the_text_they_came_in():
         shift = len(blanks.encode())
         assert ei.value.span == (i + shift, j + shift) and ei.value.line_no == 1 + above.count("\n")
     assert failed > 8000
+    assert errors.hexdigest() == "36cce56a7c90e96ae8163311dccf00628979103b54725a34f49ba5247ce8acf0"
 
 
 def test_mutated_terms_are_one_line_errors_on_the_command_line(tmp_path):
