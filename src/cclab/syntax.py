@@ -25,16 +25,21 @@ combinators; if both fail, the error found farther in wins, on a tie the
 text's own tokens decide (_lambda_only). Claim lines lose `CTX |-` and
 `[max N]` at token level; error spans index the file's line.
 
-The lexer is one token table: a compiled regular expression with one
-alternative per token class, walked once with finditer. Token spans are
-byte offsets into the UTF-8 source; numbers are ASCII digits only.
+The lexer is one scan (_scan): a single findall of a compiled regular
+expression gives each token's leading blanks and its text, the offsets
+are running sums of their lengths, and a token's kind is its text's
+(symbols and combinators) or else its first character's. The parser
+reads the scan's kinds, texts and offsets by index and builds no object
+per token; lex's Token tuples are made from the same scan. Token spans
+are byte offsets into the UTF-8 source; numbers are ASCII digits only.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from string import ascii_lowercase, digits
 from typing import NamedTuple, Optional, Union
 
 from .ccl import App, Comb, CStar, CTerm, CVar, IDENT, SCHEME_ARITY
@@ -86,45 +91,46 @@ _SYMBOLS = {
     "⊥": "BOT", "⟨": "LANGLE", "⟩": "RANGLE", "⊢": "TURNSTILE",
 }
 _SIGMA = {"σ1": "s1", "σ₁": "s1", "σ2": "s2", "σ₂": "s2"}
-_COMB_NAMES = frozenset([*SCHEME_ARITY, "I"])
-# One alternative per token class, after optional blanks; a character no
-# class takes falls to ERROR. Longer symbols come first, so |- beats |.
+# A token's kind: its whole text's, else its first character's, else ERROR.
+_KINDS = {**_SYMBOLS, **dict.fromkeys([*SCHEME_ARITY, "I"], "COMB"), **dict.fromkeys(_SIGMA, "NAME")}
+_FIRST = {**dict.fromkeys(ascii_lowercase + "_", "NAME"), **dict.fromkeys(digits, "NUMBER")}
+# Blanks, then one token: longer symbols come first, so |- beats |; a
+# character no class takes is a token of its own, and an error.
 _BLANKS = " \t\r\n"
 _SYMBOL_RE = "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True)))
 _TOKEN = re.compile(
-    f"[{_BLANKS}]*(?:(?P<SYMBOL>{_SYMBOL_RE})|(?P<NAME>[a-z_][A-Za-z0-9_'′]*)"
-    f"|(?P<COMB>[A-Z][A-Z0-9]*)|(?P<NUMBER>[0-9]+)|(?P<SIGMA>σ[12₁₂]?)"
-    f"|(?P<ERROR>[^{_BLANKS}]))"
+    f"([{_BLANKS}]*)({_SYMBOL_RE}|[a-z_][A-Za-z0-9_'′]*|[A-Z][A-Z0-9]*|[0-9]+|σ[12₁₂]?|[^{_BLANKS}])"
 )
 
 
+def _scan(src: str) -> tuple[list, list, list, list]:
+    """The kinds, texts, start and end offsets of src's tokens, then EOF's."""
+    flat = list(chain.from_iterable(_TOKEN.findall(src)))  # blanks, text, blanks, text, ...
+    cuts = list(accumulate(map(len, flat), initial=0))
+    texts, starts, ends = flat[1::2], cuts[1::2], cuts[2::2]
+    starts.append(len(src))
+    ends.append(len(src))
+    wide = not src.isascii()
+    if wide:  # character offsets to byte offsets (surrogates count 3)
+        offs = list(accumulate((len(ch.encode("utf-8", "surrogatepass")) for ch in src), initial=0))
+        starts, ends = [offs[i] for i in starts], [offs[j] for j in ends]
+    kinds = [_KINDS.get(x) or _FIRST.get(x[0], "ERROR") for x in texts]
+    if "ERROR" in kinds:
+        i = kinds.index("ERROR")
+        x = texts[i]
+        raise ParseError(
+            "σ must be followed by 1 or 2" if x[0] == "σ" else
+            f"unknown combinator '{x}' (expected {', '.join(SCHEME_ARITY)} or I)" if "A" <= x[0] <= "Z"
+            else f"unexpected character {x!r}", (starts[i], ends[i]))
+    if wide:
+        texts = [_SIGMA.get(x) or x.replace("′", "'") for x in texts]
+    kinds.append("EOF")
+    texts.append("")
+    return kinds, texts, starts, ends
+
+
 def lex(src: str) -> list[Token]:
-    # offs[i] is the byte offset of character i (surrogates count 3 bytes)
-    offs = range(len(src) + 1) if src.isascii() else list(accumulate(
-        (len(ch.encode("utf-8", "surrogatepass")) for ch in src), initial=0))
-    toks: list[Token] = []
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        i, j = m.span(kind)
-        text = m[kind]
-        if kind == "SYMBOL":
-            kind = _SYMBOLS[text]
-        elif kind == "NAME":
-            text = text.replace("′", "'")
-        elif kind == "COMB" and text not in _COMB_NAMES:
-            raise ParseError(
-                f"unknown combinator '{text}' (expected {', '.join(SCHEME_ARITY)} or I)",
-                (offs[i], offs[j]),
-            )
-        elif kind == "SIGMA":
-            if text not in _SIGMA:
-                raise ParseError("σ must be followed by 1 or 2", (offs[i], offs[j]))
-            kind, text = "NAME", _SIGMA[text]
-        elif kind == "ERROR":
-            raise ParseError(f"unexpected character {text!r}", (offs[i], offs[j]))
-        toks.append(Token(kind, text, offs[i], offs[j]))
-    toks.append(Token("EOF", "", offs[-1], offs[-1]))
-    return toks
+    return list(map(Token, *_scan(src)))
 
 
 # Deeper input is refused with a ParseError rather than left to exhaust
@@ -133,211 +139,207 @@ MAX_NESTING = 100
 
 
 class _P:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    """A parser over one _scan: each rule reads the token at pos and moves
+    pos past what it takes. A rule's depth counts the nested rules around
+    it: terms and types in parentheses, binder bodies, pair components and
+    the right sides of '&' and '|'."""
+
+    def __init__(self, toks: tuple[list, list, list, list]):
+        self.kinds, self.texts, self.starts, self.ends = toks
         self.pos = 0
-        self.depth = 0
 
-    def nest(self, rule):
-        """Run rule one nesting level deeper."""
-        if self.depth >= MAX_NESTING:
-            self.err(f"input nests deeper than {MAX_NESTING} levels")
-        self.depth += 1
-        out = rule()
-        self.depth -= 1
-        return out
+    def expect(self, kind: str, what: str) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
+            self.err(f"expected {what}, found '{self.texts[i] or 'end of input'}'")
+        self.pos = i + 1
+        return i
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def err(self, msg: str, i: Optional[int] = None):
+        i = self.pos if i is None else i
+        raise ParseError(msg, (self.starts[i], self.ends[i]))
 
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
-    def expect(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            shown = t.text if t.kind != "EOF" else "end of input"
-            self.err(f"expected {what}, found '{shown}'", t)
-        return self.advance()
-
-    def err(self, msg: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, (tok.start, tok.end))
+    def too_deep(self):
+        self.err(f"input nests deeper than {MAX_NESTING} levels")
 
     def done(self, what: str = "term"):
-        t = self.peek()
-        if t.kind != "EOF":
-            self.err(f"unexpected input after the {what}: '{t.text}'", t)
+        if self.kinds[self.pos] != "EOF":
+            self.err(f"unexpected input after the {what}: '{self.texts[self.pos]}'")
 
     # ---- types ----
 
     def type_top(self) -> Ty:
-        t = self.peek()
-        if t.kind in ("HASH", "BOT"):
-            self.advance()
+        if self.kinds[self.pos] in ("HASH", "BOT"):
+            self.pos += 1
             return BOTTOM
         return self.disj()
 
-    def disj(self) -> MType:
-        left = self.conj()
-        if self.peek().kind == "PIPE":
-            self.advance()
-            return Disj(left, self.nest(self.disj))
-        return left
+    def disj(self, depth: int = 0) -> MType:
+        if depth > MAX_NESTING:
+            self.too_deep()
+        left = self.conj(depth)
+        if self.kinds[self.pos] != "PIPE":
+            return left
+        self.pos += 1
+        return Disj(left, self.disj(depth + 1))
 
-    def conj(self) -> MType:
-        left = self.atomic()
-        if self.peek().kind == "AMP":
-            self.advance()
-            return Conj(left, self.nest(self.conj))
-        return left
+    def conj(self, depth: int) -> MType:
+        if depth > MAX_NESTING:
+            self.too_deep()
+        left = self.atomic(depth)
+        if self.kinds[self.pos] != "AMP":
+            return left
+        self.pos += 1
+        return Conj(left, self.conj(depth + 1))
 
-    def atomic(self) -> MType:
-        t = self.peek()
-        if t.kind == "TILDE":
-            self.advance()
-            nm = self.expect("NAME", "an atom after '~'")
-            return NegAtom(nm.text)
-        if t.kind == "NAME":
-            self.advance()
-            if self.peek().kind == "BOT":
-                self.advance()
-                return NegAtom(t.text)
-            return Atom(t.text)
-        if t.kind == "LPAREN":
-            self.advance()
-            inner = self.nest(self.disj)
+    def atomic(self, depth: int) -> MType:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "NAME":
+            if self.kinds[i + 1] == "BOT":
+                self.pos = i + 2
+                return NegAtom(self.texts[i])
+            self.pos = i + 1
+            return Atom(self.texts[i])
+        if kind == "TILDE":
+            self.pos = i + 1
+            return NegAtom(self.texts[self.expect("NAME", "an atom after '~'")])
+        if kind == "LPAREN":
+            self.pos = i + 1
+            inner = self.disj(depth + 1)
             self.expect("RPAREN", "')'")
-            if self.peek().kind == "BOT":
-                self.advance()
+            if self.kinds[self.pos] == "BOT":
+                self.pos += 1
                 return negate(inner)
             return inner
-        if t.kind in ("HASH", "BOT"):
-            self.err("'#' stands alone; it cannot occur inside a type", t)
-        self.err(f"expected a type, found '{t.text or 'end of input'}'", t)
+        if kind in ("HASH", "BOT"):
+            self.err("'#' stands alone; it cannot occur inside a type")
+        self.err(f"expected a type, found '{self.texts[i] or 'end of input'}'")
 
     # ---- lambda-side terms ----
 
-    def star(self, side, node):
-        """side, or side * side built with node; '*' does not associate."""
-        left = side()
-        if self.peek().kind != "STAR":
+    def ls_term(self, depth: int = 0) -> LsTerm:
+        """side, or side * side; '*' does not associate."""
+        if depth > MAX_NESTING:
+            self.too_deep()
+        left = self.ls_simple(depth)
+        if self.kinds[self.pos] != "STAR":
             return left
-        op = self.advance()
-        right = side()
-        if self.peek().kind == "STAR":
+        op = self.pos
+        self.pos = op + 1
+        right = self.ls_simple(depth)
+        if self.kinds[self.pos] == "STAR":
             self.err("'*' is not associative; parenthesize one side")
-        return node(left, right, span=(left.span[0], op.end))
+        return Star(left, right, span=(left.span[0], self.ends[op]))
 
-    def ls_term(self) -> LsTerm:
-        return self.star(self.ls_simple, Star)
-
-    def ls_simple(self) -> LsTerm:
-        t = self.peek()
-        if t.kind == "LAMBDA":
-            self.advance()
+    def ls_simple(self, depth: int) -> LsTerm:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "NAME":
+            x = self.texts[i]
+            self.pos = i + 1
+            if x != "s1" and x != "s2":
+                return Var(x, span=(self.starts[i], self.ends[i]))
+            self.expect("LPAREN", f"'(' after {x}")
+            body = self.ls_term(depth + 1)
+            self.expect("COLON", "':' and the disjunction type")
+            ann = self.disj(depth)
+            if not isinstance(ann, Disj):
+                self.err(f"the {x} annotation must be a disjunction", i)
+            close = self.expect("RPAREN", "')'")
+            return (Inj1 if x == "s1" else Inj2)(body, ann, span=(self.starts[i], self.ends[close]))
+        if kind == "LAMBDA":
+            self.pos = i + 1
             nm = self.expect("NAME", "a variable after the lambda")
             self.expect("COLON", "':' and the bound type")
-            ann = self.disj()
+            ann = self.disj(depth)
             self.expect("DOT", "'.' before the body")
-            body = self.nest(self.ls_term)
-            return Lam(nm.text, ann, body, span=(t.start, body.span[1]))
-        return self.ls_atom()
-
-    def ls_atom(self) -> LsTerm:
-        t = self.peek()
-        if t.kind == "NAME":
-            if t.text in ("s1", "s2"):
-                self.advance()
-                self.expect("LPAREN", f"'(' after {t.text}")
-                body = self.nest(self.ls_term)
-                self.expect("COLON", "':' and the disjunction type")
-                ann = self.disj()
-                if not isinstance(ann, Disj):
-                    self.err(f"the {t.text} annotation must be a disjunction", t)
-                close = self.expect("RPAREN", "')'")
-                ctor = Inj1 if t.text == "s1" else Inj2
-                return ctor(body, ann, span=(t.start, close.end))
-            self.advance()
-            return Var(t.text, span=(t.start, t.end))
-        if t.kind == "LANGLE":
-            self.advance()
-            left = self.nest(self.ls_term)
+            body = self.ls_term(depth + 1)
+            return Lam(self.texts[nm], ann, body, span=(self.starts[i], body.span[1]))
+        if kind == "LANGLE":
+            self.pos = i + 1
+            left = self.ls_term(depth + 1)
             self.expect("COMMA", "',' between the pair components")
-            right = self.nest(self.ls_term)
+            right = self.ls_term(depth + 1)
             close = self.expect("RANGLE", "'>'")
-            return Pair(left, right, span=(t.start, close.end))
-        if t.kind == "LPAREN":
-            self.advance()
-            inner = self.nest(self.ls_term)
+            return Pair(left, right, span=(self.starts[i], self.ends[close]))
+        if kind == "LPAREN":
+            self.pos = i + 1
+            inner = self.ls_term(depth + 1)
             self.expect("RPAREN", "')'")
             return inner
-        self.err(f"expected a term, found '{t.text or 'end of input'}'", t)
+        self.err(f"expected a term, found '{self.texts[i] or 'end of input'}'")
 
     # ---- combinatory terms ----
 
-    def c_term(self) -> CTerm:
-        return self.star(self.c_app, CStar)
+    def c_term(self, depth: int = 0) -> CTerm:
+        """side, or side * side; '*' does not associate."""
+        if depth > MAX_NESTING:
+            self.too_deep()
+        left = self.c_app(depth)
+        if self.kinds[self.pos] != "STAR":
+            return left
+        op = self.pos
+        self.pos = op + 1
+        right = self.c_app(depth)
+        if self.kinds[self.pos] == "STAR":
+            self.err("'*' is not associative; parenthesize one side")
+        return CStar(left, right, span=(left.span[0], self.ends[op]))
 
-    def c_app(self) -> CTerm:
-        t = self.c_prim()
-        while self.peek().kind in ("NAME", "COMB", "LPAREN"):
-            arg = self.c_prim()
+    def c_app(self, depth: int) -> CTerm:
+        t = self.c_prim(depth)
+        while self.kinds[self.pos] in ("NAME", "COMB", "LPAREN"):
+            arg = self.c_prim(depth)
             t = App(t, arg, span=(t.span[0], arg.span[1]))
         return t
 
-    def c_prim(self) -> CTerm:
-        t = self.peek()
-        if t.kind == "NAME":
-            self.advance()
-            return CVar(t.text, span=(t.start, t.end))
-        if t.kind == "COMB":
-            self.advance()
-            if t.text == "I":
-                if self.peek().kind == "LBRACK":
-                    self.err("I takes no type parameters; it abbreviates ((S K) K)")
-                return App(App(Comb("S"), Comb("K")), Comb("K"), span=(t.start, t.end))
-            inst = None
-            if self.peek().kind == "LBRACK":
-                self.advance()
-                tys = [self.disj()]
-                while self.peek().kind == "COMMA":
-                    self.advance()
-                    tys.append(self.disj())
-                close = self.expect("RBRACK", "']'")
-                if len(tys) != SCHEME_ARITY[t.text]:
-                    self.err(
-                        f"{t.text} takes {SCHEME_ARITY[t.text]} type parameters, "
-                        f"got {len(tys)}",
-                        t,
-                    )
-                return Comb(t.text, tuple(tys), span=(t.start, close.end))
-            return Comb(t.text, inst, span=(t.start, t.end))
-        if t.kind == "LPAREN":
-            self.advance()
-            inner = self.nest(self.c_term)
+    def c_prim(self, depth: int) -> CTerm:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "NAME":
+            self.pos = i + 1
+            return CVar(self.texts[i], span=(self.starts[i], self.ends[i]))
+        if kind == "COMB":
+            x = self.texts[i]
+            self.pos = i + 1
+            if self.kinds[i + 1] != "LBRACK":
+                if x == "I":
+                    return App(App(Comb("S"), Comb("K")), Comb("K"), span=(self.starts[i], self.ends[i]))
+                return Comb(x, None, span=(self.starts[i], self.ends[i]))
+            if x == "I":
+                self.err("I takes no type parameters; it abbreviates ((S K) K)")
+            self.pos = i + 2
+            tys = [self.disj(depth)]
+            while self.kinds[self.pos] == "COMMA":
+                self.pos += 1
+                tys.append(self.disj(depth))
+            close = self.expect("RBRACK", "']'")
+            if len(tys) != SCHEME_ARITY[x]:
+                self.err(f"{x} takes {SCHEME_ARITY[x]} type parameters, got {len(tys)}", i)
+            return Comb(x, tuple(tys), span=(self.starts[i], self.ends[close]))
+        if kind == "LPAREN":
+            self.pos = i + 1
+            inner = self.c_term(depth + 1)
             self.expect("RPAREN", "')'")
             return inner
-        self.err(f"expected a term, found '{t.text or 'end of input'}'", t)
+        self.err(f"expected a term, found '{self.texts[i] or 'end of input'}'")
 
     # ---- contexts ----
 
     def context(self) -> dict[str, Ty]:
         out: dict[str, Ty] = {}
-        if self.peek().kind == "EOF":
+        if self.kinds[self.pos] == "EOF":
             return out
         while True:
             nm = self.expect("NAME", "a variable name")
-            if nm.text in out:
-                self.err(f"'{nm.text}' bound twice in the context", nm)
+            x = self.texts[nm]
+            if x in out:
+                self.err(f"'{x}' bound twice in the context", nm)
             self.expect("COLON", "':' and a type")
-            out[nm.text] = self.type_top()
-            if self.peek().kind != "COMMA":
+            out[x] = self.type_top()
+            if self.kinds[self.pos] != "COMMA":
                 return out
-            self.advance()
+            self.pos += 1
 
     # ---- claims ----
 
@@ -351,34 +353,41 @@ class _P:
         return left, self.type_top()
 
 
-def _read(toks: list[Token], rule, what: str = "term"):
-    """Run rule, a _P method, over toks; it must use them all up."""
+def _read(toks: tuple, rule, what: str = "term"):
+    """Run rule, a _P method, over a _scan; it must use all of it."""
     p = _P(toks)
     out = rule(p)
     p.done(what)
     return out
 
 
+def _cut(toks: tuple, i: int, j: int) -> tuple:
+    """Tokens i to j-1 of a _scan, then an EOF where token j starts."""
+    kinds, texts, starts, ends = toks
+    at = starts[j]
+    return kinds[i:j] + ["EOF"], texts[i:j] + [""], starts[i:j] + [at], ends[i:j] + [at]
+
+
 def parse_type(src: str) -> Ty:
-    return _read(lex(src), _P.type_top, "type")
+    return _read(_scan(src), _P.type_top, "type")
 
 
 def parse_ls(src: str) -> LsTerm:
-    return _read(lex(src), _P.ls_term)
+    return _read(_scan(src), _P.ls_term)
 
 
 def parse_c(src: str) -> CTerm:
-    return _read(lex(src), _P.c_term)
+    return _read(_scan(src), _P.c_term)
 
 
 def parse_context(src: str) -> dict[str, Ty]:
-    return _read(lex(src), _P.context, "context")
+    return _read(_scan(src), _P.context, "context")
 
 
 _TERM_RULES = {"ls": _P.ls_term, "ccl": _P.c_term}
 
 
-def _either(toks: list[Token], read, calculus: Optional[str] = None):
+def _either(toks: tuple, read, calculus: Optional[str] = None):
     """(calculus, read(toks, its term rule)), the calculus given or else the
     first of "ls" and "ccl" that reads toks; see the module docstring."""
     if calculus is not None:
@@ -393,11 +402,12 @@ def _either(toks: list[Token], read, calculus: Optional[str] = None):
             raise ls_err if i > j or i == j and _lambda_only(toks) else c_err
 
 
-def _lambda_only(toks: list[Token]) -> bool:
+def _lambda_only(toks: tuple) -> bool:
     """Is a lambda, '<', s1( or s2( in toks, and no combinator or '['?"""
-    ls = any(tk.kind in ("LAMBDA", "LANGLE") or tk.text in ("s1", "s2") and nxt.kind == "LPAREN"
-             for tk, nxt in zip(toks, toks[1:]))
-    return ls and not any(tk.kind in ("COMB", "LBRACK") for tk in toks)
+    kinds, texts = toks[0], toks[1]
+    ls = "LAMBDA" in kinds or "LANGLE" in kinds or any(
+        x in ("s1", "s2") and k == "LPAREN" for x, k in zip(texts, kinds[1:]))
+    return ls and "COMB" not in kinds and "LBRACK" not in kinds
 
 
 def parse_term_auto(src: str, calculus: Optional[str] = None
@@ -407,7 +417,7 @@ def parse_term_auto(src: str, calculus: Optional[str] = None
     Terms made only of variables, '*' and parens parse in both; those are
     reported as lambda-side, where the two calculi agree anyway.
     """
-    return _either(lex(src), _read, calculus)
+    return _either(_scan(src), _read, calculus)
 
 
 # ---- printers ----
@@ -511,20 +521,20 @@ _MAX = ["LBRACK", "NAME", "NUMBER", "RBRACK", "EOF"]  # a trailing [max N]
 
 def _parse_claim_line(line: str, line_no: int, ctx: Optional[dict[str, Ty]]) -> Claim:
     """ctx, the @ctx header's, holds unless the line has its own `CTX |-`."""
-    toks = lex(line)
-    for i, tk in enumerate(toks):
-        if tk.kind == "TURNSTILE":
-            ctx = _read(toks[:i] + [Token("EOF", "", tk.start, tk.start)], _P.context, "context")
-            toks = toks[i + 1:]
-            break
-    reduction = any(tk.kind == "REDUCES" for tk in toks)
+    toks = _scan(line)
+    if "TURNSTILE" in toks[0]:
+        i = toks[0].index("TURNSTILE")
+        ctx = _read(_cut(toks, 0, i), _P.context, "context")
+        toks = _cut(toks, i + 1, len(toks[0]) - 1)
+    kinds, texts = toks[0], toks[1]
+    reduction = "REDUCES" in kinds
     max_steps = None
     # cut off, not read: the `[` of `K [max 5]` would start an instantiation
-    if reduction and [tk.kind for tk in toks[-5:]] == _MAX and toks[-4].text == "max":
-        max_steps, at = int(toks[-3].text), toks[-5].start
-        toks = toks[:-5] + [Token("EOF", "", at, at)]
+    if reduction and kinds[-5:] == _MAX and texts[-4] == "max":
+        max_steps = int(texts[-3])
+        toks = _cut(toks, 0, len(kinds) - 5)
 
-    def read(ts: list[Token], term) -> tuple:
+    def read(ts: tuple, term) -> tuple:
         return _read(ts, lambda p: p.claim(term, reduction), "claim")
 
     calc, (left, right) = _either(toks, read)
