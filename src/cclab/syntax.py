@@ -92,15 +92,15 @@ _SYMBOLS = {
 }
 _SIGMA = {"σ1": "s1", "σ₁": "s1", "σ2": "s2", "σ₂": "s2"}
 # A token's kind: its whole text's, else its first character's, else ERROR.
-_KINDS = {**_SYMBOLS, **dict.fromkeys([*SCHEME_ARITY, "I"], "COMB"), **dict.fromkeys(_SIGMA, "NAME")}
+_KINDS = {**_SYMBOLS, **dict.fromkeys([*SCHEME_ARITY, "I"], "COMB"),
+          **dict.fromkeys(_SIGMA, "NAME")}
 _FIRST = {**dict.fromkeys(ascii_lowercase + "_", "NAME"), **dict.fromkeys(digits, "NUMBER")}
 # Blanks, then one token: longer symbols come first, so |- beats |; a
 # character no class takes is a token of its own, and an error.
 _BLANKS = " \t\r\n"
 _SYMBOL_RE = "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True)))
-_TOKEN = re.compile(
-    f"([{_BLANKS}]*)({_SYMBOL_RE}|[a-z_][A-Za-z0-9_'′]*|[A-Z][A-Z0-9]*|[0-9]+|σ[12₁₂]?|[^{_BLANKS}])"
-)
+_TOKEN = re.compile(f"([{_BLANKS}]*)({_SYMBOL_RE}|[a-z_][A-Za-z0-9_'′]*|[A-Z][A-Z0-9]*"
+                    f"|[0-9]+|σ[12₁₂]?|[^{_BLANKS}])")
 
 
 def _scan(src: str) -> tuple[list, list, list, list]:
@@ -112,16 +112,17 @@ def _scan(src: str) -> tuple[list, list, list, list]:
     ends.append(len(src))
     wide = not src.isascii()
     if wide:  # character offsets to byte offsets (surrogates count 3)
-        offs = list(accumulate((len(ch.encode("utf-8", "surrogatepass")) for ch in src), initial=0))
+        offs = list(accumulate((len(ch.encode("utf-8", "surrogatepass")) for ch in src),
+                               initial=0))
         starts, ends = [offs[i] for i in starts], [offs[j] for j in ends]
     kinds = [_KINDS.get(x) or _FIRST.get(x[0], "ERROR") for x in texts]
     if "ERROR" in kinds:
         i = kinds.index("ERROR")
         x = texts[i]
         raise ParseError(
-            "σ must be followed by 1 or 2" if x[0] == "σ" else
-            f"unknown combinator '{x}' (expected {', '.join(SCHEME_ARITY)} or I)" if "A" <= x[0] <= "Z"
-            else f"unexpected character {x!r}", (starts[i], ends[i]))
+            "σ must be followed by 1 or 2" if x[0] == "σ"
+            else f"unknown combinator '{x}' (expected {', '.join(SCHEME_ARITY)} or I)"
+            if "A" <= x[0] <= "Z" else f"unexpected character {x!r}", (starts[i], ends[i]))
     if wide:
         texts = [_SIGMA.get(x) or x.replace("′", "'") for x in texts]
     kinds.append("EOF")
@@ -303,9 +304,10 @@ class _P:
             x = self.texts[i]
             self.pos = i + 1
             if self.kinds[i + 1] != "LBRACK":
+                span = (self.starts[i], self.ends[i])
                 if x == "I":
-                    return App(App(Comb("S"), Comb("K")), Comb("K"), span=(self.starts[i], self.ends[i]))
-                return Comb(x, None, span=(self.starts[i], self.ends[i]))
+                    return App(App(Comb("S"), Comb("K")), Comb("K"), span=span)
+                return Comb(x, None, span=span)
             if x == "I":
                 self.err("I takes no type parameters; it abbreviates ((S K) K)")
             self.pos = i + 2
