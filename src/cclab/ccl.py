@@ -25,6 +25,8 @@ a star. App and CStar nodes keep their structural hash after the first use.
 
 Each node class names its child fields in ``KIDS``; paths, sizes and
 rebuilding come from ``node``, and ``reduce_at_c`` raises its ``StaleRedex``.
+Nodes and redexes are slotted dataclasses, not frozen ones, and never
+written after construction except for the ``_hash`` slot.
 """
 
 from __future__ import annotations
@@ -52,18 +54,18 @@ from .types import (
 )
 
 
-@dataclass(frozen=True, slots=True)
 class CTerm:
+    __slots__ = ()
     KIDS = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CVar(CTerm):
     name: str
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Comb(CTerm):
     which: str  # K S C P Q1 Q2
     inst: Optional[tuple[MType, ...]] = None
@@ -80,11 +82,11 @@ class _Compound(CTerm):
             return self._hash
         except AttributeError:
             h = hash(children(self))  # the hash a dataclass would compute
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
             return h
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class App(_Compound):
     KIDS = ("fun", "arg")
     fun: CTerm
@@ -93,7 +95,7 @@ class App(_Compound):
     __hash__ = _Compound.__hash__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CStar(_Compound):
     KIDS = ("left", "right")
     left: CTerm
@@ -127,7 +129,7 @@ class TermClass(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CRedex:
     rule: str
     path: tuple[int, ...]

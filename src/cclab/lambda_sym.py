@@ -27,7 +27,9 @@ since a variable has no redex.
 
 Each node class names its child fields in ``KIDS`` (annotations and binder
 names are not children); paths, sizes and rebuilding come from ``node``,
-and ``reduce_at`` raises its ``StaleRedex``.
+and ``reduce_at`` raises its ``StaleRedex``. Nodes and redexes are slotted
+dataclasses, not frozen ones, and never written after construction except
+for the ``_fv`` slot; their generated hash is that of their compared fields.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ class LsTerm:
     KIDS = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(LsTerm):
     name: str
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lam(LsTerm):
     KIDS = ("body",)
     var: str
@@ -61,7 +63,7 @@ class Lam(LsTerm):
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Star(LsTerm):
     KIDS = ("left", "right")
     left: LsTerm
@@ -69,7 +71,7 @@ class Star(LsTerm):
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pair(LsTerm):
     KIDS = ("left", "right")
     left: LsTerm
@@ -77,7 +79,7 @@ class Pair(LsTerm):
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Inj1(LsTerm):
     KIDS = ("body",)
     body: LsTerm
@@ -85,7 +87,7 @@ class Inj1(LsTerm):
     span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Inj2(LsTerm):
     KIDS = ("body",)
     body: LsTerm
@@ -108,7 +110,7 @@ LS_RULES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LsRedex:
     rule: str
     path: tuple[int, ...]
@@ -133,7 +135,7 @@ def free_vars(t: LsTerm) -> frozenset[str]:
             out = free_vars(b)
         case _:
             raise TypeError(f"not a term: {t!r}")
-    object.__setattr__(t, "_fv", out)
+    t._fv = out
     return out
 
 

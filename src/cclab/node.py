@@ -5,6 +5,15 @@ leaf's base class has ``()``), and this layer reads nodes only through
 those names: the uniform children/rebuild pair of Mitchell and Runciman,
 "Uniform boilerplate and list processing" (Haskell Workshop 2007). A
 rebuilt node has no span and no cached free variables or hash.
+
+Node classes are slotted dataclasses, not frozen ones, and nothing writes
+a node after its construction. A frozen dataclass sets each field in its
+``__init__`` through ``object.__setattr__``, which made building a
+``Star(l, r, span=...)`` cost about three times as much as it does now.
+Only two slots are written later, the caches ``_fv`` (``lambda_sym``) and
+``_hash`` (``ccl``), and ``tests/test_node.py`` rejects any other write to
+a node field in the package source. Equality and hashing are as before:
+by class and compared fields, never by ``span``.
 """
 
 from __future__ import annotations

@@ -513,8 +513,7 @@ def parse_claims(text: str) -> list[Claim]:
             else:
                 claims.append(_parse_claim_line(line, line_no, header_ctx))
         except ParseError as e:
-            e.line_no, e.span = line_no, (e.span[0] + at, e.span[1] + at)
-            raise
+            raise ParseError(e.message, (e.span[0] + at, e.span[1] + at), line_no) from None
     return claims
 
 

@@ -12,7 +12,9 @@ m-types only.
 ``Atom``/``NegAtom`` and ``Conj``/``Disj`` have the same fields, so the
 hash of each carries its class: a field-only hash would put ``a & b`` and
 ``a | b`` in one dict slot and turn lookups into equality tests. The hash
-is computed on each call, not kept.
+is computed on each call, not kept. Like every node class (see ``node``),
+the type classes are slotted, not frozen, and never written after
+construction.
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ class UnificationError(TypingError):
     """Constraint solving failed: constructor clash or occurs-check."""
 
 
-@dataclass(frozen=True, slots=True)
 class MType:
     """Base class for m-types (the connective layer: atoms, ~atoms, &, |)."""
 
+    __slots__ = ()
     KIDS = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Atom(MType):
     name: str
 
@@ -48,7 +50,7 @@ class Atom(MType):
         return hash((Atom, self.name))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NegAtom(MType):
     name: str
 
@@ -56,7 +58,7 @@ class NegAtom(MType):
         return hash((NegAtom, self.name))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Conj(MType):
     KIDS = ("left", "right")
     left: MType
@@ -66,7 +68,7 @@ class Conj(MType):
         return hash((Conj, self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Disj(MType):
     KIDS = ("left", "right")
     left: MType
@@ -76,7 +78,7 @@ class Disj(MType):
         return hash((Disj, self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MetaVar(MType):
     """Inference-only placeholder; ``negated`` marks an odd number of negations."""
 
@@ -84,7 +86,7 @@ class MetaVar(MType):
     negated: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bottom:
     """The absurdity type. Not an m-type."""
 

@@ -1,12 +1,16 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
-from cclab import ccl, lambda_sym
-from cclab.ccl import App, Comb, CRedex, CStar, CVar
+from cclab import ccl, lambda_sym, types
+from cclab.ccl import App, Comb, CRedex, CStar, CTerm, CVar
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context, types_by_size
-from cclab.lambda_sym import Inj1, Inj2, Lam, LsRedex, Pair, Star, Var, free_vars
+from cclab.lambda_sym import Inj1, Inj2, Lam, LsRedex, LsTerm, Pair, Star, Var, free_vars
 from cclab.node import StaleRedex, children, rebuild, replace_at, subterm_at, term_size
 from cclab.syntax import parse_c, parse_ls
-from cclab.types import BOTTOM, Atom, Conj, Disj, MetaVar, NegAtom
+from cclab.types import BOTTOM, Atom, Bottom, Conj, Disj, MetaVar, MType, NegAtom
 
 a, na, b = Atom("a"), NegAtom("a"), Atom("b")
 
@@ -130,3 +134,122 @@ def test_a_path_past_a_leaf_is_stale_everywhere():
         lambda_sym.reduce_at(parse_ls("x * y"), LsRedex("beta", (0, 0)))
     with pytest.raises(StaleRedex):
         ccl.reduce_at_c(parse_c("K x y"), CRedex("k", (1, 0)))
+
+
+REDEXES = [LsRedex("beta", (0, 1)), CRedex("k", (1,))]
+
+
+def _hash_key(t) -> tuple:
+    """The tuple whose hash is t's: its compared fields, led by the class
+    for the four type classes that hash with it."""
+    cls = type(t)
+    if cls is App or cls is CStar:
+        return children(t)
+    fields = tuple([getattr(t, f.name) for f in dataclasses.fields(t) if f.compare])
+    return (cls, *fields) if cls in (Atom, NegAtom, Conj, Disj) else fields
+
+
+@pytest.mark.parametrize("t", ALL + REDEXES, ids=lambda t: type(t).__name__)
+def test_hash_is_the_hash_of_the_compared_fields(t):
+    assert hash(t) == hash(_hash_key(t))
+    assert hash(t) == hash(_hash_key(t))  # App and CStar: once kept, the same
+
+
+@pytest.mark.parametrize("t", ALL + REDEXES, ids=lambda t: type(t).__name__)
+def test_nodes_that_differ_only_in_span_are_equal_and_hash_alike(t):
+    u = dataclasses.replace(t, span=(100, 101)) if hasattr(t, "span") else dataclasses.replace(t)
+    assert u is not t
+    assert u == t and t == u and hash(u) == hash(t)
+
+
+def test_classes_with_the_same_fields_never_compare_equal():
+    x, y, cx, cy, ab = Var("x"), Var("y"), CVar("x"), CVar("y"), Disj(a, b)
+    for s, t in [(Pair(x, y), Star(x, y)), (Inj1(x, ab), Inj2(x, ab)),
+                 (App(cx, cy), CStar(cx, cy)), (Atom("a"), NegAtom("a")),
+                 (Conj(a, b), Disj(a, b)), (LsRedex("k", ()), CRedex("k", ()))]:
+        assert s != t and t != s
+
+
+# ---- nodes are never written after construction ----
+#
+# Node classes are slotted, not frozen, so nothing at run time stops a write
+# to a field. translate.psi_comb shares one image between many terms, so a
+# stray write would change every term that holds it. The guard below reads
+# the package source and rejects every statement that could write a node
+# field; the slots test makes every other attribute write to a node fail,
+# except the two caches, ``_fv`` (free_vars) and ``_hash`` (_Compound).
+
+NODE_CLASSES = {Bottom, LsRedex, CRedex} | {
+    c for m in (types, lambda_sym, ccl) for c in vars(m).values()
+    if isinstance(c, type) and issubclass(c, (MType, LsTerm, CTerm))
+}
+FIELDS = {"span"} | {f for c in NODE_CLASSES for f in getattr(c, "__match_args__", ())}
+CACHES = {"_fv", "_hash"}
+SOURCES = sorted((Path(ccl.__file__).parent).glob("*.py"))
+
+
+def _node_writes(source: str, node_classes: set[str]) -> list[str]:
+    """Each setattr call in source, and each write to an attribute named
+    like a node field other than ``self.<field>`` in a non-node class."""
+    found = []
+
+    def targets(t):
+        if isinstance(t, (ast.Tuple, ast.List)):
+            for e in t.elts:
+                yield from targets(e)
+        elif isinstance(t, ast.Starred):
+            yield from targets(t.value)
+        else:
+            yield t
+
+    def visit(n, cls):
+        if isinstance(n, ast.ClassDef):
+            cls = n.name
+        elif isinstance(n, ast.Call):
+            f = n.func
+            if ((isinstance(f, ast.Name) and f.id == "setattr")
+                    or (isinstance(f, ast.Attribute) and f.attr == "__setattr__")):
+                found.append(f"line {n.lineno}: {ast.unparse(n)}")
+        elif isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            tops = n.targets if isinstance(n, (ast.Assign, ast.Delete)) else [n.target]
+            for t in (t for top in tops for t in targets(top)):
+                own = (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                       and t.value.id == "self" and cls is not None and cls not in node_classes)
+                if isinstance(t, ast.Attribute) and t.attr in FIELDS and not own:
+                    found.append(f"line {t.lineno}: {ast.unparse(t)}")
+        for c in ast.iter_child_nodes(n):
+            visit(c, cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_source_writes_a_node_after_construction():
+    names = {c.__name__ for c in NODE_CLASSES}
+    assert {"Var", "Star", "App", "_Compound", "Atom", "MType", "Bottom", "CRedex"} <= names
+    assert {"left", "body", "fun", "ann", "inst", "ident", "path", "span"} <= FIELDS
+    assert len(SOURCES) > 10
+    for path in SOURCES:
+        assert _node_writes(path.read_text(), names) == [], path.name
+
+
+def test_the_write_guard_catches_writes():
+    names = {c.__name__ for c in NODE_CLASSES}
+    for bad in ["t.left = u", "t.body += u", "t.span, n = s, 1", "del t.name",
+                "setattr(t, 'name', 'y')", "object.__setattr__(t, '_fv', fv)",
+                "class Star:\n    def f(self):\n        self.left = 1",
+                "class ParseError(Exception):\n    def f(self, e):\n        e.span = (0, 1)"]:
+        assert len(_node_writes(bad, names)) == 1, bad
+    for fine in ["t._fv = out", "self._hash = h", "left = t.left", "q[t.left] = 1",
+                 "class ParseError(Exception):\n    def __init__(self, span):\n"
+                 "        self.span = span"]:
+        assert _node_writes(fine, names) == [], fine
+
+
+@pytest.mark.parametrize("t", ALL + REDEXES, ids=lambda t: type(t).__name__)
+def test_node_slots_are_its_fields_and_caches(t):
+    slots = {s for c in type(t).__mro__ for s in c.__dict__.get("__slots__", ())}
+    assert not hasattr(t, "__dict__")
+    assert slots - FIELDS <= CACHES
+    with pytest.raises(AttributeError):
+        t.extra = 1
