@@ -185,7 +185,7 @@ NODE_CLASSES = {Bottom, LsRedex, CRedex} | {
 }
 FIELDS = {"span"} | {f for c in NODE_CLASSES for f in getattr(c, "__match_args__", ())}
 CACHES = {"_fv", "_hash"}
-SOURCES = sorted((Path(ccl.__file__).parent).glob("*.py"))
+SOURCES = sorted(Path(ccl.__file__).parent.glob("*.py"))
 
 
 def _node_writes(source: str, node_classes: set[str]) -> list[str]:
