@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from random import Random
 
@@ -5,7 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cclab.gen import atom_names, ls_weight, random_ls, standard_context
+from cclab.ccl import infer_c
+from cclab.gen import (
+    atom_names,
+    enumerate_pre_terms,
+    enumerate_star_terms,
+    ls_weight,
+    random_ls,
+    standard_context,
+)
 from cclab.lambda_sym import (
     LS_RULES,
     Inj1,
@@ -26,7 +35,7 @@ from cclab.lambda_sym import (
 from cclab.node import StaleRedex, children, subterm_at, term_size
 from cclab.syntax import parse_ls, print_ls
 from cclab.translate import psi_comb
-from cclab.types import BOTTOM, Atom, Bottom, Conj, Disj, NegAtom, TypingError
+from cclab.types import BOTTOM, Atom, Bottom, Conj, Disj, NegAtom, TypingError, print_type
 
 a, na = Atom("a"), NegAtom("a")
 b, nb = Atom("b"), NegAtom("b")
@@ -456,3 +465,27 @@ def test_find_redexes_agrees_with_brute_force_matching_on_untyped_terms():
                  for f in c.KIDS}
     assert all(shapes[k] >= 20 for k in positions | {"var root", "eta near miss",
                "pair and injection under a binder"}), shapes
+
+
+def _typing_outcomes(check, terms):
+    """For each term, the error's class and text, or the printed type."""
+    for t in terms:
+        try:
+            yield print_type(check(t))
+        except TypingError as e:
+            yield f"{type(e).__name__}: {e}"
+
+
+def test_typing_error_text_is_pinned():
+    """The text of every typing error over two corpora: combinator terms
+    over u, v and an unbound x up to size 5, and the 2,000 seeded untyped
+    lambda terms above."""
+    ctx, rng = standard_context(2), Random(8)
+    combinator = enumerate_pre_terms(("u", "v", "x"), 5) + enumerate_star_terms(("u", "v", "x"), 5)
+    lam = [_untyped_ls(rng, 5) for _ in range(2000)]
+    outcomes = [*_typing_outcomes(lambda t: infer_c(ctx, t), combinator),
+                *_typing_outcomes(lambda t: infer(ctx, t), lam)]
+    errors = [o for o in outcomes if "Error: " in o]
+    assert len(outcomes) == len(combinator) + 2000 and len(set(errors)) > 10
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "5055eedef33c274c3153bd84de297919da755fdcab1341b7a19a5fc1c16f681d", digest
