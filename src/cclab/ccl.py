@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
@@ -62,14 +62,12 @@ class CTerm:
 @dataclass(slots=True, unsafe_hash=True)
 class CVar(CTerm):
     name: str
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Comb(CTerm):
     which: str  # K S C P Q1 Q2
     inst: Optional[tuple[MType, ...]] = None
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 class _Compound(CTerm):
@@ -91,7 +89,6 @@ class App(_Compound):
     KIDS = ("fun", "arg")
     fun: CTerm
     arg: CTerm
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
     __hash__ = _Compound.__hash__
 
 
@@ -100,7 +97,6 @@ class CStar(_Compound):
     KIDS = ("left", "right")
     left: CTerm
     right: CTerm
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
     __hash__ = _Compound.__hash__
 
 
@@ -222,9 +218,9 @@ class _Inference:
             ft = self.collect(t.fun, path + (0,))
             at = self.collect(t.arg, path + (1,))
             if type(ft) is Bottom:
-                raise TypingError("a term of type # cannot be applied", t.span)
+                raise TypingError("a term of type # cannot be applied")
             if type(at) is Bottom:
-                raise TypingError("a term of type # cannot be an argument", t.span)
+                raise TypingError("a term of type # cannot be an argument")
             nat = negate(at)
             if type(ft) is Disj and ft.left == nat:
                 return ft.right  # modus ponens as it stands: nothing to solve
@@ -235,20 +231,20 @@ class _Inference:
             lt = self.collect(t.left, path + (0,))
             rt = self.collect(t.right, path + (1,))
             if type(lt) is Bottom or type(rt) is Bottom:
-                raise TypingError("both sides of * must have m-types", t.span)
+                raise TypingError("both sides of * must have m-types")
             nrt = negate(rt)
             if lt != nrt:
                 self.constraints.append((lt, nrt))
             return BOTTOM
         if c is CVar:
             if t.name not in self.ctx:
-                raise TypingError(f"unbound variable '{t.name}'", t.span)
+                raise TypingError(f"unbound variable '{t.name}'")
             return self.ctx[t.name]
         if c is Comb:
             if t.inst is not None:
                 ty = _inst_type(t.which, t.inst)
                 if ty is None:
-                    raise TypingError("inst types must be concrete", t.span)
+                    raise TypingError("inst types must be concrete")
                 return ty
             # an unknown name gets no parameters; scheme_type rejects it
             params = tuple(self.fresh() for _ in range(SCHEME_ARITY.get(t.which, 0)))

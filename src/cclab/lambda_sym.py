@@ -34,7 +34,7 @@ for the ``_fv`` slot; their generated hash is that of their compared fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .node import StaleRedex, children, rebuild, replace_at, subterm_at
@@ -51,7 +51,6 @@ class LsTerm:
 @dataclass(slots=True, unsafe_hash=True)
 class Var(LsTerm):
     name: str
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -60,7 +59,6 @@ class Lam(LsTerm):
     var: str
     ann: MType
     body: LsTerm
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -68,7 +66,6 @@ class Star(LsTerm):
     KIDS = ("left", "right")
     left: LsTerm
     right: LsTerm
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -76,7 +73,6 @@ class Pair(LsTerm):
     KIDS = ("left", "right")
     left: LsTerm
     right: LsTerm
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -84,7 +80,6 @@ class Inj1(LsTerm):
     KIDS = ("body",)
     body: LsTerm
     ann: MType  # the full disjunction; body occupies the left disjunct
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -92,7 +87,6 @@ class Inj2(LsTerm):
     KIDS = ("body",)
     body: LsTerm
     ann: MType  # the full disjunction; body occupies the right disjunct
-    span: object = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 Context = Mapping[str, Ty]
@@ -165,32 +159,33 @@ def substitute(t: LsTerm, x: str, v: LsTerm) -> LsTerm:
 
 def canonical(t: LsTerm) -> LsTerm:
     """Alpha-canonical form: binders renamed !0, !1, ... in preorder."""
+    return _canonical(t, {}, 0)[0]
 
-    def go(t: LsTerm, env: dict[str, str], n: int) -> tuple[LsTerm, int]:
-        match t:
-            case Var(x):
-                return Var(env.get(x, x)), n
-            case Lam(x, a, b):
-                name = f"!{n}"
-                b2, n2 = go(b, {**env, x: name}, n + 1)
-                return Lam(name, a, b2), n2
-            case Star(l, r):
-                l2, n = go(l, env, n)
-                r2, n = go(r, env, n)
-                return Star(l2, r2), n
-            case Pair(l, r):
-                l2, n = go(l, env, n)
-                r2, n = go(r, env, n)
-                return Pair(l2, r2), n
-            case Inj1(b, a):
-                b2, n = go(b, env, n)
-                return Inj1(b2, a), n
-            case Inj2(b, a):
-                b2, n = go(b, env, n)
-                return Inj2(b2, a), n
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(t, {}, 0)[0]
+def _canonical(t: LsTerm, env: dict[str, str], n: int) -> tuple[LsTerm, int]:
+    """t renamed under env, binders numbered from n; and the next number."""
+    match t:
+        case Var(x):
+            return Var(env.get(x, x)), n
+        case Lam(x, a, b):
+            name = f"!{n}"
+            b2, n2 = _canonical(b, {**env, x: name}, n + 1)
+            return Lam(name, a, b2), n2
+        case Star(l, r):
+            l2, n = _canonical(l, env, n)
+            r2, n = _canonical(r, env, n)
+            return Star(l2, r2), n
+        case Pair(l, r):
+            l2, n = _canonical(l, env, n)
+            r2, n = _canonical(r, env, n)
+            return Pair(l2, r2), n
+        case Inj1(b, a):
+            b2, n = _canonical(b, env, n)
+            return Inj1(b2, a), n
+        case Inj2(b, a):
+            b2, n = _canonical(b, env, n)
+            return Inj2(b2, a), n
+    raise TypeError(f"not a term: {t!r}")
 
 
 def alpha_eq(a: LsTerm, b: LsTerm) -> bool:
@@ -234,47 +229,40 @@ def infer(ctx: Context, t: LsTerm) -> Ty:
     match t:
         case Var(x):
             if x not in ctx:
-                raise TypingError(f"unbound variable '{x}'", t.span)
+                raise TypingError(f"unbound variable '{x}'")
             return ctx[x]
         case Lam(x, a, b):
             bty = infer({**ctx, x: a}, b)
             if not isinstance(bty, Bottom):
-                raise TypingError(
-                    f"abstraction body must have type #, found otherwise for '{x}'",
-                    t.span,
-                )
+                raise TypingError(f"abstraction body must have type #, found otherwise for '{x}'")
             return negate(a)
         case Star(l, r):
             lt = infer(ctx, l)
             rt = infer(ctx, r)
             if isinstance(lt, Bottom) or isinstance(rt, Bottom):
-                raise TypingError("both sides of * must have m-types", t.span)
+                raise TypingError("both sides of * must have m-types")
             if lt != negate(rt):
-                raise TypingError("sides of * are not dual m-types", t.span)
+                raise TypingError("sides of * are not dual m-types")
             return BOTTOM
         case Pair(l, r):
             lt = infer(ctx, l)
             rt = infer(ctx, r)
             if isinstance(lt, Bottom) or isinstance(rt, Bottom):
-                raise TypingError("pair components must have m-types", t.span)
+                raise TypingError("pair components must have m-types")
             return Conj(lt, rt)
         case Inj1(b, a):
             if not isinstance(a, Disj):
-                raise TypingError("s1 annotation must be a disjunction", t.span)
+                raise TypingError("s1 annotation must be a disjunction")
             bty = infer(ctx, b)
             if bty != a.left:
-                raise TypingError(
-                    "s1 argument does not have the left disjunct type", t.span
-                )
+                raise TypingError("s1 argument does not have the left disjunct type")
             return a
         case Inj2(b, a):
             if not isinstance(a, Disj):
-                raise TypingError("s2 annotation must be a disjunction", t.span)
+                raise TypingError("s2 annotation must be a disjunction")
             bty = infer(ctx, b)
             if bty != a.right:
-                raise TypingError(
-                    "s2 argument does not have the right disjunct type", t.span
-                )
+                raise TypingError("s2 argument does not have the right disjunct type")
             return a
     raise TypeError(f"not a term: {t!r}")
 

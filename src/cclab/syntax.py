@@ -217,21 +217,26 @@ class _P:
             self.err("'#' stands alone; it cannot occur inside a type")
         self.err(f"expected a type, found '{self.texts[i] or 'end of input'}'")
 
-    # ---- lambda-side terms ----
+    # ---- terms ----
 
-    def ls_term(self, depth: int = 0) -> LsTerm:
-        """side, or side * side; '*' does not associate."""
+    def star(self, side, node, depth: int):
+        """side, or node(side, side) for side * side; '*' does not associate."""
         if depth > MAX_NESTING:
             self.too_deep()
-        left = self.ls_simple(depth)
+        left = side(self, depth)
         if self.kinds[self.pos] != "STAR":
             return left
-        op = self.pos
-        self.pos = op + 1
-        right = self.ls_simple(depth)
+        self.pos += 1
+        right = side(self, depth)
         if self.kinds[self.pos] == "STAR":
             self.err("'*' is not associative; parenthesize one side")
-        return Star(left, right, span=(left.span[0], self.ends[op]))
+        return node(left, right)
+
+    def ls_term(self, depth: int = 0) -> LsTerm:
+        return self.star(_P.ls_simple, Star, depth)
+
+    def c_term(self, depth: int = 0) -> CTerm:
+        return self.star(_P.c_app, CStar, depth)
 
     def ls_simple(self, depth: int) -> LsTerm:
         i = self.pos
@@ -240,30 +245,29 @@ class _P:
             x = self.texts[i]
             self.pos = i + 1
             if x != "s1" and x != "s2":
-                return Var(x, span=(self.starts[i], self.ends[i]))
+                return Var(x)
             self.expect("LPAREN", f"'(' after {x}")
             body = self.ls_term(depth + 1)
             self.expect("COLON", "':' and the disjunction type")
             ann = self.disj(depth)
             if not isinstance(ann, Disj):
                 self.err(f"the {x} annotation must be a disjunction", i)
-            close = self.expect("RPAREN", "')'")
-            return (Inj1 if x == "s1" else Inj2)(body, ann, span=(self.starts[i], self.ends[close]))
+            self.expect("RPAREN", "')'")
+            return (Inj1 if x == "s1" else Inj2)(body, ann)
         if kind == "LAMBDA":
             self.pos = i + 1
             nm = self.expect("NAME", "a variable after the lambda")
             self.expect("COLON", "':' and the bound type")
             ann = self.disj(depth)
             self.expect("DOT", "'.' before the body")
-            body = self.ls_term(depth + 1)
-            return Lam(self.texts[nm], ann, body, span=(self.starts[i], body.span[1]))
+            return Lam(self.texts[nm], ann, self.ls_term(depth + 1))
         if kind == "LANGLE":
             self.pos = i + 1
             left = self.ls_term(depth + 1)
             self.expect("COMMA", "',' between the pair components")
             right = self.ls_term(depth + 1)
-            close = self.expect("RANGLE", "'>'")
-            return Pair(left, right, span=(self.starts[i], self.ends[close]))
+            self.expect("RANGLE", "'>'")
+            return Pair(left, right)
         if kind == "LPAREN":
             self.pos = i + 1
             inner = self.ls_term(depth + 1)
@@ -271,27 +275,10 @@ class _P:
             return inner
         self.err(f"expected a term, found '{self.texts[i] or 'end of input'}'")
 
-    # ---- combinatory terms ----
-
-    def c_term(self, depth: int = 0) -> CTerm:
-        """side, or side * side; '*' does not associate."""
-        if depth > MAX_NESTING:
-            self.too_deep()
-        left = self.c_app(depth)
-        if self.kinds[self.pos] != "STAR":
-            return left
-        op = self.pos
-        self.pos = op + 1
-        right = self.c_app(depth)
-        if self.kinds[self.pos] == "STAR":
-            self.err("'*' is not associative; parenthesize one side")
-        return CStar(left, right, span=(left.span[0], self.ends[op]))
-
     def c_app(self, depth: int) -> CTerm:
         t = self.c_prim(depth)
         while self.kinds[self.pos] in ("NAME", "COMB", "LPAREN"):
-            arg = self.c_prim(depth)
-            t = App(t, arg, span=(t.span[0], arg.span[1]))
+            t = App(t, self.c_prim(depth))
         return t
 
     def c_prim(self, depth: int) -> CTerm:
@@ -299,15 +286,12 @@ class _P:
         kind = self.kinds[i]
         if kind == "NAME":
             self.pos = i + 1
-            return CVar(self.texts[i], span=(self.starts[i], self.ends[i]))
+            return CVar(self.texts[i])
         if kind == "COMB":
             x = self.texts[i]
             self.pos = i + 1
             if self.kinds[i + 1] != "LBRACK":
-                span = (self.starts[i], self.ends[i])
-                if x == "I":
-                    return App(App(Comb("S"), Comb("K")), Comb("K"), span=span)
-                return Comb(x, None, span=span)
+                return IDENT if x == "I" else Comb(x)
             if x == "I":
                 self.err("I takes no type parameters; it abbreviates ((S K) K)")
             self.pos = i + 2
@@ -315,10 +299,10 @@ class _P:
             while self.kinds[self.pos] == "COMMA":
                 self.pos += 1
                 tys.append(self.disj(depth))
-            close = self.expect("RBRACK", "']'")
+            self.expect("RBRACK", "']'")
             if len(tys) != SCHEME_ARITY[x]:
                 self.err(f"{x} takes {SCHEME_ARITY[x]} type parameters, got {len(tys)}", i)
-            return Comb(x, tuple(tys), span=(self.starts[i], self.ends[close]))
+            return Comb(x, tuple(tys))
         if kind == "LPAREN":
             self.pos = i + 1
             inner = self.c_term(depth + 1)
@@ -426,49 +410,51 @@ def parse_term_auto(src: str, calculus: Optional[str] = None
 
 
 def print_ls(t: LsTerm) -> str:
-    def go(node: LsTerm, ctx: str) -> str:
-        # ctx: "top" | "star_left" | "star_right"
-        match node:
-            case Var(x):
-                return x
-            case Lam(x, ann, body):
-                s = f"\\{x}:{print_type(ann)}. {go(body, 'top')}"
-                return f"({s})" if ctx == "star_left" else s
-            case Star(l, r):
-                s = f"{go(l, 'star_left')} * {go(r, 'star_right')}"
-                return f"({s})" if ctx != "top" else s
-            case Pair(l, r):
-                return f"<{go(l, 'top')}, {go(r, 'top')}>"
-            case Inj1(b, ann):
-                return f"s1({go(b, 'top')} : {print_type(ann)})"
-            case Inj2(b, ann):
-                return f"s2({go(b, 'top')} : {print_type(ann)})"
-        raise TypeError(f"not a term: {node!r}")
+    return _print_ls(t, "top")
 
-    return go(t, "top")
+
+def _print_ls(node: LsTerm, ctx: str) -> str:
+    # ctx: "top" | "star_left" | "star_right"
+    match node:
+        case Var(x):
+            return x
+        case Lam(x, ann, body):
+            s = f"\\{x}:{print_type(ann)}. {_print_ls(body, 'top')}"
+            return f"({s})" if ctx == "star_left" else s
+        case Star(l, r):
+            s = f"{_print_ls(l, 'star_left')} * {_print_ls(r, 'star_right')}"
+            return f"({s})" if ctx != "top" else s
+        case Pair(l, r):
+            return f"<{_print_ls(l, 'top')}, {_print_ls(r, 'top')}>"
+        case Inj1(b, ann):
+            return f"s1({_print_ls(b, 'top')} : {print_type(ann)})"
+        case Inj2(b, ann):
+            return f"s2({_print_ls(b, 'top')} : {print_type(ann)})"
+    raise TypeError(f"not a term: {node!r}")
 
 
 def print_c(t: CTerm) -> str:
-    def go(node: CTerm, minlvl: int) -> str:
-        # levels: 0 star, 1 application, 2 primary
-        if node == IDENT:  # exact inst-free identity prints as its own name
-            return "I"
-        match node:
-            case CVar(x):
-                return x
-            case Comb(which, inst):
-                if inst is None:
-                    return which
-                return which + "[" + ", ".join(print_type(p) for p in inst) + "]"
-            case App(f, a):
-                s = f"{go(f, 1)} {go(a, 2)}"
-                return f"({s})" if minlvl > 1 else s
-            case CStar(l, r):
-                s = f"{go(l, 1)} * {go(r, 1)}"
-                return f"({s})" if minlvl > 0 else s
-        raise TypeError(f"not a term: {node!r}")
+    return _print_c(t, 0)
 
-    return go(t, 0)
+
+def _print_c(node: CTerm, minlvl: int) -> str:
+    # levels: 0 star, 1 application, 2 primary
+    if node == IDENT:  # exact inst-free identity prints as its own name
+        return "I"
+    match node:
+        case CVar(x):
+            return x
+        case Comb(which, inst):
+            if inst is None:
+                return which
+            return which + "[" + ", ".join(print_type(p) for p in inst) + "]"
+        case App(f, a):
+            s = f"{_print_c(f, 1)} {_print_c(a, 2)}"
+            return f"({s})" if minlvl > 1 else s
+        case CStar(l, r):
+            s = f"{_print_c(l, 1)} * {_print_c(r, 1)}"
+            return f"({s})" if minlvl > 0 else s
+    raise TypeError(f"not a term: {node!r}")
 
 
 # ---- claim files ----

@@ -258,18 +258,19 @@ def psi_comb(which: str, inst: tuple[MType, ...]) -> LsTerm:
 def psi(t: CTerm, ctx: Mapping[str, Ty]) -> LsTerm:
     """Translate a combinatory term; every combinator must carry inst."""
     ground_type_of(ctx, t)  # the one type check; raises its own errors
+    return _psi(t, ctx)[1]
 
-    def go(node: CTerm) -> tuple[Ty, LsTerm]:
-        match node:
-            case CVar(x):
-                return ctx[x], Var(x)
-            case Comb(which, inst):
-                return scheme_type(which, inst), psi_comb(which, inst)
-            case App(f, a):
-                ft, fi = go(f)
-                return ft.right, pair_app(fi, go(a)[1], ft.right)
-            case CStar(l, r):
-                return BOTTOM, Star(go(l)[1], go(r)[1])
-        raise TypeError(f"not a term: {node!r}")
 
-    return go(t)[1]
+def _psi(node: CTerm, ctx: Mapping[str, Ty]) -> tuple[Ty, LsTerm]:
+    """node's type and image, for a node of a term that types in ctx."""
+    match node:
+        case CVar(x):
+            return ctx[x], Var(x)
+        case Comb(which, inst):
+            return scheme_type(which, inst), psi_comb(which, inst)
+        case App(f, a):
+            ft, fi = _psi(f, ctx)
+            return ft.right, pair_app(fi, _psi(a, ctx)[1], ft.right)
+        case CStar(l, r):
+            return BOTTOM, Star(_psi(l, ctx)[1], _psi(r, ctx)[1])
+    raise TypeError(f"not a term: {node!r}")

@@ -13,8 +13,9 @@ m-types only.
 hash of each carries its class: a field-only hash would put ``a & b`` and
 ``a | b`` in one dict slot and turn lookups into equality tests. The hash
 is computed on each call, not kept. Like every node class (see ``node``),
-the type classes are slotted, not frozen, and never written after
-construction.
+the type classes are slotted, not frozen, never written after
+construction, and hold only compared fields. A ``TypingError`` carries
+its message alone: only parse errors point at source bytes.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from typing import Iterable, Union
 
 class TypingError(Exception):
     """A term failed to type-check."""
-
-    def __init__(self, message: str, span=None):
-        super().__init__(message)
-        self.span = span
 
 
 class UnificationError(TypingError):
@@ -164,26 +161,27 @@ def metavar_idents(t: MType) -> frozenset[int]:
 
 def print_type(ty: Ty) -> str:
     """ty in the surface syntax; a metavariable prints as ?n or ~?n."""
-
-    def go(t: MType, minlvl: int) -> str:
-        match t:
-            case Atom(name):
-                return name
-            case NegAtom(name):
-                return "~" + name
-            case MetaVar(ident, neg):
-                return ("~?" if neg else "?") + str(ident)
-            case Conj(l, r):
-                s = f"{go(l, 3)} & {go(r, 3)}"
-                return f"({s})" if minlvl > 2 else s
-            case Disj(l, r):
-                s = f"{go(l, 2)} | {go(r, 2)}"
-                return f"({s})" if minlvl > 1 else s
-        raise TypeError(f"not a type: {t!r}")
-
     if isinstance(ty, Bottom):
         return "#"
-    return go(ty, 1)
+    return _print_type(ty, 1)
+
+
+def _print_type(t: MType, minlvl: int) -> str:
+    """t, parenthesized when its level is below minlvl (| is 1, & is 2)."""
+    match t:
+        case Atom(name):
+            return name
+        case NegAtom(name):
+            return "~" + name
+        case MetaVar(ident, neg):
+            return ("~?" if neg else "?") + str(ident)
+        case Conj(l, r):
+            s = f"{_print_type(l, 3)} & {_print_type(r, 3)}"
+            return f"({s})" if minlvl > 2 else s
+        case Disj(l, r):
+            s = f"{_print_type(l, 2)} | {_print_type(r, 2)}"
+            return f"({s})" if minlvl > 1 else s
+    raise TypeError(f"not a type: {t!r}")
 
 
 @dataclass

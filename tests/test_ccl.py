@@ -102,11 +102,10 @@ def test_inst_annotations_are_checked():
 
 
 def test_inst_with_a_metavariable_is_rejected_every_time():
-    t = Comb("K", (MetaVar(0), a), span=(0, 1))
+    t = Comb("K", (MetaVar(0), a))
     for _ in range(2):  # the second check is answered from the cache
-        with pytest.raises(TypingError, match="^inst types must be concrete$") as err:
+        with pytest.raises(TypingError, match="^inst types must be concrete$"):
             infer_c(CTX, t)
-        assert err.value.span == (0, 1)
 
 
 def test_ground_type_of():
@@ -306,7 +305,6 @@ def test_equal_terms_hash_equal_whatever_their_origin():
 
     src = "K x y * S y"
     parsed = parse_c(src)
-    assert parsed.left.span is not None
     substituted = substitute_c(parse_c("K z y * S y"), "z", CVar("x"))
     reduced = reduce_at_c(parse_c("K (K x y * S y) x"), CRedex("k", ()))
     rebuilt = reduce_at_c(parse_c("K x y * S (K y x)"), CRedex("k", (1, 1)))

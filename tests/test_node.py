@@ -14,7 +14,7 @@ from cclab.types import BOTTOM, Atom, Bottom, Conj, Disj, MetaVar, MType, NegAto
 
 a, na, b = Atom("a"), NegAtom("a"), Atom("b")
 
-# one parsed instance of every term node class, so each carries a span
+# one parsed instance of every term node class
 LS_SAMPLES = {
     Var: parse_ls("x"),
     Lam: parse_ls("\\x:a. x * y"),
@@ -37,7 +37,6 @@ def test_samples_cover_every_class():
     for t, cls in [*((t, c) for c, t in LS_SAMPLES.items()),
                    *((t, c) for c, t in C_SAMPLES.items())]:
         assert type(t) is cls
-        assert t.span is not None
 
 
 @pytest.mark.parametrize("t", ALL, ids=lambda t: type(t).__name__)
@@ -54,7 +53,6 @@ def test_rebuild_with_own_children_is_equal_and_spanless(t):
     u = rebuild(t, children(t))
     assert u == t and hash(u) == hash(t)
     assert u is not t
-    assert getattr(u, "span", None) is None
     assert children(u) == children(t)
     assert all(x is y for x, y in zip(children(u), children(t)))
 
@@ -156,10 +154,10 @@ def test_hash_is_the_hash_of_the_compared_fields(t):
 
 
 @pytest.mark.parametrize("t", ALL + REDEXES, ids=lambda t: type(t).__name__)
-def test_nodes_that_differ_only_in_span_are_equal_and_hash_alike(t):
-    u = dataclasses.replace(t, span=(100, 101)) if hasattr(t, "span") else dataclasses.replace(t)
-    assert u is not t
-    assert u == t and t == u and hash(u) == hash(t)
+def test_every_node_field_is_compared(t):
+    """A node holds only what == and hash read, and every field is positional."""
+    for f in dataclasses.fields(t):
+        assert f.compare and f.name in type(t).__match_args__, f.name
 
 
 def test_classes_with_the_same_fields_never_compare_equal():
