@@ -11,9 +11,9 @@ positional; source positions live on parse errors alone, as byte spans.
 Node classes are slotted dataclasses, not frozen ones, and nothing writes
 a node after its construction. A frozen dataclass sets each field in its
 ``__init__`` through ``object.__setattr__``; these assign directly, and
-``Star(l, r)`` takes about 0.2 us (timeit, Python 3.11).
-Only two slots are written later, the caches ``_fv`` (``lambda_sym``) and
-``_hash`` (``ccl``); ``test_node.test_no_source_writes_a_node_after_construction``
+``Star(l, r)`` takes about 0.2 us (timeit, Python 3.11). Only two slots
+are written later, the caches ``_fv`` (``lambda_sym``) and ``_hash``
+(``ccl``); ``test_node.test_no_source_writes_a_node_after_construction``
 rejects any other write to a node field in the package source.
 """
 
