@@ -606,6 +606,42 @@ def test_mutated_terms_fail_inside_the_text_they_came_in():
     assert errors.hexdigest() == "36cce56a7c90e96ae8163311dccf00628979103b54725a34f49ba5247ce8acf0"
 
 
+
+# Claim lines whose tokens are cut: a `CTX |-` prefix (either turnstile),
+# then a typing or reduction body, some with a `[max N]` suffix; empty
+# contexts and bodies put an error at a cut's end of input.
+_CLAIM_CTXS = ["", "u : a |- ", "u : a, v : b ⊢ ", "u : |- ", "u : a, ⊢ ", "u a |- ",
+               "u : a, u : b |- ", "u′ : a \u3000|- ", "|- ", "u : a |- v : b ⊢ ",
+               "u : (a |- ", "u : ~ ⊢ ", "u : a⊥ ⊢ "]
+_CLAIM_BODIES = ["x : a", "x :", "x", ": a", "", "λx:a. x : a", "\\x:a x : a",
+                 "σ₁(x : a | b) : a | b", "σ₂(x : a)\u3000: a", "σ3(x : a | b) : b",
+                 "x′ y′ : a", "K[a, b] x : a", "I[a] : a", "x =>* y", "x =>* y [max 5]",
+                 "x =>* [max 5]", "=>* y [max 5]", "x =>* y [max]", "x =>* y [max 5",
+                 "K [max 5] =>* x", "x =>* K [max 5]", "S K K =>* I [max 2]",
+                 "x =>* (y [max 5]", "<x, y> =>* x [max x]", "x =>* y [max 5] z",
+                 "x =>* y [min 5]", "x =>* y\u3000[max 5]", "λx:a. x =>* λx:a [max 1]",
+                 "<x, y =>* x [max 3]", "x * y * z : a", "x =>* y =>* z [max 2]"]
+
+
+def test_cut_claim_lines_fail_at_pinned_spans():
+    """Every failing cut claim line, at each place in a file, with its
+    error and span, pinned by one digest."""
+    lines = [c + b for c in _CLAIM_CTXS for b in _CLAIM_BODIES]
+    lines += [t.format(s) for s in _mutants()[::7]
+              for t in ("u : a ⊢ {} : a", "{} =>* x [max 4]", "v : b |- x =>* {} [max 9]")]
+    failed = 0
+    errors = hashlib.sha256()
+    for k, line in enumerate(lines):
+        above, blanks = (_CLAIM_PLACES + [("\n", "\u3000")])[k % 5]
+        try:
+            parse_claims(above + blanks + line)
+        except ParseError as e:
+            failed += 1
+            errors.update(f"{above}{blanks}{line}\t{e}\n".encode())
+    assert failed > 2000
+    assert errors.hexdigest() == "3b55c9b1e79fe73ea06b1d9483a2ebe1ba488c923ec492953cc27b21d7dbab3f"
+
+
 def test_mutated_terms_are_one_line_errors_on_the_command_line(tmp_path):
     """A sample of the mutants, as a literal and in a claims file: every
     error exits 2 with one stderr line whose span lies in the literal or
