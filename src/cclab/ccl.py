@@ -389,9 +389,9 @@ def iter_redexes_c(ctx: Optional[Context], t: CTerm) -> Iterator[CRedex]:
         path, node = stack.pop()
         for rule in _local_rules(node):
             yield CRedex(rule, path)
-        if path and _simp_shaped(node):
+        if ctx is not None and path and _simp_shaped(node):
             if typable is None:
-                typable = ctx is not None and _typable_bottom(ctx, t)
+                typable = _typable_bottom(ctx, t)
             if typable:
                 yield CRedex("simp", path)
         left, right = (node.fun, node.arg) if type(node) is App else (node.left, node.right)
