@@ -26,19 +26,19 @@ text's own tokens decide (_lambda_only). Claim lines lose `CTX |-` and
 `[max N]` at token level; error spans index the file's line.
 
 The lexer is one scan (_scan): a single findall of a compiled regular
-expression gives each token's leading blanks and its text, the offsets
-are running sums of their lengths, and a token's kind is its text's
-(symbols and combinators) or else its first character's. The parser
-reads the scan's kinds, texts and offsets by index and builds no object
-per token; lex's Token tuples are made from the same scan. Token spans
-are byte offsets into the UTF-8 source; numbers are ASCII digits only.
+expression gives each token's text, and a token's kind is its text's
+(symbols, combinators, one-letter names) or else its first character's.
+The parser reads the scan's kinds and texts by index and builds no
+object per token. Offsets are built only for an error and for lex's
+Token tuples (_spans, a finditer of the same expression); they are byte
+offsets into the UTF-8 source. Numbers are ASCII digits only.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from string import ascii_lowercase, digits
 from typing import NamedTuple, Optional, Union
 
@@ -91,30 +91,22 @@ _SYMBOLS = {
     "⊥": "BOT", "⟨": "LANGLE", "⟩": "RANGLE", "⊢": "TURNSTILE",
 }
 _SIGMA = {"σ1": "s1", "σ₁": "s1", "σ2": "s2", "σ₂": "s2"}
-# A token's kind: its whole text's, else its first character's, else ERROR.
-_KINDS = {**_SYMBOLS, **dict.fromkeys([*SCHEME_ARITY, "I"], "COMB"),
-          **dict.fromkeys(_SIGMA, "NAME")}
 _FIRST = {**dict.fromkeys(ascii_lowercase + "_", "NAME"), **dict.fromkeys(digits, "NUMBER")}
+# A token's kind: its whole text's, else its first character's, else ERROR.
+_KINDS = {**_FIRST, **_SYMBOLS, **dict.fromkeys([*SCHEME_ARITY, "I"], "COMB"),
+          **dict.fromkeys(_SIGMA, "NAME")}
 # Blanks, then one token: longer symbols come first, so |- beats |; a
 # character no class takes is a token of its own, and an error.
 _BLANKS = " \t\r\n"
 _SYMBOL_RE = "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True)))
-_TOKEN = re.compile(f"([{_BLANKS}]*)({_SYMBOL_RE}|[a-z_][A-Za-z0-9_'′]*|[A-Z][A-Z0-9]*"
+_TOKEN = re.compile(f"[{_BLANKS}]*({_SYMBOL_RE}|[a-z_][A-Za-z0-9_'′]*|[A-Z][A-Z0-9]*"
                     f"|[0-9]+|σ[12₁₂]?|[^{_BLANKS}])")
 
 
-def _scan(src: str) -> tuple[list, list, list, list]:
-    """The kinds, texts, start and end offsets of src's tokens, then EOF's."""
-    flat = list(chain.from_iterable(_TOKEN.findall(src)))  # blanks, text, blanks, text, ...
-    cuts = list(accumulate(map(len, flat), initial=0))
-    texts, starts, ends = flat[1::2], cuts[1::2], cuts[2::2]
-    starts.append(len(src))
-    ends.append(len(src))
-    wide = not src.isascii()
-    if wide:  # character offsets to byte offsets (surrogates count 3)
-        offs = list(accumulate((len(ch.encode("utf-8", "surrogatepass")) for ch in src),
-                               initial=0))
-        starts, ends = [offs[i] for i in starts], [offs[j] for j in ends]
+def _scan(src: str) -> tuple[list, list, str, int]:
+    """The kinds and texts of src's tokens, then EOF's, with src and the
+    index of the first token (0; a _cut's is its place in this scan)."""
+    texts = _TOKEN.findall(src)
     kinds = [_KINDS.get(x) or _FIRST.get(x[0], "ERROR") for x in texts]
     if "ERROR" in kinds:
         i = kinds.index("ERROR")
@@ -122,16 +114,28 @@ def _scan(src: str) -> tuple[list, list, list, list]:
         raise ParseError(
             "σ must be followed by 1 or 2" if x[0] == "σ"
             else f"unknown combinator '{x}' (expected {', '.join(SCHEME_ARITY)} or I)"
-            if "A" <= x[0] <= "Z" else f"unexpected character {x!r}", (starts[i], ends[i]))
-    if wide:
+            if "A" <= x[0] <= "Z" else f"unexpected character {x!r}", _spans(src)[i])
+    if not src.isascii():
         texts = [_SIGMA.get(x) or x.replace("′", "'") for x in texts]
     kinds.append("EOF")
     texts.append("")
-    return kinds, texts, starts, ends
+    return kinds, texts, src, 0
+
+
+def _spans(src: str) -> list[tuple[int, int]]:
+    """The byte spans of src's tokens, then EOF's; only errors and lex ask."""
+    spans = [m.span(1) for m in _TOKEN.finditer(src)]
+    spans.append((len(src), len(src)))
+    if src.isascii():
+        return spans
+    # character offsets to byte offsets (surrogates count 3)
+    offs = list(accumulate((len(ch.encode("utf-8", "surrogatepass")) for ch in src), initial=0))
+    return [(offs[i], offs[j]) for i, j in spans]
 
 
 def lex(src: str) -> list[Token]:
-    return list(map(Token, *_scan(src)))
+    kinds, texts = _scan(src)[:2]
+    return [Token(k, x, *span) for k, x, span in zip(kinds, texts, _spans(src))]
 
 
 # Deeper input is refused with a ParseError rather than left to exhaust
@@ -145,8 +149,8 @@ class _P:
     it: terms and types in parentheses, binder bodies, pair components and
     the right sides of '&' and '|'."""
 
-    def __init__(self, toks: tuple[list, list, list, list]):
-        self.kinds, self.texts, self.starts, self.ends = toks
+    def __init__(self, toks: tuple[list, list, str, int]):
+        self.kinds, self.texts, self.src, self.first = toks
         self.pos = 0
 
     def expect(self, kind: str, what: str) -> int:
@@ -158,7 +162,8 @@ class _P:
 
     def err(self, msg: str, i: Optional[int] = None):
         i = self.pos if i is None else i
-        raise ParseError(msg, (self.starts[i], self.ends[i]))
+        start, end = _spans(self.src)[self.first + i]
+        raise ParseError(msg, (start, start if self.kinds[i] == "EOF" else end))
 
     def too_deep(self):
         self.err(f"input nests deeper than {MAX_NESTING} levels")
@@ -349,9 +354,8 @@ def _read(toks: tuple, rule, what: str = "term"):
 
 def _cut(toks: tuple, i: int, j: int) -> tuple:
     """Tokens i to j-1 of a _scan, then an EOF where token j starts."""
-    kinds, texts, starts, ends = toks
-    at = starts[j]
-    return kinds[i:j] + ["EOF"], texts[i:j] + [""], starts[i:j] + [at], ends[i:j] + [at]
+    kinds, texts, src, first = toks
+    return kinds[i:j] + ["EOF"], texts[i:j] + [""], src, first + i
 
 
 def parse_type(src: str) -> Ty:
@@ -414,22 +418,21 @@ def print_ls(t: LsTerm) -> str:
 
 
 def _print_ls(node: LsTerm, ctx: str) -> str:
-    # ctx: "top" | "star_left" | "star_right"
-    match node:
-        case Var(x):
-            return x
-        case Lam(x, ann, body):
-            s = f"\\{x}:{print_type(ann)}. {_print_ls(body, 'top')}"
-            return f"({s})" if ctx == "star_left" else s
-        case Star(l, r):
-            s = f"{_print_ls(l, 'star_left')} * {_print_ls(r, 'star_right')}"
-            return f"({s})" if ctx != "top" else s
-        case Pair(l, r):
-            return f"<{_print_ls(l, 'top')}, {_print_ls(r, 'top')}>"
-        case Inj1(b, ann):
-            return f"s1({_print_ls(b, 'top')} : {print_type(ann)})"
-        case Inj2(b, ann):
-            return f"s2({_print_ls(b, 'top')} : {print_type(ann)})"
+    # ctx: "top" | "star_left" | "star_right"; the commonest classes first
+    cls = type(node)
+    if cls is Var:
+        return node.name
+    if cls is Pair:
+        return f"<{_print_ls(node.left, 'top')}, {_print_ls(node.right, 'top')}>"
+    if cls is Star:
+        s = f"{_print_ls(node.left, 'star_left')} * {_print_ls(node.right, 'star_right')}"
+        return f"({s})" if ctx != "top" else s
+    if cls is Lam:
+        s = f"\\{node.var}:{print_type(node.ann)}. {_print_ls(node.body, 'top')}"
+        return f"({s})" if ctx == "star_left" else s
+    if cls is Inj1 or cls is Inj2:
+        tag = "s1" if cls is Inj1 else "s2"
+        return f"{tag}({_print_ls(node.body, 'top')} : {print_type(node.ann)})"
     raise TypeError(f"not a term: {node!r}")
 
 
@@ -438,22 +441,22 @@ def print_c(t: CTerm) -> str:
 
 
 def _print_c(node: CTerm, minlvl: int) -> str:
-    # levels: 0 star, 1 application, 2 primary
-    if node == IDENT:  # exact inst-free identity prints as its own name
-        return "I"
-    match node:
-        case CVar(x):
-            return x
-        case Comb(which, inst):
-            if inst is None:
-                return which
-            return which + "[" + ", ".join(print_type(p) for p in inst) + "]"
-        case App(f, a):
-            s = f"{_print_c(f, 1)} {_print_c(a, 2)}"
-            return f"({s})" if minlvl > 1 else s
-        case CStar(l, r):
-            s = f"{_print_c(l, 1)} * {_print_c(r, 1)}"
-            return f"({s})" if minlvl > 0 else s
+    # levels: 0 star, 1 application, 2 primary; the commonest classes first
+    cls = type(node)
+    if cls is App:
+        if node == IDENT:  # exact inst-free identity prints as its own name
+            return "I"
+        s = f"{_print_c(node.fun, 1)} {_print_c(node.arg, 2)}"
+        return f"({s})" if minlvl > 1 else s
+    if cls is CVar:
+        return node.name
+    if cls is Comb:
+        if node.inst is None:
+            return node.which
+        return node.which + "[" + ", ".join(print_type(p) for p in node.inst) + "]"
+    if cls is CStar:
+        s = f"{_print_c(node.left, 1)} * {_print_c(node.right, 1)}"
+        return f"({s})" if minlvl > 0 else s
     raise TypeError(f"not a term: {node!r}")
 
 

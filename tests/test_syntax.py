@@ -144,7 +144,18 @@ def test_print_c():
     assert print_c(App(CVar("f"), App(CVar("g"), CVar("x")))) == "f (g x)"
     # inst-carrying identity shape prints longhand, not as I
     annotated = App(App(Comb("S", (a, Disj(a, a), a)), Comb("K", (a, Conj(na, na)))), Comb("K", (a, a)))
-    assert print_c(annotated).startswith("S[")
+    assert print_c(annotated) == "S[a, a | a, a] K[a, ~a & ~a] K[a, a]"
+
+
+def test_a_built_identity_prints_as_i_everywhere():
+    """S K K prints as I by structure, not by being the shared IDENT."""
+    i = App(App(Comb("S"), Comb("K")), Comb("K"))
+    assert i is not IDENT
+    assert print_c(i) == "I"
+    assert print_c(App(i, CVar("x"))) == "I x"
+    assert print_c(App(CVar("f"), i)) == "f I"
+    assert print_c(CStar(i, CVar("y"))) == "I * y"
+    assert print_c(CStar(CVar("y"), i)) == "y * I"
 
 
 def test_round_trip_hand_cases():
