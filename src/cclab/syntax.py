@@ -27,11 +27,11 @@ text's own tokens decide (_lambda_only). Claim lines lose `CTX |-` and
 
 The lexer is one scan (_scan): a single findall of a compiled regular
 expression gives each token's text, and a token's kind is its text's
-(symbols, combinators, one-letter names) or else its first character's.
-The parser reads the scan's kinds and texts by index and builds no
-object per token. Offsets are built only for an error and for lex's
-Token tuples (_spans, a finditer of the same expression); they are byte
-offsets into the UTF-8 source. Numbers are ASCII digits only.
+(symbols, combinators, one-character names and numbers) or else its
+first character's. The parser reads the scan's kinds and texts by index
+and builds no object per token. Offsets are built only for an error and
+for lex's Token tuples (_spans, a finditer of the same expression); they
+are byte offsets into the UTF-8 source. Numbers are ASCII digits only.
 """
 
 from __future__ import annotations
