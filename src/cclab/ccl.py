@@ -172,11 +172,11 @@ def substitute_c(t: CTerm, x: str, v: CTerm) -> CTerm:
 
 
 def contains_star(t: CTerm) -> bool:
-    match t:
-        case CStar(_, _):
+    while type(t) is App:  # down the argument spine, into each function
+        if contains_star(t.fun):
             return True
-        case _:
-            return any(contains_star(c) for c in children(t))
+        t = t.arg
+    return type(t) is CStar
 
 
 def classify(t: CTerm) -> TermClass:

@@ -491,7 +491,7 @@ def parse_claims(text: str) -> list[Claim]:
     claims: list[Claim] = []
     header_ctx: Optional[dict[str, Ty]] = None
     for line_no, raw in enumerate(text.split("\n"), 1):
-        line = raw.strip()
+        line = raw.strip(_BLANKS)  # the lexer's blanks, no others
         if not line or line.startswith("#"):
             continue
         at = len(raw[:raw.index(line[0])].encode("utf-8"))  # where the parser's text starts

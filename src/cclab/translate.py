@@ -4,12 +4,15 @@ Lambda to combinators (phi) eliminates binders by bracket abstraction;
 combinators to lambda (psi) expands each combinator into a closed lambda
 term built from projection and application macros.
 
-phi comes in two modes. With a context it emits fully instantiated
-combinators, so the image type-checks without any solving; the
-instantiations are read off the source typing derivation (binder type on
-the lambda, argument and result types at each application). Without a
-context it emits the bare combinator skeleton, which is enough for
-reduction experiments on open or untyped terms.
+phi is one fold whose types are optional, and so is bracket abstraction
+(bracket_typed). With a context phi emits fully instantiated combinators,
+so the image type-checks without any solving; the instantiations are read
+off the source typing derivation (binder type on the lambda, argument and
+result types at each application). Without a context the same folds run
+with every type None and emit the bare combinator skeleton, which is
+enough for reduction experiments on open or untyped terms: erasing the
+instantiations of a typed image gives the untyped one. Untyped phi's one
+error is a lambda whose body's image is not in bracket_abstract's domain.
 
 psi always needs types: the macro for an application (U V) binds a
 variable at the result type, and the combinator images bind at the
@@ -42,10 +45,10 @@ from .ccl import (
     CTerm,
     CVar,
     IDENT,
-    contains_star,
+    TermClass,
+    classify,
     ground_type_of,
     scheme_type,
-    term_vars,
 )
 from .lambda_sym import (
     Inj1,
@@ -78,29 +81,24 @@ class TranslationError(Exception):
 
 
 def bracket_abstract(x: str, t: CTerm) -> CTerm:
-    """l_x on bare (uninstantiated) combinator terms."""
-    match t:
-        case CVar(y) if y == x:
-            return IDENT
-        case CStar(l, r):
-            return App(App(Comb("C"), bracket_abstract(x, l)), bracket_abstract(x, r))
-    if x not in term_vars(t):
-        if contains_star(t):
-            raise TranslationError(
-                "cannot abstract over a term that is neither a pre-term "
-                "nor a star of pre-terms"
-            )
-        return App(Comb("K"), t)
-    # x occurs in t, which is neither x nor a star: an application
-    return App(App(Comb("S"), bracket_abstract(x, t.fun)), bracket_abstract(x, t.arg))
+    """l_x on bare combinator terms: bracket_typed without types. Its domain
+    is the pre-terms and the stars of pre-terms."""
+    if classify(t) is TermClass.NEITHER:
+        raise TranslationError(
+            "cannot abstract over a term that is neither a pre-term "
+            "nor a star of pre-terms"
+        )
+    return bracket_typed(x, None, t, {})
 
 
-def i_term_at(a: MType) -> CTerm:
-    """((S K) K) instantiated to have type a⊥ | a.
+def i_term_at(a: Optional[MType]) -> CTerm:
+    """((S K) K) instantiated to have type a⊥ | a; bare when a is None.
 
     The inner K's second parameter is otherwise unconstrained; it is
     pinned to `a` so the result is fully ground.
     """
+    if a is None:
+        return IDENT
     dd = Disj(a, a)
     return App(
         App(Comb("S", (a, dd, a)), Comb("K", (a, negate(dd)))),
@@ -108,84 +106,77 @@ def i_term_at(a: MType) -> CTerm:
     )
 
 
-def bracket_typed(x: str, a: MType, t: CTerm, ctx_c: dict) -> CTerm:
+def bracket_typed(x: str, a: Optional[MType], t: CTerm, ctx_c: Mapping[str, Ty]) -> CTerm:
     """l_x t at x : a, for an instantiated t that types in ctx_c. One fold
     returns each subterm's type with its abstraction, None where x does not
-    occur; the parent K-wraps such a subterm at the type just read off."""
-    na = negate(a)
+    occur; the parent K-wraps such a subterm at the type just read off.
 
-    def wrap(ty: Ty, u: CTerm, lu: Optional[CTerm]) -> CTerm:
-        if lu is not None:
-            return lu
-        if isinstance(ty, Bottom):
-            raise TranslationError(
-                "cannot abstract over a bottom-typed subterm that is not a star"
-            )
-        return App(Comb("K", (ty, na)), u)
+    With a None the fold is untyped, as bracket_abstract runs it: every type
+    is None (`a and ...` skips it) and every combinator it builds is bare."""
+    na = a and negate(a)
+    return _wrap(na, *_fold(x, a, na, ctx_c, t), t)
 
-    def go(u: CTerm) -> tuple[Ty, Optional[CTerm]]:
-        match u:
-            case CVar(y):
-                return (a, i_term_at(a)) if y == x else (ctx_c[y], None)
-            case Comb(which, inst):
-                return scheme_type(which, inst), None
-            case App(f, arg):
-                (ft, lf), (d, larg) = go(f), go(arg)
-                if lf is None and larg is None:
-                    return ft.right, None
-                s = Comb("S", (a, d, ft.right))
-                return ft.right, App(App(s, wrap(ft, f, lf)), wrap(d, arg, larg))
-            case CStar(l, r):
-                # the C clause applies to a star even when x is absent
-                (lt, ll), (d, lr) = go(l), go(r)
-                return BOTTOM, App(App(Comb("C", (a, d)), wrap(lt, l, ll)), wrap(d, r, lr))
-        raise TypeError(f"not a term: {u!r}")
 
-    ty, lx = go(t)
-    return wrap(ty, t, lx)
+def _wrap(na: Optional[MType], ty: Optional[Ty], lu: Optional[CTerm], u: CTerm) -> CTerm:
+    if lu is not None:
+        return lu
+    if isinstance(ty, Bottom):
+        raise TranslationError(
+            "cannot abstract over a bottom-typed subterm that is not a star"
+        )
+    return App(Comb("K", na and (ty, na)), u)
+
+
+def _fold(x: str, a: Optional[MType], na: Optional[MType], ctx_c: Mapping[str, Ty],
+          u: CTerm) -> tuple[Optional[Ty], Optional[CTerm]]:
+    """bracket_typed's fold: u's type, and l_x u or None where x does not occur."""
+    match u:
+        case CVar(y):
+            return (a, i_term_at(a)) if y == x else (a and ctx_c[y], None)
+        case Comb(which, inst):
+            return a and scheme_type(which, inst), None
+        case App(f, arg):
+            (ft, lf), (d, larg) = _fold(x, a, na, ctx_c, f), _fold(x, a, na, ctx_c, arg)
+            b = ft and ft.right
+            if lf is None and larg is None:
+                return b, None
+            s = Comb("S", a and (a, d, b))
+            return b, App(App(s, _wrap(na, ft, lf, f)), _wrap(na, d, larg, arg))
+        case CStar(l, r):
+            # the C clause applies to a star even when x is absent
+            (lt, ll), (d, lr) = _fold(x, a, na, ctx_c, l), _fold(x, a, na, ctx_c, r)
+            c = Comb("C", a and (a, d))
+            return BOTTOM, App(App(c, _wrap(na, lt, ll, l)), _wrap(na, d, lr, r))
+    raise TypeError(f"not a term: {u!r}")
 
 
 def phi(t: LsTerm, ctx: Optional[Mapping[str, Ty]] = None) -> CTerm:
     """Translate a lambda-side term; instantiated when a context is given."""
-    if ctx is None:
-        return _phi_untyped(t)
-    infer(ctx, t)  # the one type check; raises infer's own errors
-    return _phi_typed(ctx, t)[1]
+    if ctx is not None:
+        infer(ctx, t)  # the one type check; raises infer's own errors
+    return _phi(ctx, t)[1]
 
 
-def _phi_untyped(t: LsTerm) -> CTerm:
+def _phi(ctx: Optional[Mapping[str, Ty]], t: LsTerm) -> tuple[Optional[Ty], CTerm]:
+    """(type, image) of a term that infer accepts in ctx. Without a context
+    the fold is untyped: every type is None and every combinator bare."""
     match t:
         case Var(x):
-            return CVar(x)
-        case Lam(x, _, body):
-            return bracket_abstract(x, _phi_untyped(body))
-        case Star(l, r):
-            return CStar(_phi_untyped(l), _phi_untyped(r))
-        case Pair(l, r):
-            return App(App(Comb("P"), _phi_untyped(l)), _phi_untyped(r))
-        case Inj1(b, _):
-            return App(Comb("Q1"), _phi_untyped(b))
-        case Inj2(b, _):
-            return App(Comb("Q2"), _phi_untyped(b))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _phi_typed(ctx: Mapping[str, Ty], t: LsTerm) -> tuple[Ty, CTerm]:
-    """(type, image) of a term that infer accepts in ctx."""
-    match t:
-        case Var(x):
-            return ctx[x], CVar(x)
+            return None if ctx is None else ctx[x], CVar(x)
         case Lam(x, ann, body):
+            if ctx is None:
+                return None, bracket_abstract(x, _phi(None, body)[1])
             inner = {**ctx, x: ann}
-            return negate(ann), bracket_typed(x, ann, _phi_typed(inner, body)[1], inner)
+            return negate(ann), bracket_typed(x, ann, _phi(inner, body)[1], inner)
         case Star(l, r):
-            return BOTTOM, CStar(_phi_typed(ctx, l)[1], _phi_typed(ctx, r)[1])
+            return None if ctx is None else BOTTOM, CStar(_phi(ctx, l)[1], _phi(ctx, r)[1])
         case Pair(l, r):
-            (lt, li), (rt, ri) = _phi_typed(ctx, l), _phi_typed(ctx, r)
-            return Conj(lt, rt), App(App(Comb("P", (lt, rt)), li), ri)
+            (lt, li), (rt, ri) = _phi(ctx, l), _phi(ctx, r)
+            return lt and Conj(lt, rt), App(App(Comb("P", lt and (lt, rt)), li), ri)
         case Inj1(b, ann) | Inj2(b, ann):
+            ty = None if ctx is None else ann
             q = "Q1" if type(t) is Inj1 else "Q2"
-            return ann, App(Comb(q, (ann.left, ann.right)), _phi_typed(ctx, b)[1])
+            return ty, App(Comb(q, ty and (ty.left, ty.right)), _phi(ctx, b)[1])
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -246,12 +237,9 @@ def psi_comb(which: str, inst: tuple[MType, ...]) -> LsTerm:
             body = Star(pair_app(u1, w, ty1.right), pair_app(u2, w, ty2.right))
         case "P":
             body = Star(Pair(p("1")[0], p("12")[0]), p("22")[0])
-        case "Q1":
-            a, b = inst
-            body = Star(Inj1(p("1")[0], Disj(a, b)), p("2")[0])
-        case "Q2":
-            a, b = inst
-            body = Star(Inj2(p("1")[0], Disj(a, b)), p("2")[0])
+        case "Q1" | "Q2":
+            inj = Inj1 if which == "Q1" else Inj2
+            body = Star(inj(p("1")[0], Disj(*inst)), p("2")[0])
     return Lam("x", t0, body)
 
 

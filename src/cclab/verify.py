@@ -10,10 +10,13 @@ A suite is a generator decorated with ``@suite(name, *aliases)``. It
 yields one ``(ok, describe)`` pair per instance and returns its notes
 (or nothing). The decorator records each pair with ``SuiteResult.check``
 before it resumes the generator, so ``describe`` may read the loop
-variables as they stand. It also registers the suite in ``SUITES`` under
-its descriptive name and in ``ALIASES`` under the short historical ids
-the command line accepts. ``verify --suite all`` reports the suites in
-the order they are defined here, which is the paper's order.
+variables as they stand. A suite whose check raises a typing, translation
+or stale-redex error stops there with one more, failed, instance that
+names the error, and the suites after it still run. The decorator also
+registers the suite in ``SUITES`` under its descriptive name and in
+``ALIASES`` under the short historical ids the command line accepts.
+``verify --suite all`` reports the suites in the order they are defined
+here, which is the paper's order.
 
 Every reduction sequence a suite follows comes from ``rewrite.trace`` or
 ``rewrite.search``. Every reachability question, rule-simulation's
@@ -63,6 +66,7 @@ from .lambda_sym import (
     reduce_at,
     substitute,
 )
+from .node import StaleRedex
 from .rewrite import (
     C_ENGINE,
     LS_ENGINE,
@@ -82,6 +86,7 @@ from .syntax import (
     print_type,
 )
 from .translate import (
+    TranslationError,
     bracket_abstract,
     bracket_typed,
     i_term_at,
@@ -90,7 +95,7 @@ from .translate import (
     pi_macro,
     psi,
 )
-from .types import Atom, Bottom, Conj, Disj, MType, NegAtom, Ty, negate
+from .types import Atom, Bottom, Conj, Disj, MType, NegAtom, Ty, TypingError, negate
 
 MAX_RECORDED_FAILURES = 20
 
@@ -152,6 +157,10 @@ def suite(
                     ok, describe = next(checks)
                 except StopIteration as done:
                     r.notes = done.value or []
+                    return r
+                except (TypingError, TranslationError, StaleRedex) as e:
+                    failure = f"{type(e).__name__} after {r.instances} instances: {e}"
+                    r.check(False, lambda: failure)
                     return r
                 r.check(ok, describe)
 

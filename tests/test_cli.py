@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cclab
+from cclab import ccl, cli
 from cclab.cli import main
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
 from cclab.syntax import ParseError, lex, parse_claims, parse_term_auto, print_c, print_ls
@@ -153,13 +154,26 @@ def test_a_lambda_only_construct_breaks_a_tie_toward_the_lambda_error(tmp_path, 
 @pytest.mark.parametrize("text, want", [
     ("  x : 5", "line 1: expected a type, found '5' (bytes 6..7)"),
     ("@ctx x : 5", "line 1: expected a type, found '5' (bytes 9..10)"),
-    ("u : a\n \u3000@ctx x : 5", "line 2: expected a type, found '5' (bytes 13..14)"),
+    ("u : a\n \u3000@ctx x : 5", "line 2: unexpected character '\\u3000' (bytes 1..4)"),
 ])
 def test_claims_file_spans_index_the_files_line(tmp_path, capsys, text, want):
     claims = tmp_path / "claims.txt"
     claims.write_text(text + "\n", encoding="utf-8")
     rc, _, err = run(capsys, "check", str(claims))
     assert rc == 2 and err == f"parse error: {want}\n"
+
+
+@pytest.mark.parametrize("claim", ["x : a\u3000", "\u3000x : a", "x\u3000: a"])
+def test_claim_lines_have_the_lexers_blanks_only(tmp_path, capsys, claim):
+    # U+3000 is no blank to the lexer, so a claims file rejects it as the literal does
+    rc, _, literal = run(capsys, "check", claim)
+    claims = tmp_path / "claims.txt"
+    claims.write_text(claim + "\n", encoding="utf-8")
+    rc2, _, err = run(capsys, "check", str(claims))
+    assert rc == rc2 == 2
+    assert err == literal.replace("parse error: ", "parse error: line 1: ")
+    if claim == "x : a\u3000":
+        assert err == "parse error: line 1: unexpected character '\\u3000' (bytes 5..8)\n"
 
 
 def test_check_claims_file_with_a_subscript_step_bound(tmp_path, capsys):
@@ -359,6 +373,22 @@ def test_translate_names_the_missing_variable(capsys):
     assert "unbound variable 'u'" in err
 
 
+@pytest.mark.parametrize("term", ["\\x:a. <x * y, z> * w", "\\x:a. <y * z, w> * v"])
+def test_untyped_translate_rejects_a_body_outside_the_bracket_domain(capsys, term):
+    # a star inside a pair is neither a pre-term nor a star of pre-terms,
+    # whether x occurs in it or not
+    rc, out, err = run(capsys, "translate", "--to", "ccl", term)
+    assert (rc, out) == (1, "")
+    assert err == ("error: cannot abstract over a term that is neither a pre-term "
+                   "nor a star of pre-terms\n")
+
+
+def test_typed_translate_rejects_abstracting_a_bottom_typed_body(capsys):
+    rc, out, err = run(capsys, "translate", "--to", "ccl", "\\x:a. y", "--ctx", "y : #")
+    assert (rc, out) == (1, "")
+    assert err == "error: cannot abstract over a bottom-typed subterm that is not a star\n"
+
+
 # ---------------------------------------------------------------- gen
 
 
@@ -480,6 +510,22 @@ def test_verify_rule_simulation_reports_corrected_rows(capsys):
     assert any("row 12" in n for n in notes)
 
 
+def test_a_suite_that_raises_fails_and_the_later_suites_still_run(capsys, monkeypatch):
+    # K u v -> v: typing the reduct of a K redex raises a unification error
+    monkeypatch.setitem(ccl._CONTRACT, "k", lambda n: n.arg)
+    raised = re.compile(r"     fail: UnificationError after \d+ instances: cannot unify ~a with a")
+    rc, out, _ = run(capsys, "verify", "--suite", "subject-reduction-cc")
+    assert rc == 1 and out.startswith("FAIL subject-reduction-cc")
+    assert any(map(raised.fullmatch, out.splitlines()))
+    two = ("subject-reduction-cc", "dichotomy")
+    monkeypatch.setattr(cli, "SUITES", {name: cli.SUITES[name] for name in two})
+    rc, out, _ = run(capsys, "verify", "--suite", "all")
+    lines = out.splitlines()
+    assert rc == 1 and lines[0].startswith("FAIL subject-reduction-cc")
+    assert any(line.startswith("PASS dichotomy") for line in lines)
+    assert lines[-1] == "1/2 suites passed"
+
+
 def test_verify_json_schema(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "non-confluence",
                      "--format", "json")
@@ -555,8 +601,9 @@ def _mutants() -> tuple[str, ...]:
     return tuple(out)
 
 
-# leading blanks before a claim line, and the lines above it; U+3000 is 3 bytes
-_CLAIM_PLACES = [("", ""), ("", "  "), ("@ctx u : a\n", "\u3000\t"), ("# note\n@ctx\n", " ")]
+# leading blanks before a claim line, and the lines above it; only the
+# lexer's blanks are blanks there (see test_claim_lines_have_the_lexers_blanks_only)
+_CLAIM_PLACES = [("", ""), ("", "  "), ("@ctx u : a\n", " \t"), ("# note\n@ctx\n", " ")]
 
 
 def _quiet_main(*argv) -> tuple[int, str]:
@@ -632,14 +679,14 @@ def test_cut_claim_lines_fail_at_pinned_spans():
     failed = 0
     errors = hashlib.sha256()
     for k, line in enumerate(lines):
-        above, blanks = (_CLAIM_PLACES + [("\n", "\u3000")])[k % 5]
+        above, blanks = (_CLAIM_PLACES + [("\n", "\t")])[k % 5]
         try:
             parse_claims(above + blanks + line)
         except ParseError as e:
             failed += 1
             errors.update(f"{above}{blanks}{line}\t{e}\n".encode())
     assert failed > 2000
-    assert errors.hexdigest() == "3b55c9b1e79fe73ea06b1d9483a2ebe1ba488c923ec492953cc27b21d7dbab3f"
+    assert errors.hexdigest() == "fb969b10ea94540392172a13ce4303f348f7ad8985ab790c17118ba3def7ca7b"
 
 
 def test_mutated_terms_are_one_line_errors_on_the_command_line(tmp_path):

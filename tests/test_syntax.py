@@ -233,9 +233,13 @@ def test_parse_claims_reports_line():
     with pytest.raises(ParseError) as ei:
         parse_claims("x : a\n<oops : b\n")
     assert ei.value.line_no == 2
-    # only "\n" ends a line: a form feed is a blank inside it
+    # only "\n" ends a line, and only the lexer's blanks are blanks: a form
+    # feed stays in its line, as the literal's unexpected character
     with pytest.raises(ParseError) as ei:
         parse_claims("u : a |- u : a\x0c\nv : a |- v : b &\n")
+    assert str(ei.value) == "line 1: unexpected character '\\x0c' (bytes 14..15)"
+    with pytest.raises(ParseError) as ei:
+        parse_claims("u : a |- u : a\t\r\nv : a |- v : b &\n")
     assert str(ei.value) == "line 2: expected a type, found 'end of input' (bytes 16..16)"
 
 

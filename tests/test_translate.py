@@ -1,15 +1,16 @@
 import pytest
 
-from cclab import translate
+from cclab import translate, verify
 from cclab.ccl import App, Comb, CStar, CVar, infer_c, scheme_type, substitute_c
-from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
+from cclab.gen import atom_names, atom_pool, enumerate_c, enumerate_ls, standard_context
 from cclab.lambda_sym import Pair, Star, Var, alpha_eq, infer, substitute
-from cclab.node import children
+from cclab.node import children, rebuild
 from cclab.rewrite import C_ENGINE, LS_ENGINE, ReachabilityQuery, normalize, reaches
 from cclab.syntax import parse_c, parse_context, parse_ls, print_c, print_ls
 from cclab.translate import (
     TranslationError,
     bracket_abstract,
+    bracket_typed,
     i_term_at,
     pair_app,
     phi,
@@ -33,9 +34,43 @@ def test_bracket_abstract_clauses():
     assert bracket_abstract("x", parse_c("y * z")) == parse_c("C (K y) (K z)")
 
 
+NEITHER = "cannot abstract over a term that is neither a pre-term nor a star of pre-terms"
+BOTTOM_BODY = "cannot abstract over a bottom-typed subterm that is not a star"
+
+
+@pytest.mark.parametrize("body", ["(x * y) * z", "(y * z) * w", "f (y * z)", "P (x * y) z"])
+def test_bracket_abstract_rejects_a_body_outside_its_domain(body):
+    # whether x occurs or not: the domain is pre-terms and stars of pre-terms
+    with pytest.raises(TranslationError, match=f"^{NEITHER}$"):
+        bracket_abstract("x", parse_c(body))
+
+
 def test_phi_untyped_matches_expected_shape():
     t = parse_ls("\\x:a. y * x")
     assert print_c(phi(t)) == "C (K y) I"
+
+
+def erase(t):
+    """t with the instantiation of every combinator dropped."""
+    return Comb(t.which) if type(t) is Comb else rebuild(t, [erase(k) for k in children(t)])
+
+
+def test_erasing_the_types_of_the_typed_translations_gives_the_untyped_ones():
+    # reduction ignores instantiations, so this carries bracket-reduction's
+    # untyped check over to the typed images
+    ctx = standard_context(2)
+    corpus = verify._ls_corpus(9)
+    assert len(corpus) == 32048
+    for _, t in corpus:
+        assert erase(phi(t, ctx)) == phi(t), print_ls(t)
+    n = 0
+    for x_type in atom_pool(atom_names(2)):
+        ectx = {**ctx, "x": x_type}
+        for _, t in enumerate_c(ectx, 5, atom_names(2)):
+            n += 1
+            image = bracket_typed("x", x_type, t, ectx)
+            assert erase(image) == bracket_abstract("x", erase(t)), print_c(t)
+    assert n == 1768  # the instances of the bracket-typing suite
 
 
 def test_i_term_at_types():
@@ -73,7 +108,7 @@ def test_phi_rejects_bottom_var_abstraction():
     ctx = {"e": BOTTOM, **CTX}
     t = parse_ls("\\x:a. e")
     # the body is a bottom-typed variable; no combinator clause can type it
-    with pytest.raises(TranslationError):
+    with pytest.raises(TranslationError, match=f"^{BOTTOM_BODY}$"):
         phi(t, ctx)
 
 
