@@ -17,7 +17,10 @@ in a typable term the star can only sit at the root. The enumerators
 exploit this: m-typed terms are built by a size-indexed dynamic
 program, bottom-typed terms by pairing duals on top. Each level keeps
 one list per type, filled in a fixed order, so the output order is
-deterministic.
+deterministic. The untyped corpora, pre-terms and stars of pre-terms,
+are the combinator table over leaves typed None, which join with
+anything: a Curry-style term is a Church-style one with its types
+erased (Barendregt, "Lambda calculi with types", 1992).
 
 Two consequences of the weights bound the lambda enumeration. No
 annotation has more than ``max_size - 4`` nodes: a binder costs 1 plus
@@ -122,44 +125,43 @@ def ls_weight(t: LsTerm) -> int:
     return own + sum([ls_weight(c) for c in children(t)])
 
 
+def _combinator_table(leaves: list[tuple[Optional[Ty], CTerm]],
+                      max_size: int) -> list[tuple[Optional[Ty], CTerm]]:
+    """Every application and root star over the leaves, by size; a leaf
+    typed None joins with anything, and its applications are typed None."""
+    m: list[dict[Optional[Ty], list[CTerm]]] = [{} for _ in range(max_size + 1)]
+    if max_size >= 1:
+        for ty, t in leaves:
+            m[1].setdefault(ty, []).append(t)
+    for s in range(3, max_size + 1):
+        for fs in range(1, s - 1):
+            for ft, fl in m[fs].items():
+                if ft is not None and not isinstance(ft, Disj):
+                    continue
+                # a bucket is taken only when it gets a term, so key order is first use
+                args = m[s - 1 - fs].get(ft and negate(ft.left))
+                if args:
+                    m[s].setdefault(ft and ft.right, []).extend([App(f, a) for f in fl for a in args])
+    out: list[tuple[Optional[Ty], CTerm]] = []
+    for s in range(1, max_size + 1):
+        out += [(ty, t) for ty, terms in m[s].items() for t in terms]
+        # stars of this size: dual m-typed sides
+        for ls in range(1, s - 1):
+            for lt, ll in m[ls].items():
+                rights = m[s - 1 - ls].get(lt and negate(lt), ())
+                out += [(BOTTOM, CStar(l, r)) for l in ll for r in rights]
+    return out
+
+
 def enumerate_c(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> list[tuple[Ty, CTerm]]:
     """Every typable c-term of size <= max_size over ctx, by size.
 
     Combinators appear fully instantiated over the signed atoms, so
     every result passes strict inference as-is.
     """
-    atoms = tuple(atoms)
-    m: list[dict[Ty, list[CTerm]]] = [{} for _ in range(max_size + 1)]
-    if max_size >= 1:
-        for x, ty in ctx.items():
-            m[1].setdefault(ty, []).append(CVar(x))
-        for comb in combinator_variants(atoms):
-            assert comb.inst is not None
-            m[1].setdefault(scheme_type(comb.which, comb.inst), []).append(comb)
-    for s in range(3, max_size + 1):
-        for fs in range(1, s - 1):
-            for ft, fl in m[fs].items():
-                if not isinstance(ft, Disj):
-                    continue
-                args = m[s - 1 - fs].get(negate(ft.left))
-                if not args:
-                    continue
-                m[s].setdefault(ft.right, []).extend([App(f, a) for f in fl for a in args])
-    out: list[tuple[Ty, CTerm]] = []
-    for s in range(1, max_size + 1):
-        for ty, terms in m[s].items():
-            for t in terms:
-                out.append((ty, t))
-        # stars of this size: dual m-typed sides
-        for ls in range(1, s - 1):
-            for lt, ll in m[ls].items():
-                rights = m[s - 1 - ls].get(negate(lt))
-                if not rights:
-                    continue
-                for l in ll:
-                    for r in rights:
-                        out.append((BOTTOM, CStar(l, r)))
-    return out
+    leaves: list[tuple[Optional[Ty], CTerm]] = [(ty, CVar(x)) for x, ty in ctx.items()]
+    leaves += [(scheme_type(c.which, c.inst), c) for c in combinator_variants(atoms)]
+    return _combinator_table(leaves, max_size)
 
 
 def enumerate_ls(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> list[tuple[Ty, LsTerm]]:
@@ -235,33 +237,19 @@ def enumerate_ls(ctx: dict[str, Ty], max_size: int, atoms: Iterable[str]) -> lis
     return out
 
 
-def _pre_levels(names: Iterable[str], max_size: int) -> list[list[CTerm]]:
-    levels: list[list[CTerm]] = [[] for _ in range(max_size + 1)]
-    if max_size >= 1:
-        levels[1] = [CVar(x) for x in names] + [Comb(w, None) for w in SCHEME_ARITY]
-    for s in range(3, max_size + 1):
-        for fs in range(1, s - 1):
-            for f in levels[fs]:
-                for a in levels[s - 1 - fs]:
-                    levels[s].append(App(f, a))
-    return levels
+def _untyped_table(names: Iterable[str], max_size: int) -> list[tuple[Optional[Ty], CTerm]]:
+    leaves = [(None, CVar(x)) for x in names] + [(None, Comb(w)) for w in SCHEME_ARITY]
+    return _combinator_table(leaves, max_size)
 
 
 def enumerate_pre_terms(names: Iterable[str], max_size: int) -> list[CTerm]:
     """Every star-free applicative term over the names and bare combinators."""
-    return [t for lvl in _pre_levels(names, max_size) for t in lvl]
+    return [t for ty, t in _untyped_table(names, max_size) if ty is not BOTTOM]
 
 
 def enumerate_star_terms(names: Iterable[str], max_size: int) -> list[CTerm]:
     """Every root star of two star-free terms, total size <= max_size."""
-    levels = _pre_levels(names, max_size)
-    out: list[CTerm] = []
-    for s in range(3, max_size + 1):
-        for ls in range(1, s - 1):
-            for l in levels[ls]:
-                for r in levels[s - 1 - ls]:
-                    out.append(CStar(l, r))
-    return out
+    return [t for ty, t in _untyped_table(names, max_size) if ty is BOTTOM]
 
 
 def random_c(

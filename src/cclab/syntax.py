@@ -507,6 +507,7 @@ def parse_claims(text: str) -> list[Claim]:
 
 
 _MAX = ["LBRACK", "NAME", "NUMBER", "RBRACK", "EOF"]  # a trailing [max N]
+MAX_CLAIM_STEPS = 1000  # the largest N a claim's [max N] may ask for
 
 
 def _parse_claim_line(line: str, line_no: int, ctx: Optional[dict[str, Ty]]) -> Claim:
@@ -522,6 +523,9 @@ def _parse_claim_line(line: str, line_no: int, ctx: Optional[dict[str, Ty]]) -> 
     # cut off, not read: the `[` of `K [max 5]` would start an instantiation
     if reduction and kinds[-5:] == _MAX and texts[-4] == "max":
         max_steps = int(texts[-3])
+        if max_steps > MAX_CLAIM_STEPS:
+            raise ParseError(f"[max N] allows at most {MAX_CLAIM_STEPS} steps, got {texts[-3]}",
+                             _spans(line)[toks[3] + len(kinds) - 3])
         toks = _cut(toks, 0, len(kinds) - 5)
 
     def read(ts: tuple, term) -> tuple:

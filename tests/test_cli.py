@@ -209,6 +209,18 @@ def test_check_claims_file_honours_a_zero_step_bound(tmp_path, capsys):
     assert rc == 0 and "1/1 claims hold" in out
 
 
+def test_check_claims_file_caps_the_step_bound(tmp_path, capsys):
+    claims = tmp_path / "claims.txt"
+    claims.write_text("@ctx u : a\nu =>* u [max 1000]\n")
+    rc, out, _ = run(capsys, "check", str(claims))
+    assert rc == 0 and "1/1 claims hold" in out
+    # with no cap this claim ran all N leftmost-outermost steps
+    claims.write_text("S I I (S I I) =>* K [max 1001]\n")
+    rc, out, err = run(capsys, "check", str(claims))
+    assert rc == 2 and out == ""
+    assert err == "parse error: line 1: [max N] allows at most 1000 steps, got 1001 (bytes 25..29)\n"
+
+
 # ---------------------------------------------------------------- reduce
 
 

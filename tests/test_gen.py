@@ -1,7 +1,7 @@
 import hashlib
 from random import Random
 
-from cclab.ccl import CStar, CVar, infer_c
+from cclab.ccl import Comb, CStar, CVar, infer_c
 from cclab.gen import (
     atom_names,
     atom_pool,
@@ -18,7 +18,7 @@ from cclab.gen import (
     types_to_depth,
 )
 from cclab.lambda_sym import Lam, Star, Var, infer
-from cclab.node import term_size
+from cclab.node import children, rebuild, term_size
 from cclab.syntax import print_c, print_ls
 from cclab.types import BOTTOM, Atom, Conj, Disj, NegAtom, negate, print_type
 
@@ -54,6 +54,36 @@ def test_untyped_enumeration_counts():
     assert len(enumerate_pre_terms(("x", "y"), 3)) == 8 + 64
     assert len(enumerate_pre_terms(("x", "y"), 6)) == 8 + 64 + 1024
     assert len(enumerate_star_terms(("x", "y"), 6)) == 64 + 1024
+
+
+def _printed_digest(terms):
+    return hashlib.sha256("".join(print_c(t) + "\n" for t in terms).encode()).hexdigest()
+
+
+def test_untyped_corpora_keep_their_order():
+    """bracket-reduction reports its first failures in this order, and the
+    reach benchmark samples these lists by position."""
+    names = ("x", "y")
+    pres6, stars6, pres3 = (enumerate_pre_terms(names, 6), enumerate_star_terms(names, 6),
+                            enumerate_pre_terms(names, 3))
+    assert (len(pres6), len(stars6), len(pres3)) == (1096, 1088, 72)
+    assert _printed_digest(pres6) == "95db9dfa74d6f74a795532c93971610edfc67836584e84878080845189fc152d"
+    assert _printed_digest(stars6) == "f833aab761e770a5b9878ea4b0948060d6357f6a9fab0115e186dba4b89922b8"
+    assert _printed_digest(pres3) == "65eac6f6e87714fbeaa405d3e10b4d77bda947baf351088e433ecb95268cdbee"
+
+
+def _erase(t):
+    return Comb(t.which) if type(t) is Comb else rebuild(t, [_erase(k) for k in children(t)])
+
+
+def test_the_typed_corpus_is_the_untyped_one_with_types_added():
+    ctx = standard_context(2)
+    typed = enumerate_c(ctx, 7, atom_names(2))
+    erased = {_erase(t) for _, t in typed}
+    names = tuple(ctx)  # u, v, p, q
+    bare = set(enumerate_pre_terms(names, 7)) | set(enumerate_star_terms(names, 7))
+    assert (len(typed), len(erased), len(bare)) == (1384, 373, 104210)
+    assert erased <= bare
 
 
 def test_enumerate_c_small():

@@ -152,3 +152,26 @@ def test_suite_result_passes_only_when_clean():
     r = SuiteResult("demo")
     r.check(True, lambda: "never rendered")
     assert r.passed and r.instances == 1 and r.failures == []
+
+
+def test_omega_simulation_guard_excludes_redexes_at_size_9():
+    """At its own bound (8) no contraction lies under a lambda, so the
+    hypothesis of Theorem 4.7 excludes nothing; at size 9 it does."""
+    from collections import Counter
+
+    from cclab.gen import standard_context
+    from cclab.lambda_sym import Lam
+    from cclab.node import subterm_at
+
+    ctx = standard_context(2)
+    total, guarded = 0, Counter()
+    for _, t in verify._ls_corpus(9):
+        for r in verify.LS_ENGINE.redexes(ctx, t):
+            total += 1
+            if any(isinstance(subterm_at(t, r.path[:k]), Lam) for k in range(len(r.path))):
+                guarded[r.rule] += 1
+    assert total == 1576
+    assert guarded == {"beta": 168, "beta_perp": 168, "eta": 48, "eta_perp": 48}
+    r = verify.suite_omega_simulation(9)
+    assert r.passed, r.failures[:3]
+    assert r.instances == total - sum(guarded.values()) == 1144
