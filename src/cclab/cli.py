@@ -22,6 +22,7 @@ from typing import Optional
 from .gen import atom_names, enumerate_c, enumerate_ls, random_c, random_ls, standard_context
 from .node import subterm_at
 from .rewrite import (
+    NODE_BUDGET,
     FuelExhausted,
     ReachabilityQuery,
     Strategy,
@@ -363,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("term")
     _add_calculus(sp)
     _add_ctx(sp)
-    sp.add_argument("--node-budget", type=_non_negative, default=100_000,
-                    help="stop after this many distinct terms (default: 100000)")
+    sp.add_argument("--node-budget", type=_non_negative, default=NODE_BUDGET,
+                    help="stop after this many distinct terms (default: %(default)s)")
     sp.add_argument("--depth-budget", type=_non_negative, default=None,
                     help="do not expand terms beyond this depth")
     sp.set_defaults(func=cmd_graph)
@@ -407,10 +408,7 @@ def main(argv: Optional[list] = None) -> int:
     except (TypingError, TranslationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

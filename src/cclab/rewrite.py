@@ -11,9 +11,11 @@ traces, then ``search``. ``check_sn`` is ``search`` followed by a longest
 path in topological order (Kahn's algorithm).
 
 Because reduction is finitely branching and (for typed terms) strongly
-normalizing, exhaustive exploration modulo alpha-equivalence terminates;
-budgets keep untyped or adversarial inputs from spinning, so a
-non-terminating input ends on the node budget, not the recursion limit.
+normalizing, exhaustive exploration modulo alpha-equivalence terminates.
+Every search stops at ``NODE_BUDGET`` alpha classes unless its caller asks
+for another budget, so a looping input ends there within seconds, not on
+the recursion limit. No suite comes near it: at full size a search holds at
+most 34 classes in ``reaches``, 4 in ``check_sn`` and 9 in ``explore``.
 
 An ``Engine`` holds what differs between the calculi: the redex finders,
 the step, the alpha key, the printer and the typer. Paths into terms of
@@ -36,6 +38,7 @@ from .types import Ty
 Term = Union[lambda_sym.LsTerm, ccl.CTerm]
 Context = Mapping[str, Ty]
 Redex = Union[lambda_sym.LsRedex, ccl.CRedex]
+NODE_BUDGET = 4_000  # alpha classes; the default of every search, see the module doc
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,8 +257,7 @@ def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
             graph.normal_forms.append(key)
 
 
-def explore(engine: Engine, ctx: Optional[Context], t: Term,
-            node_budget: int = 100_000,
+def explore(engine: Engine, ctx: Optional[Context], t: Term, node_budget: int = NODE_BUDGET,
             depth_budget: Optional[int] = None) -> ReductionGraph:
     graph = ReductionGraph.rooted_at(engine, t)
     graph.edges = [e for e in search(graph, ctx, node_budget, depth_budget)
@@ -272,7 +274,7 @@ class ReachabilityQuery:
 
 
 def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
-            node_budget: int = 200_000) -> tuple[bool, Optional[list]]:
+            node_budget: int = NODE_BUDGET) -> tuple[bool, Optional[list]]:
     """Is q.target reachable from q.source within q.max_steps reductions?
 
     Returns (answer, witness); the witness is a list of (rule, path) steps.
@@ -322,7 +324,7 @@ class SNResult:
 
 
 def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
-             node_budget: int = 100_000) -> SNResult:
+             node_budget: int = NODE_BUDGET) -> SNResult:
     """Does every reduction sequence from t end, and how long is the longest?
 
     A root with no redex is one class, settled without canonicalising it.

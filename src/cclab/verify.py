@@ -211,7 +211,7 @@ def _sn(engine, corpus) -> Checks:
     ctx = standard_context(2)
     worst = 0
     for _, t in corpus:
-        res = check_sn(engine, ctx, t, node_budget=100_000)
+        res = check_sn(engine, ctx, t)
         if res.max_path is not None:
             worst = max(worst, res.max_path)
         yield res.terminating, lambda: f"{engine.show(t)}: {res.reason or 'cycle found'}"
@@ -502,11 +502,11 @@ def suite_rule_simulation(max_steps: int = 100) -> Checks:
             continue
         rhs = reduce_at_c(lhs, matches[0])
         query = ReachabilityQuery(psi(lhs, ctx), psi(rhs, ctx), max_steps, require_nonempty=True)
-        ok, _ = reaches(LS_ENGINE, ctx, query, node_budget=4000)
+        ok, _ = reaches(LS_ENGINE, ctx, query)
         yield ok, lambda: f"{rule}: psi({print_c(lhs)}) does not simulate"
     for label, ctx, lhs, target in _table_rows():
         query = ReachabilityQuery(lhs, target, max_steps, require_nonempty=True)
-        ok, _ = reaches(LS_ENGINE, ctx, query, node_budget=4000)
+        ok, _ = reaches(LS_ENGINE, ctx, query)
         yield ok, lambda: f"{label} does not reach its stated reduct"
     return [
         "row 5 as printed mixes an untranslated combinator into a lambda term; "

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from cclab.gen import types_to_depth
 from cclab.lambda_sym import alpha_eq
+from cclab.rewrite import NODE_BUDGET
 from cclab.syntax import parse_c, parse_ls, parse_type, print_c, print_ls, print_type
 from cclab.types import negate
 from cclab.verify import run_suite
@@ -115,7 +116,7 @@ def test_criterion_09_strong_normalization(acceptance_report):
     acceptance_report(_verdict(
         9, "strong normalization", ok,
         f"all {r1.instances} lambda and {r2.instances} combinator terms of "
-        f"size<=9 terminate within the 10^5 node budget, {total:.1f}s, "
+        f"size<=9 terminate within the {NODE_BUDGET}-class node budget, {total:.1f}s, "
         f"limit 600s"))
     assert ok
 

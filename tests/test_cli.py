@@ -22,6 +22,7 @@ import cclab
 from cclab import ccl, cli
 from cclab.cli import main
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
+from cclab.rewrite import NODE_BUDGET
 from cclab.syntax import ParseError, lex, parse_claims, parse_term_auto, print_c, print_ls
 
 
@@ -31,12 +32,12 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=None):
     """python -m cclab in a subprocess that imports the cclab under test."""
     src = os.path.dirname(os.path.dirname(cclab.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "cclab", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
 
 
 # ---------------------------------------------------------------- check
@@ -221,6 +222,17 @@ def test_check_claims_file_caps_the_step_bound(tmp_path, capsys):
     assert err == "parse error: line 1: [max N] allows at most 1000 steps, got 1001 (bytes 25..29)\n"
 
 
+def test_a_claim_that_cannot_hold_ends_on_the_node_budget(tmp_path):
+    # No trace meets K within its 1,000 steps, and the breadth-first stage
+    # gives up at NODE_BUDGET classes, well inside the timeout.
+    claims = tmp_path / "claims.txt"
+    claims.write_text("S I I (S I I) =>* K [max 1000]\n")
+    proc = run_module("check", str(claims), timeout=15)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stdout.splitlines() == ["line   1: FAIL  S I I (S I I) =>* K [max 1000]",
+                                        "0/1 claims hold"]
+
+
 # ---------------------------------------------------------------- reduce
 
 
@@ -334,6 +346,16 @@ def test_graph_depth_budget_truncates(capsys):
     assert rc == 0
     assert "truncated" in err
     assert "truncated" in out  # the DOT carries a note node
+
+
+def test_graph_stops_at_the_default_node_budget(capsys):
+    with pytest.raises(SystemExit):
+        main(["graph", "--help"])
+    assert f"(default: {NODE_BUDGET})" in " ".join(capsys.readouterr().out.split())
+    # every reduct is a new class, so the search ends on the budget alone
+    rc, out, err = run(capsys, "graph", "--ccl", "(S (S I I) (S I I)) (S (S I I) (S I I))")
+    assert rc == 0 and err == "truncated: node budget\n"
+    assert len(re.findall(r"^  n\d+ \[label=", out, re.M)) == NODE_BUDGET
 
 
 # ---------------------------------------------------------------- translate

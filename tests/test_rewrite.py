@@ -9,6 +9,7 @@ from cclab.node import children
 from cclab.rewrite import (
     C_ENGINE,
     LS_ENGINE,
+    NODE_BUDGET,
     FuelExhausted,
     ReachabilityQuery,
     ReductionGraph,
@@ -91,6 +92,8 @@ def test_check_sn_terminating():
     omega = parse_c("S I I (S I I)")
     assert check_sn(C_ENGINE, None, omega, node_budget=1000) == SNResult(
         False, None, 1000, "node budget exceeded")
+    assert check_sn(C_ENGINE, None, omega) == SNResult(
+        False, None, NODE_BUDGET, "node budget exceeded")
 
 
 def test_explore_nonconfluence_lambda_side():
@@ -137,6 +140,8 @@ def test_explore_graph_soundness():
 def test_explore_budget_truncation():
     g = explore(C_ENGINE, None, parse_c("K x (K y z)"), node_budget=1)
     assert g.truncated and g.reason == "node budget"
+    g = explore(C_ENGINE, None, parse_c("S I I (S I I)"))  # each reduct is a new class
+    assert g.truncated and g.reason == "node budget" and len(g.nodes) == NODE_BUDGET
     # an untyped loop is a single alpha class: explores fully, no truncation
     omega2 = Lam("x", a, Star(Var("x"), Var("x")))
     g2 = explore(LS_ENGINE, None, Star(omega2, omega2))

@@ -7,7 +7,8 @@ reporting machinery (registry, aliases, failure capping) has to behave.
 
 import pytest
 
-from cclab import verify
+from cclab import ccl, verify
+from cclab.ccl import App, CStar
 from cclab.verify import ALIASES, SUITES, SuiteResult, resolve_suite, run_suite
 
 
@@ -175,3 +176,34 @@ def test_omega_simulation_guard_excludes_redexes_at_size_9():
     r = verify.suite_omega_simulation(9)
     assert r.passed, r.failures[:3]
     assert r.instances == total - sum(guarded.values()) == 1144
+
+
+# the reduced sizes of the mutation matrix; every other suite runs at its defaults
+MATRIX_ARGS = {
+    "subject-reduction-ls": (6,), "subject-reduction-cc": (6,), "sn-ls": (6,), "sn-cc": (6,),
+    "dichotomy": (6,), "phi-typing": (6,), "psi-typing": (6,), "round-trip": (6,),
+    "omega-simulation": (6,), "bracket-typing": (4,), "bracket-reduction": (4, 2),
+    "phi-substitution": (4, 3), "projection": (5, 2), "application": (5, 1),
+    "psi-substitution": (3, 3),
+}
+
+# (rule, broken contraction, suites that must fail under it)
+MUTANTS = [
+    (None, None, set()),
+    ("k", lambda n: n.arg,  # K u v -> v
+     {"subject-reduction-cc", "bracket-reduction", "rule-simulation", "non-confluence"}),
+    ("c_r", lambda n: CStar(App(n.left.arg, n.right), App(n.left.fun.arg, n.right)),
+     {"bracket-reduction", "rule-simulation", "non-confluence"}),  # C u v * w -> v w * u w
+    ("pq2", lambda n: CStar(n.left.fun.arg, n.right.arg),  # P u v * Q2 w -> u * w
+     {"rule-simulation"}),
+]
+
+
+@pytest.mark.parametrize("rule, contract, killers", MUTANTS, ids=["working", "k", "c_r", "pq2"])
+def test_mutation_matrix(monkeypatch, rule, contract, killers):
+    """Working code fails no suite, and each broken contraction fails at
+    least the suites named for it, within the default node budget."""
+    if rule:
+        monkeypatch.setitem(ccl._CONTRACT, rule, contract)
+    failed = {name for name, run in SUITES.items() if not run(*MATRIX_ARGS.get(name, ())).passed}
+    assert failed >= killers if rule else not failed, failed
