@@ -237,6 +237,9 @@ def cmd_translate(args) -> int:
 
 # ---------------------------------------------------------------- gen
 
+MAX_ENUM_SIZE = {1: 11, 2: 11, 3: 10, 4: 10}  # gen's --max-size by --atoms; costs in the README
+MAX_DRAW_SIZE, MAX_COUNT = 32, 100  # gen's --max-size and --count with --seed
+
 
 def cmd_gen(args) -> int:
     calc = _pick_calculus(args)
@@ -245,6 +248,12 @@ def cmd_gen(args) -> int:
         return 2
     ctx = standard_context(args.atoms)
     names = atom_names(args.atoms)
+    if args.seed is None and args.max_size > MAX_ENUM_SIZE[args.atoms]:
+        raise ValueError(f"--max-size allows at most {MAX_ENUM_SIZE[args.atoms]} over "
+                         f"{args.atoms} atoms, got {args.max_size}")
+    if args.seed is not None and (args.max_size > MAX_DRAW_SIZE or args.count > MAX_COUNT):
+        raise ValueError(f"--seed allows --max-size at most {MAX_DRAW_SIZE} and --count at "
+                         f"most {MAX_COUNT}, got {args.max_size} and {args.count}")
     show = engine_for(calc).show
     if args.seed is not None:
         rng = Random(args.seed)

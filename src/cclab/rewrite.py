@@ -7,8 +7,9 @@ is the first, leftmost-innermost the first in post-order, and omega (lambda
 side only) skips those under a lambda. Every search is built on ``trace``,
 which follows the redexes a pick function chooses, and ``search``, which
 expands each alpha class once, breadth-first. ``reaches`` tries three
-traces, then ``search``. ``check_sn`` is ``search`` followed by a longest
-path in topological order (Kahn's algorithm).
+traces, each deciding a hit by ``Engine.same`` (alpha-equality, one walk),
+then ``search``: only searches build ``Engine.canon`` keys. ``check_sn`` is
+``search`` followed by a longest path in topological order (Kahn's algorithm).
 
 Because reduction is finitely branching and (for typed terms) strongly
 normalizing, exhaustive exploration modulo alpha-equivalence terminates.
@@ -18,14 +19,14 @@ the recursion limit. No suite comes near it: at full size a search holds at
 most 34 classes in ``reaches``, 4 in ``check_sn`` and 9 in ``explore``.
 
 An ``Engine`` holds what differs between the calculi: the redex finders,
-the step, the alpha key, the printer and the typer. Paths into terms of
-either calculus are read with ``node.subterm_at``.
+the step, the alpha key and test, the printer and the typer. Paths into
+terms of either calculus are read with ``node.subterm_at``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
@@ -47,7 +48,8 @@ class Engine:
     find: Callable  # (ctx, t) -> list of every redex, in the order of redexes
     redexes: Callable  # (ctx, t) -> the same redexes, lazily
     step: Callable
-    canon: Callable
+    canon: Callable  # t -> the key of its alpha class, for the search's visited set
+    same: Callable  # (s, t) -> canon(s) == canon(t), decided without building keys
     show: Callable
     typeof: Callable
 
@@ -58,6 +60,7 @@ LS_ENGINE = Engine(
     redexes=lambda_sym.iter_redexes,
     step=lambda_sym.reduce_at,
     canon=lambda_sym.canonical,
+    same=lambda_sym.alpha_eq,
     show=print_ls,
     typeof=lambda_sym.infer,
 )
@@ -68,6 +71,7 @@ C_ENGINE = Engine(
     redexes=ccl.iter_redexes_c,
     step=ccl.reduce_at_c,
     canon=lambda t: t,  # no binders, terms are their own alpha class
+    same=operator.eq,
     show=print_c,
     typeof=ccl.infer_c,
 )
@@ -108,10 +112,13 @@ def pick_redex(engine: Engine, ctx: Optional[Context], t: Term,
     if strategy is Strategy.LEFTMOST_OUTERMOST:
         return next(engine.redexes(ctx, t), None)
     if strategy is Strategy.LEFTMOST_INNERMOST:
-        # Post-order puts a path after every extension of it. min keeps the
-        # first of equal paths, which has the highest rule priority.
-        return min(engine.redexes(ctx, t), key=lambda r: r.path + (math.inf,),
-                   default=None)
+        best = None  # post-order keeps pre-order but puts a path after its extensions
+        for r in engine.redexes(ctx, t):
+            if best is None or len(r.path) > len(best.path) and r.path[:len(best.path)] == best.path:
+                best = r  # inside best's subterm, so before it
+            elif r.path != best.path:  # an equal path has a lower rule priority
+                break  # past best's subterm: after it, as is every later redex
+        return best
     if engine.name != "ls":
         raise ValueError("omega strategy only applies to the lambda side")
     return next(omega_redexes(engine, ctx, t), None)
@@ -286,8 +293,7 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
     budget cuts it. A trace hit returns that trace's steps; a search
     witness follows the edges that first reached each class.
     """
-    source_c, target_c = engine.canon(q.source), engine.canon(q.target)
-    if not q.require_nonempty and source_c == target_c:
+    if not q.require_nonempty and engine.same(q.source, q.target):
         return True, []
 
     lo = lambda u: next(engine.redexes(ctx, u), None)
@@ -297,9 +303,10 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
         witness = []
         for r, u in trace(engine, q.source, pick, q.max_steps):
             witness.append((r.rule, r.path))
-            if engine.canon(u) == target_c:
+            if engine.same(u, q.target):
                 return True, witness
 
+    source_c, target_c = engine.canon(q.source), engine.canon(q.target)
     graph = ReductionGraph(engine, source_c, {source_c: q.source})
     parent: dict = {graph.root: None}
     for e in search(graph, ctx, node_budget, depth_budget=q.max_steps):

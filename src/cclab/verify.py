@@ -199,11 +199,13 @@ def _subject_reduction(engine, corpus) -> Checks:
         n_terms += 1
         for redex in engine.find(ctx, t):
             n_redexes += 1
-            got = engine.typeof(ctx, engine.step(t, redex))
+            try:
+                got = engine.typeof(ctx, engine.step(t, redex))
+            except TypingError as e:
+                got = e
             yield got == ty, lambda: (
-                f"{engine.show(t)}: {redex.rule} at {redex.path} changed "
-                f"{print_type(ty)} to {print_type(got)}"
-            )
+                f"{engine.show(t)}: {redex.rule} at {redex.path} changed {print_type(ty)} to "
+                + (f"{type(got).__name__}: {got}" if isinstance(got, TypingError) else print_type(got)))
     return [f"{n_terms} typable terms, {n_redexes} redex contractions"]
 
 
@@ -501,7 +503,12 @@ def suite_rule_simulation(max_steps: int = 100) -> Checks:
             yield False, lambda: f"{rule}: instance has no such redex"
             continue
         rhs = reduce_at_c(lhs, matches[0])
-        query = ReachabilityQuery(psi(lhs, ctx), psi(rhs, ctx), max_steps, require_nonempty=True)
+        try:
+            target = psi(rhs, ctx)
+        except TypingError as e:
+            yield False, lambda: f"{rule}: psi of the reduct {print_c(rhs)} raised {type(e).__name__}: {e}"
+            continue
+        query = ReachabilityQuery(psi(lhs, ctx), target, max_steps, require_nonempty=True)
         ok, _ = reaches(LS_ENGINE, ctx, query)
         yield ok, lambda: f"{rule}: psi({print_c(lhs)}) does not simulate"
     for label, ctx, lhs, target in _table_rows():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cclab
-from cclab import ccl, cli
+from cclab import ccl, cli, verify
 from cclab.cli import main
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
 from cclab.rewrite import NODE_BUDGET
@@ -480,6 +480,32 @@ def test_gen_seeded_output_is_that_of_the_whole_list_of_draws(capsys, calc):
         assert (rc, out) == (0, expected), (seed, count)
 
 
+@pytest.mark.parametrize("calc", ["--ls", "--ccl"])
+def test_gen_caps_the_size_bound_and_the_count(capsys, calc):
+    from cclab.cli import MAX_COUNT, MAX_DRAW_SIZE, MAX_ENUM_SIZE
+
+    for atoms, cap in MAX_ENUM_SIZE.items():
+        for size in (str(cap + 1), "99999999999999999999"):
+            rc, out, err = run(capsys, "gen", calc, "--max-size", size, "--atoms", str(atoms))
+            assert (rc, out, err) == (
+                2, "", f"error: --max-size allows at most {cap} over {atoms} atoms, got {size}\n")
+    for size, count in [(MAX_DRAW_SIZE + 1, 1), (1, MAX_COUNT + 1)]:
+        rc, out, err = run(capsys, "gen", calc, "--max-size", str(size), "--count", str(count),
+                           "--seed", "1")
+        assert (rc, out, err) == (2, "", f"error: --seed allows --max-size at most {MAX_DRAW_SIZE} "
+                                         f"and --count at most {MAX_COUNT}, got {size} and {count}\n")
+    # the costliest draw the caps allow; the costliest enumeration is in the README
+    rc, out, _ = run(capsys, "gen", calc, "--max-size", str(MAX_DRAW_SIZE), "--atoms", "4",
+                     "--seed", "1", "--count", "1")
+    assert rc == 0 and out.count("\n") == 1
+
+
+def test_gen_enumerates_combinators_at_the_largest_size_four_atoms_allow(capsys):
+    assert cli.MAX_ENUM_SIZE[4] == 10
+    rc, out, _ = run(capsys, "gen", "--ccl", "--max-size", "10", "--atoms", "4")
+    assert rc == 0 and out.count("\n") == 27856
+
+
 def test_gen_prints_each_draw_before_making_the_next(capsys, monkeypatch):
     from cclab import cli
 
@@ -544,18 +570,33 @@ def test_verify_rule_simulation_reports_corrected_rows(capsys):
     assert any("row 12" in n for n in notes)
 
 
-def test_a_suite_that_raises_fails_and_the_later_suites_still_run(capsys, monkeypatch):
-    # K u v -> v: typing the reduct of a K redex raises a unification error
+def test_verify_names_an_ill_typed_reduct(capsys, monkeypatch):
+    # K u v -> v: the reduct of a K redex does not type, which fails that
+    # instance and names its term, its redex and the unification error
     monkeypatch.setitem(ccl._CONTRACT, "k", lambda n: n.arg)
-    raised = re.compile(r"     fail: UnificationError after \d+ instances: cannot unify ~a with a")
+    named = re.compile(r"     fail: .+: k at \(1,\) changed .+ to UnificationError: "
+                       r"cannot unify ~a with a")
     rc, out, _ = run(capsys, "verify", "--suite", "subject-reduction-cc")
     assert rc == 1 and out.startswith("FAIL subject-reduction-cc")
-    assert any(map(raised.fullmatch, out.splitlines()))
-    two = ("subject-reduction-cc", "dichotomy")
-    monkeypatch.setattr(cli, "SUITES", {name: cli.SUITES[name] for name in two})
+    assert any(map(named.fullmatch, out.splitlines()))
+
+
+def test_a_suite_that_raises_fails_and_the_later_suites_still_run(capsys, monkeypatch):
+    def raises():
+        yield True, lambda: "never rendered"
+        raise ccl.StaleRedex("k does not match at (0,)")
+
+    monkeypatch.setattr(verify, "SUITES", {"dichotomy": verify.SUITES["dichotomy"]})
+    verify.suite("raises")(raises)
+    two = ("raises", "dichotomy")
+    monkeypatch.setattr(cli, "SUITES", {name: verify.SUITES[name] for name in two})
+    failed = [f"FAIL {'raises':22s} {2:7d} instances",
+              "     fail: StaleRedex after 1 instances: k does not match at (0,)"]
+    rc, out, _ = run(capsys, "verify", "--suite", "raises")
+    assert rc == 1 and out.splitlines() == failed + ["0/1 suites passed"]
     rc, out, _ = run(capsys, "verify", "--suite", "all")
     lines = out.splitlines()
-    assert rc == 1 and lines[0].startswith("FAIL subject-reduction-cc")
+    assert rc == 1 and lines[:2] == failed
     assert any(line.startswith("PASS dichotomy") for line in lines)
     assert lines[-1] == "1/2 suites passed"
 

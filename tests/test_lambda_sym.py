@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cclab.ccl import infer_c
 from cclab.gen import (
     atom_names,
+    enumerate_ls,
     enumerate_pre_terms,
     enumerate_star_terms,
     ls_weight,
@@ -157,6 +158,20 @@ def test_alpha_eq_agrees_with_canonical_forms(seed, other_seed, max_size):
     assert alpha_eq(s, fresh) and alpha_eq(fresh, s)
     for x, y in [(s, t), (s, clashing), (fresh, clashing), (t, clashing), (s, s)]:
         assert alpha_eq(x, y) == (canonical(x) == canonical(y)), (print_ls(x), print_ls(y))
+
+
+def test_alpha_eq_agrees_with_canonical_forms_on_the_small_corpus():
+    """The property above on every term of size at most 7, against the next, its
+    canonical form, a copy with its binders renamed and one with u renamed."""
+    terms = [t for _, t in enumerate_ls(standard_context(2), 7, atom_names(2))]
+    rng, outcomes = Random(7), set()
+    for s, t in zip(terms, terms[1:]):
+        renamed = _rename_binders(s, rng, ["x0", "x1", "b0", "u"])
+        for y in (t, canonical(s), renamed, substitute(s, "u", Var("w"))):
+            same = alpha_eq(s, y)
+            assert same == (canonical(s) == canonical(y)) == alpha_eq(y, s), (s, y)
+            outcomes.add(same)
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

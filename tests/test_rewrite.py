@@ -1,10 +1,13 @@
+import dataclasses
+import operator
+
 import pytest
 
 from cclab import ccl
 from cclab.ccl import App, CRedex, CStar
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, enumerate_pre_terms
 from cclab.gen import enumerate_star_terms, standard_context
-from cclab.lambda_sym import LS_RULES, Lam, LsRedex, Pair, Star, Var
+from cclab.lambda_sym import LS_RULES, Lam, LsRedex, Pair, Star, Var, alpha_eq, substitute
 from cclab.node import children
 from cclab.rewrite import (
     C_ENGINE,
@@ -27,7 +30,7 @@ from cclab.rewrite import (
     trace,
 )
 from cclab.syntax import parse_c, parse_context, parse_ls
-from cclab.translate import bracket_abstract, pi_macro, psi
+from cclab.translate import bracket_abstract, pair_app, pi_macro, psi
 from cclab.types import Atom, Bottom, Conj, NegAtom
 from cclab.verify import _c_corpus, _ls_corpus, _rule_instances, _table_rows
 
@@ -178,6 +181,30 @@ def test_reaches_alpha_matching():
     tgt2 = parse_ls("\\q:a. q * w")  # beta then alpha-match
     ok2, _ = reaches(LS_ENGINE, None, ReachabilityQuery(src, tgt2, 10, False))
     assert ok2
+
+
+def test_engine_same_is_alpha_eq_on_the_lambda_side_and_eq_on_combinators():
+    assert LS_ENGINE.same is alpha_eq and C_ENGINE.same is operator.eq
+
+
+def test_a_query_a_trace_answers_builds_no_alpha_key():
+    """Only the breadth-first search keys terms by engine.canon: an
+    application query (the first trace) and the s rule's simulation (the
+    macro-spine trace, after the other two) never call it."""
+    keyed = []
+    engine = dataclasses.replace(
+        LS_ENGINE, canon=lambda t: keyed.append(t) or LS_ENGINE.canon(t))
+    lam = parse_ls("\\x:a. x * v")
+    lhs = pair_app(lam, Var("u"), a)
+    target = Lam(lhs.var, lhs.ann, substitute(lam.body, "x", Pair(Var("u"), Var(lhs.var))))
+    rule, ctx, source = next(inst for inst in _rule_instances() if inst[0] == "s")
+    rhs = ccl.reduce_at_c(source, next(r for r in ccl.find_redexes_c(ctx, source) if r.rule == rule))
+    for c, q in [(None, ReachabilityQuery(lhs, target, 10)),
+                 (ctx, ReachabilityQuery(psi(source, ctx), psi(rhs, ctx), 100, True))]:
+        assert reaches(engine, c, q, node_budget=0)[0] and keyed == []
+    tgt = parse_ls("y' * z'")  # on no trace: the search keys every class it meets
+    q = ReachabilityQuery(parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'"), tgt, 50, True)
+    assert reaches(engine, None, q)[0] and keyed
 
 
 def test_omega_redexes_exclude_under_lambda():

@@ -207,3 +207,18 @@ def test_mutation_matrix(monkeypatch, rule, contract, killers):
         monkeypatch.setitem(ccl._CONTRACT, rule, contract)
     failed = {name for name, run in SUITES.items() if not run(*MATRIX_ARGS.get(name, ())).passed}
     assert failed >= killers if rule else not failed, failed
+
+
+def test_an_ill_typed_reduct_fails_its_instance_and_names_it(monkeypatch):
+    """A reduct the typer rejects is one failed instance that names the
+    term, the redex and the error; the suite goes on to its other instances."""
+    monkeypatch.setitem(ccl._CONTRACT, "pq2", MUTANTS[3][1])
+    r = verify.suite_subject_reduction_cc()
+    assert r.instances == 1600
+    assert ("P[a, ~a] u v * Q2[~a, a] u: pq2 at () changed # to UnificationError: "
+            "cannot unify a with ~a") in r.failures
+    r = verify.suite_rule_simulation()
+    assert r.instances == 23
+    assert r.failures == ["pq2: psi of the reduct u * w raised UnificationError: "
+                          "cannot unify a with b"]
+
