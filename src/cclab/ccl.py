@@ -23,6 +23,12 @@ matching ignores instantiations (reduction is syntactic) and dispatches on
 the spine head: the head combinator of an application, or of each side of
 a star. App and CStar nodes keep their structural hash after the first use.
 
+``first_step_c`` is the leftmost-outermost step in one walk: it visits
+nodes in ``iter_redexes_c``'s pre-order, with the same simp condition, and
+contracts at the first node a rule matches, so a trace never walks a term
+once to find its redex and again to contract it. ``reduce_at_c`` contracts
+a redex given from outside and checks it first.
+
 Each node class names its child fields in ``KIDS``; paths, sizes and
 rebuilding come from ``node``, and ``reduce_at_c`` raises its ``StaleRedex``.
 Nodes and redexes are slotted dataclasses, not frozen ones, and never
@@ -421,9 +427,8 @@ _CONTRACT = {
 }
 
 
-def reduce_at_c(t: CTerm, redex: CRedex) -> CTerm:
-    """Contract redex in t in one walk down its path and back up."""
-    path = redex.path
+def _descend(t: CTerm, path: tuple[int, ...]) -> tuple[list[CTerm], CTerm]:
+    """The ancestors of the node at path, from t down, and that node."""
     above, node = [], t
     for i in path:
         above.append(node)
@@ -433,14 +438,64 @@ def reduce_at_c(t: CTerm, redex: CRedex) -> CTerm:
             node = node.right if i else node.left
         else:
             raise StaleRedex(f"path {path} does not exist")
-    if redex.rule == "simp" and path and _simp_shaped(node):
-        return CStar(node.fun.arg.arg, node.arg.arg)  # whole-term collapse
-    if redex.rule not in _local_rules(node):
-        raise StaleRedex(f"{redex.rule} does not match at {path}")
-    new = _CONTRACT[redex.rule](node)
+    return above, node
+
+
+def _plug(above: list[CTerm], path: tuple[int, ...], new: CTerm) -> CTerm:
+    """The term whose ancestors along path are above, with new at path:
+    only the spine is rebuilt."""
     for i, up in zip(reversed(path), reversed(above)):
         if type(up) is App:
             new = App(up.fun, new) if i else App(new, up.arg)
         else:
             new = CStar(up.left, new) if i else CStar(new, up.right)
     return new
+
+
+def reduce_at_c(t: CTerm, redex: CRedex) -> CTerm:
+    """Contract redex in t in one walk down its path and back up; a redex
+    that does not match t raises StaleRedex."""
+    path = redex.path
+    above, node = _descend(t, path)
+    if redex.rule == "simp" and path and _simp_shaped(node):
+        return CStar(node.fun.arg.arg, node.arg.arg)  # whole-term collapse
+    if redex.rule not in _local_rules(node):
+        raise StaleRedex(f"{redex.rule} does not match at {path}")
+    return _plug(above, path, _CONTRACT[redex.rule](node))
+
+
+def first_step_c(ctx: Optional[Context], t: CTerm) -> Optional[tuple[CRedex, CTerm]]:
+    """The leftmost-outermost step of t, found and contracted in one walk:
+    ``(r, reduce_at_c(t, r))`` for ``r = next(iter_redexes_c(ctx, t))``, or
+    None at a normal form.
+
+    The walk is iter_redexes_c's, with its simp condition; at the first
+    node a rule matches it contracts by that rule's ``_CONTRACT`` entry,
+    read at call time, and rebuilds the spine above it.
+    """
+    if not isinstance(t, _Compound):
+        return None
+    typable, stack = None, []  # stack: the right children still to visit
+    path, node = (), t
+    while True:
+        rules = _local_rules(node)
+        if rules:
+            above, _ = _descend(t, path)
+            return CRedex(rules[0], path), _plug(above, path, _CONTRACT[rules[0]](node))
+        if ctx is not None and path and _simp_shaped(node):
+            if typable is None:
+                typable = _typable_bottom(ctx, t)
+            if typable:
+                return CRedex("simp", path), CStar(node.fun.arg.arg, node.arg.arg)
+        if type(node) is App:
+            left, right = node.fun, node.arg
+        else:
+            left, right = node.left, node.right
+        if isinstance(right, _Compound):
+            stack.append((path + (1,), right))
+        if isinstance(left, _Compound):
+            path, node = path + (0,), left
+        elif stack:
+            path, node = stack.pop()
+        else:
+            return None

@@ -145,8 +145,12 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- reduce
 
+MAX_FUEL = 10_000  # reduce's --fuel; costs in the README
+
 
 def cmd_reduce(args) -> int:
+    if args.fuel > MAX_FUEL:
+        raise ValueError(f"--fuel allows at most {MAX_FUEL} steps, got {args.fuel}")
     calc, t = _parse_term(args, args.term)
     eng = engine_for(calc)
     ctx = _merge_ctx(args.ctx)
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="redex choice: leftmost-outermost, leftmost-innermost, "
                          "or outside lambda scopes only (default: lo)")
     sp.add_argument("--fuel", type=_non_negative, default=1000,
-                    help="maximum number of steps (default: 1000)")
+                    help=f"maximum number of steps, at most {MAX_FUEL} (default: 1000)")
     sp.add_argument("--trace", action="store_true",
                     help="print every step taken")
     _add_format(sp)

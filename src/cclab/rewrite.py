@@ -5,10 +5,14 @@ term in the reduction graph. Each calculus yields its redexes lazily, by
 pre-order position of the path and then rule priority; leftmost-outermost
 is the first, leftmost-innermost the first in post-order, and omega (lambda
 side only) skips those under a lambda. Every search is built on ``trace``,
-which follows the redexes a pick function chooses, and ``search``, which
-expands each alpha class once, breadth-first. ``reaches`` tries three
-traces, each deciding a hit by ``Engine.same`` (alpha-equality, one walk),
-then ``search``: only searches build ``Engine.canon`` keys. ``check_sn`` is
+which follows a step function, a term to its next ``(redex, reduct)`` or
+None, and ``search``, which expands each alpha class once, breadth-first.
+The leftmost-outermost step is ``Engine.first``: on the combinator side
+one walk that finds and contracts the redex together, on the lambda side
+the first redex contracted by ``step``. ``stepping`` turns any other pick
+of a redex into a step function. ``reaches`` tries three traces, each
+deciding a hit by ``Engine.same`` (alpha-equality, one walk), then
+``search``: only searches build ``Engine.canon`` keys. ``check_sn`` is
 ``search`` followed by a longest path in topological order (Kahn's algorithm).
 
 Because reduction is finitely branching and (for typed terms) strongly
@@ -19,7 +23,8 @@ the recursion limit. No suite comes near it: at full size a search holds at
 most 34 classes in ``reaches``, 4 in ``check_sn`` and 9 in ``explore``.
 
 An ``Engine`` holds what differs between the calculi: the redex finders,
-the step, the alpha key and test, the printer and the typer. Paths into
+the step (which checks the redex it is handed), the leftmost-outermost
+step, the alpha key and test, the printer and the typer. Paths into
 terms of either calculus are read with ``node.subterm_at``.
 """
 
@@ -29,6 +34,7 @@ import enum
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from . import ccl, lambda_sym
@@ -47,11 +53,17 @@ class Engine:
     name: str
     find: Callable  # (ctx, t) -> list of every redex, in the order of redexes
     redexes: Callable  # (ctx, t) -> the same redexes, lazily
-    step: Callable
+    step: Callable  # (t, redex) -> its reduct; raises StaleRedex on a redex that does not fit
+    first: Callable  # (ctx, t) -> leftmost-outermost (redex, reduct) or None; one walk on ccl
     canon: Callable  # t -> the key of its alpha class, for the search's visited set
     same: Callable  # (s, t) -> canon(s) == canon(t), decided without building keys
     show: Callable
     typeof: Callable
+
+
+def _ls_first(ctx: Optional[Context], t: lambda_sym.LsTerm):
+    r = next(lambda_sym.iter_redexes(ctx, t), None)
+    return None if r is None else (r, lambda_sym.reduce_at(t, r))
 
 
 LS_ENGINE = Engine(
@@ -59,6 +71,7 @@ LS_ENGINE = Engine(
     find=lambda_sym.find_redexes,
     redexes=lambda_sym.iter_redexes,
     step=lambda_sym.reduce_at,
+    first=_ls_first,
     canon=lambda_sym.canonical,
     same=lambda_sym.alpha_eq,
     show=print_ls,
@@ -70,6 +83,7 @@ C_ENGINE = Engine(
     find=ccl.find_redexes_c,
     redexes=ccl.iter_redexes_c,
     step=ccl.reduce_at_c,
+    first=ccl.first_step_c,
     canon=lambda t: t,  # no binders, terms are their own alpha class
     same=operator.eq,
     show=print_c,
@@ -166,18 +180,26 @@ def _macro_pick(engine: Engine, ctx: Optional[Context], source: Term) -> Callabl
     return pick
 
 
-def trace(engine: Engine, t: Term, pick: Callable, fuel: int) -> Iterator[tuple[Redex, Term]]:
-    """Follow the redexes pick chooses from t, for at most fuel steps.
+def stepping(engine: Engine, pick: Callable) -> Callable:
+    """The step function that contracts, with engine.step, the redex pick chooses."""
+    def step(t):
+        r = pick(t)
+        return None if r is None else (r, engine.step(t, r))
+    return step
 
-    Yields (redex, reduct) per step and stops early at a term where pick
-    returns None.
+
+def trace(t: Term, step: Callable, fuel: int) -> Iterator[tuple[Redex, Term]]:
+    """Follow step from t, for at most fuel steps.
+
+    step maps a term to (redex, reduct), or to None where it takes no step;
+    trace yields each pair and stops early at such a term.
     """
     for _ in range(fuel):
-        r = pick(t)
-        if r is None:
+        s = step(t)
+        if s is None:
             return
-        t = engine.step(t, r)
-        yield r, t
+        yield s
+        t = s[1]
 
 
 @dataclass
@@ -190,14 +212,17 @@ class NormalizeResult:
 def normalize(engine: Engine, ctx: Optional[Context], t: Term,
               strategy: Strategy = Strategy.LEFTMOST_OUTERMOST,
               fuel: int = 1000, want_trace: bool = False) -> NormalizeResult:
-    pick = lambda u: pick_redex(engine, ctx, u, strategy)
+    if strategy is Strategy.LEFTMOST_OUTERMOST:
+        step = partial(engine.first, ctx)
+    else:
+        step = stepping(engine, lambda u: pick_redex(engine, ctx, u, strategy))
     log: list[tuple[str, tuple[int, ...], Term]] = []
     steps, cur = 0, t
-    for r, cur in trace(engine, t, pick, fuel):
+    for r, cur in trace(t, step, fuel):
         steps += 1
         if want_trace:
             log.append((r.rule, r.path, cur))
-    if steps < fuel or pick(cur) is None:
+    if steps < fuel or step(cur) is None:
         return NormalizeResult(cur, steps, log)
     raise FuelExhausted(cur, fuel)
 
@@ -296,12 +321,12 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
     if not q.require_nonempty and engine.same(q.source, q.target):
         return True, []
 
-    lo = lambda u: next(engine.redexes(ctx, u), None)
-    li = lambda u: pick_redex(engine, ctx, u, Strategy.LEFTMOST_INNERMOST)
-    for pick in (lo, li, None):  # None: the macro pick walks the source; build it only if needed
-        pick = pick or _macro_pick(engine, ctx, q.source)
+    lo = partial(engine.first, ctx)
+    li = stepping(engine, lambda u: pick_redex(engine, ctx, u, Strategy.LEFTMOST_INNERMOST))
+    for step in (lo, li, None):  # None: the macro pick walks the source; build it only if needed
+        step = step or stepping(engine, _macro_pick(engine, ctx, q.source))
         witness = []
-        for r, u in trace(engine, q.source, pick, q.max_steps):
+        for r, u in trace(q.source, step, q.max_steps):
             witness.append((r.rule, r.path))
             if engine.same(u, q.target):
                 return True, witness

@@ -266,10 +266,37 @@ def test_reduce_json_trace(capsys):
     assert [s["rule"] for s in payload["trace"]] == ["s", "k"]
 
 
+def test_reduce_traces_steps_below_the_root(capsys):
+    """The leftmost-outermost trace contracts inside either side of a star."""
+    steps = [("c_r", [], "K x y * I y"), ("k", [0], "x * I y"),
+             ("s", [1], "x * K y (K y)"), ("k", [1], "x * y")]
+    rc, out, _ = run(capsys, "reduce", "--ccl", "C (K x) I * y", "--trace")
+    assert rc == 0
+    assert out.splitlines() == ["  1. c_r       @ /  K x y * I y",
+                                "  2. k         @ /0  x * I y",
+                                "  3. s         @ /1  x * K y (K y)",
+                                "  4. k         @ /1  x * y",
+                                "x * y",
+                                "4 steps"]
+    rc, out, _ = run(capsys, "reduce", "--ccl", "C (K x) I * y", "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == {
+        "ok": True, "calculus": "ccl", "term": "x * y", "steps": 4,
+        "trace": [{"rule": r, "path": p, "term": t} for r, p, t in steps]}
+
+
 def test_reduce_fuel_exhaustion(capsys):
     rc, _, err = run(capsys, "reduce", "--ccl", "S I I (S I I)", "--fuel", "10")
     assert rc == 1
     assert "fuel exhausted" in err
+
+
+def test_reduce_caps_the_fuel(capsys):
+    assert cli.MAX_FUEL == 10_000
+    rc, out, err = run(capsys, "reduce", "--ccl", "x", "--fuel", "10001")
+    assert (rc, out, err) == (2, "", "error: --fuel allows at most 10000 steps, got 10001\n")
+    rc, out, _ = run(capsys, "reduce", "--ccl", "I x", "--fuel", "10000")
+    assert (rc, out) == (0, "x\n2 steps\n")
 
 
 @pytest.mark.parametrize("strategy, want", [

@@ -26,6 +26,7 @@ from cclab.rewrite import (
     pick_redex,
     reaches,
     search,
+    stepping,
     to_dot,
     trace,
 )
@@ -288,9 +289,9 @@ def test_leftmost_innermost_matches_a_post_order_walk():
     ctx = standard_context(2)
     cases = [(LS_ENGINE, ctx, t) for _, t in enumerate_ls(ctx, 8, atom_names(2))]
     cases += [(C_ENGINE, ctx, t) for _, t in enumerate_c(ctx, 8, atom_names(2))]
-    lo = lambda u: pick_redex(C_ENGINE, None, u, Strategy.LEFTMOST_OUTERMOST)
+    lo = stepping(C_ENGINE, lambda u: pick_redex(C_ENGINE, None, u, Strategy.LEFTMOST_OUTERMOST))
     for q in _bracket_queries(4, 2):  # the terms along a trace have redexes at many depths
-        cases += [(C_ENGINE, None, u) for _, u in trace(C_ENGINE, q.source, lo, 8)]
+        cases += [(C_ENGINE, None, u) for _, u in trace(q.source, lo, 8)]
     cases.append((C_ENGINE, None, parse_c("K (K x y) (K (K x y) z)")))
     picked = 0
     for engine, c, t in cases:
@@ -317,8 +318,42 @@ def _replay(engine, t, witness):
 
 def _steps(engine, ctx, t, strategy, fuel):
     """The (rule, path) steps and the terms along strategy's trace from t."""
-    pick = lambda u: pick_redex(engine, ctx, u, strategy)
-    return [((r.rule, r.path), u) for r, u in trace(engine, t, pick, fuel)]
+    step = stepping(engine, lambda u: pick_redex(engine, ctx, u, strategy))
+    return [((r.rule, r.path), u) for r, u in trace(t, step, fuel)]
+
+
+def test_first_step_is_the_first_redex_and_its_reduct():
+    """Engine.first is (r, step(t, r)) for the first redex r the finder
+    yields, and None at a normal form; the combinator side finds and
+    contracts in one walk, simp included."""
+    ctx = standard_context(2)
+    cases = [(LS_ENGINE, ctx, t) for _, t in _ls_corpus(7)]
+    cases += [(C_ENGINE, c, t) for _, t in _c_corpus(8) for c in (ctx, None)]
+    for q in _bracket_queries(4, 2):
+        lo = _steps(C_ENGINE, None, q.source, Strategy.LEFTMOST_OUTERMOST, q.max_steps)
+        cases += [(C_ENGINE, None, u) for u in [q.source] + [u for _, u in lo]]
+    cases += [(C_ENGINE, c, lhs) for _, c, lhs in _rule_instances()]  # each rule at the root
+    simp_ctx = parse_context("x : a | a, y : ~b, z : b, u : ~a")
+    cases.append((C_ENGINE, simp_ctx, parse_c("x (C (K y) (K z)) * u")))
+    rules, normal = set(), 0
+    for engine, c, t in cases:
+        r = next(engine.redexes(c, t), None)
+        assert engine.first(c, t) == (None if r is None else (r, engine.step(t, r))), t
+        if r is None:
+            normal += 1
+        elif engine is C_ENGINE:
+            rules.add(r.rule)
+    assert normal > 100
+    assert rules == set(ccl.C_RULES), rules
+    assert C_ENGINE.first(simp_ctx, cases[-1][2]) == (CRedex("simp", (0, 1)), parse_c("y * z"))
+
+
+def test_first_step_contracts_by_the_rule_table(monkeypatch):
+    """The one-walk step reads ccl._CONTRACT when it is called, so a broken
+    contraction shows on the leftmost-outermost trace."""
+    monkeypatch.setitem(ccl._CONTRACT, "k", lambda n: n.arg)  # K u v -> v
+    assert C_ENGINE.first(None, parse_c("K x y")) == (CRedex("k", ()), parse_c("y"))
+    assert C_ENGINE.first(None, parse_c("z (K x y)")) == (CRedex("k", (1,)), parse_c("z y"))
 
 
 def test_reaches_witnesses_replay_to_the_target():
