@@ -164,28 +164,18 @@ def canonical(t: LsTerm) -> LsTerm:
 
 def _canonical(t: LsTerm, env: dict[str, str], n: int) -> tuple[LsTerm, int]:
     """t renamed under env, binders numbered from n; and the next number."""
-    match t:
-        case Var(x):
-            return Var(env.get(x, x)), n
-        case Lam(x, a, b):
-            name = f"!{n}"
-            b2, n2 = _canonical(b, {**env, x: name}, n + 1)
-            return Lam(name, a, b2), n2
-        case Star(l, r):
-            l2, n = _canonical(l, env, n)
-            r2, n = _canonical(r, env, n)
-            return Star(l2, r2), n
-        case Pair(l, r):
-            l2, n = _canonical(l, env, n)
-            r2, n = _canonical(r, env, n)
-            return Pair(l2, r2), n
-        case Inj1(b, a):
-            b2, n = _canonical(b, env, n)
-            return Inj1(b2, a), n
-        case Inj2(b, a):
-            b2, n = _canonical(b, env, n)
-            return Inj2(b2, a), n
-    raise TypeError(f"not a term: {t!r}")
+    cls = type(t)
+    if cls is Var:
+        return Var(env.get(t.name, t.name)), n
+    if cls is Lam:
+        name = f"!{n}"
+        b2, n2 = _canonical(t.body, {**env, t.var: name}, n + 1)
+        return Lam(name, t.ann, b2), n2
+    kids = []
+    for c in children(t):
+        c2, n = _canonical(c, env, n)
+        kids.append(c2)
+    return rebuild(t, kids), n
 
 
 def alpha_eq(a: LsTerm, b: LsTerm) -> bool:
@@ -331,22 +321,17 @@ def reduce_at(t: LsTerm, redex: LsRedex) -> LsTerm:
     """Contract one redex. Raises StaleRedex if the pattern is not there."""
     node = subterm_at(t, redex.path)
     match redex.rule, node:
-        case ("beta", Star(Lam(x, _, b), v)):
-            return replace_at(t, redex.path, substitute(b, x, v))
-        case ("beta_perp", Star(v, Lam(x, _, b))):
-            return replace_at(t, redex.path, substitute(b, x, v))
-        case ("eta", Lam(x, _, Star(u, Var(y)))) if y == x and x not in free_vars(u):
-            return replace_at(t, redex.path, u)
-        case ("eta_perp", Lam(x, _, Star(Var(y), u))) if y == x and x not in free_vars(u):
-            return replace_at(t, redex.path, u)
-        case ("pi1", Star(Pair(u, _), Inj1(w, _))):
-            return replace_at(t, redex.path, Star(u, w))
-        case ("pi2", Star(Pair(_, v), Inj2(w, _))):
-            return replace_at(t, redex.path, Star(v, w))
-        case ("pi1_perp", Star(Inj1(w, _), Pair(u, _))):
-            return replace_at(t, redex.path, Star(w, u))
-        case ("pi2_perp", Star(Inj2(w, _), Pair(_, v))):
-            return replace_at(t, redex.path, Star(w, v))
+        case ("beta", Star(Lam(x, _, b), v)) | ("beta_perp", Star(v, Lam(x, _, b))):
+            reduct = substitute(b, x, v)
+        case (("eta", Lam(x, _, Star(u, Var(y))))
+              | ("eta_perp", Lam(x, _, Star(Var(y), u)))) if y == x and x not in free_vars(u):
+            reduct = u
+        case ("pi1", Star(Pair(u, _), Inj1(w, _))) | ("pi2", Star(Pair(_, u), Inj2(w, _))):
+            reduct = Star(u, w)
+        case ("pi1_perp", Star(Inj1(w, _), Pair(u, _))) | ("pi2_perp", Star(Inj2(w, _), Pair(_, u))):
+            reduct = Star(w, u)
         case ("triv", Lam(y, _, Star() as body)) if redex.path and y not in free_vars(body):
             return body  # the whole term collapses to the extracted star
-    raise StaleRedex(f"{redex.rule} does not match at {redex.path}")
+        case _:
+            raise StaleRedex(f"{redex.rule} does not match at {redex.path}")
+    return replace_at(t, redex.path, reduct)

@@ -14,14 +14,17 @@ hash of each carries its class: a field-only hash would put ``a & b`` and
 ``a | b`` in one dict slot and turn lookups into equality tests. The hash
 is computed on each call, not kept. Like every node class (see ``node``),
 the type classes are slotted, not frozen, never written after
-construction, and hold only compared fields. A ``TypingError`` carries
-its message alone: only parse errors point at source bytes.
+construction, and hold only compared fields; substitution, unification
+and ``metavar_idents`` read children through ``node``. A ``TypingError``
+carries its message alone: only parse errors point at source bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Union
+
+from .node import children, rebuild
 
 
 class TypingError(Exception):
@@ -150,13 +153,12 @@ def negate(t: MType) -> MType:
 
 
 def metavar_idents(t: MType) -> frozenset[int]:
-    match t:
-        case MetaVar(i, _):
-            return frozenset((i,))
-        case Conj(l, r) | Disj(l, r):
-            return metavar_idents(l) | metavar_idents(r)
-        case _:
-            return frozenset()
+    if isinstance(t, MetaVar):
+        return frozenset((t.ident,))
+    out = frozenset()
+    for c in children(t) if t.KIDS else ():  # leaves, most of a type, skip the call
+        out |= metavar_idents(c)
+    return out
 
 
 def print_type(ty: Ty) -> str:
@@ -201,13 +203,7 @@ class Substitution:
 
     def apply(self, t: MType) -> MType:
         t = self.walk(t)
-        match t:
-            case Conj(l, r):
-                return Conj(self.apply(l), self.apply(r))
-            case Disj(l, r):
-                return Disj(self.apply(l), self.apply(r))
-            case _:
-                return t
+        return rebuild(t, [self.apply(k) for k in children(t)]) if t.KIDS else t
 
     def apply_ty(self, t: Ty) -> Ty:
         return t if isinstance(t, Bottom) else self.apply(t)
@@ -235,10 +231,7 @@ def unify(constraints: Iterable[tuple[MType, MType]]) -> Substitution:
                 )
             subst.bindings[m.ident] = negate(other) if m.negated else other
             continue
-        match s, t:
-            case (Conj(a, b), Conj(c, d)) | (Disj(a, b), Disj(c, d)):
-                work.append((a, c))
-                work.append((b, d))
-            case _:
-                raise UnificationError(f"cannot unify {print_type(s)} with {print_type(t)}")
+        if type(s) is not type(t) or not s.KIDS:
+            raise UnificationError(f"cannot unify {print_type(s)} with {print_type(t)}")
+        work.extend(zip(children(s), children(t)))
     return subst

@@ -206,6 +206,11 @@ def test_canonical_is_stable_under_renaming():
     t1 = Lam("p", a, Lam("q", b, Star(Var("p"), Var("q"))))
     t2 = Lam("m", a, Lam("n", b, Star(Var("m"), Var("n"))))
     assert canonical(t1) == canonical(t2)
+    # binders numbered in preorder, left child before right, through every class
+    t = parse_ls(r"<\x:a. x * u, s1(\y:b. y * x : ~b | a)> * s2(\z:~a. u * z : b | a)")
+    assert print_ls(canonical(t)) == (
+        r"<\!0:a. !0 * u, s1(\!1:b. !1 * x : ~b | a)> * s2(\!2:~a. u * !2 : b | a)"
+    )
 
 
 def test_infer_basics():

@@ -140,8 +140,10 @@ def test_unify_soundness_on_random_instances():
 def test_unify_clash():
     with pytest.raises(UnificationError):
         unify([(Atom("a"), Atom("b"))])
-    with pytest.raises(UnificationError):
+    with pytest.raises(UnificationError, match=r"^cannot unify a & b with a \| b$"):
         unify([(Conj(Atom("a"), Atom("b")), Disj(Atom("a"), Atom("b")))])
+    with pytest.raises(UnificationError, match=r"^cannot unify a & b with a$"):
+        unify([(Conj(Atom("a"), Atom("b")), Atom("a"))])
     with pytest.raises(UnificationError, match=r"^cannot unify a with ~a$"):  # surface syntax
         unify([(Atom("a"), NegAtom("a"))])
 
