@@ -3,17 +3,19 @@
 Both calculi are non-confluent by design, so "reduces to" means reaching a
 term in the reduction graph. Each calculus yields its redexes lazily, by
 pre-order position of the path and then rule priority; leftmost-outermost
-is the first, leftmost-innermost the first in post-order, and omega (lambda
-side only) skips those under a lambda. Every search is built on ``trace``,
-which follows a step function, a term to its next ``(redex, reduct)`` or
-None, and ``search``, which expands each alpha class once, breadth-first.
-The leftmost-outermost step is ``Engine.first``: on the combinator side
-one walk that finds and contracts the redex together, on the lambda side
-the first redex contracted by ``step``. ``stepping`` turns any other pick
-of a redex into a step function. ``reaches`` tries three traces, each
-deciding a hit by ``Engine.same`` (alpha-equality, one walk), then
-``search``: only searches build ``Engine.canon`` keys. ``check_sn`` is
-``search`` followed by a longest path in topological order (Kahn's algorithm).
+is the first, leftmost-innermost the first in post-order, rightmost-outermost
+the last that no other redex contains, and omega (lambda side only) skips
+those under a lambda. Every search is built on ``trace``, which follows a
+step function, a term to its next ``(redex, reduct)`` or None, and
+``search``, which expands each alpha class once, breadth-first. The
+leftmost-outermost step is ``Engine.first``: on the combinator side one
+walk that finds and contracts the redex together, on the lambda side the
+first redex contracted by ``step``. ``stepping`` turns any other pick of a
+redex into a step function. ``reaches`` tries four traces in order, lo,
+li, ro and the macro spine, each deciding a hit by ``Engine.same``
+(alpha-equality, one walk), then ``search``: only searches build
+``Engine.canon`` keys. ``check_sn`` is ``search`` followed by a longest
+path in topological order (Kahn's algorithm).
 
 Because reduction is finitely branching and (for typed terms) strongly
 normalizing, exhaustive exploration modulo alpha-equivalence terminates.
@@ -102,6 +104,7 @@ def engine_for(calculus: str) -> Engine:
 class Strategy(enum.Enum):
     LEFTMOST_OUTERMOST = "lo"
     LEFTMOST_INNERMOST = "li"
+    RIGHTMOST_OUTERMOST = "ro"
     OMEGA = "omega"
 
 
@@ -132,6 +135,12 @@ def pick_redex(engine: Engine, ctx: Optional[Context], t: Term,
                 best = r  # inside best's subterm, so before it
             elif r.path != best.path:  # an equal path has a lower rule priority
                 break  # past best's subterm: after it, as is every later redex
+        return best
+    if strategy is Strategy.RIGHTMOST_OUTERMOST:
+        best = None
+        for r in engine.redexes(ctx, t):
+            if best is None or r.path[:len(best.path)] != best.path:  # not in best's subterm,
+                best = r  # nor at its path, where best's rule has the higher priority
         return best
     if engine.name != "ls":
         raise ValueError("omega strategy only applies to the lambda side")
@@ -311,20 +320,23 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
 
     Returns (answer, witness); the witness is a list of (rule, path) steps.
     No single strategy is complete for a non-confluent system, so this is
-    a portfolio, cheapest first: the leftmost-outermost trace (it usually
-    passes straight through the targets the simulation lemmas predict),
-    the leftmost-innermost trace, the macro-spine trace, and then a
-    breadth-first search over alpha classes that gives up when the node
-    budget cuts it. A trace hit returns that trace's steps; a search
+    a portfolio, cheapest first, of four traces: leftmost-outermost (it
+    usually passes straight through the targets the simulation lemmas
+    predict), leftmost-innermost, rightmost-outermost and the macro spine;
+    then a breadth-first search over alpha classes that gives up when the
+    node budget cuts it. A trace hit returns that trace's steps; a search
     witness follows the edges that first reached each class.
     """
     if not q.require_nonempty and engine.same(q.source, q.target):
         return True, []
 
-    lo = partial(engine.first, ctx)
-    li = stepping(engine, lambda u: pick_redex(engine, ctx, u, Strategy.LEFTMOST_INNERMOST))
-    for step in (lo, li, None):  # None: the macro pick walks the source; build it only if needed
-        step = step or stepping(engine, _macro_pick(engine, ctx, q.source))
+    def steps():  # each stage's step is built only when the stages before it miss
+        yield partial(engine.first, ctx)
+        for s in (Strategy.LEFTMOST_INNERMOST, Strategy.RIGHTMOST_OUTERMOST):
+            yield stepping(engine, partial(pick_redex, engine, ctx, strategy=s))
+        yield stepping(engine, _macro_pick(engine, ctx, q.source))
+
+    for step in steps():
         witness = []
         for r, u in trace(q.source, step, q.max_steps):
             witness.append((r.rule, r.path))

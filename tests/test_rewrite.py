@@ -284,8 +284,8 @@ def _bracket_queries(body_size, arg_size, max_steps=50):
             yield ReachabilityQuery(CStar(v, lu), rhs, max_steps)
 
 
-def test_leftmost_innermost_matches_a_post_order_walk():
-    """LI contracts the first redex in post-order, highest priority first."""
+def _pick_cases():
+    """(engine, ctx, term) cases for the strategy oracles, on both calculi."""
     ctx = standard_context(2)
     cases = [(LS_ENGINE, ctx, t) for _, t in enumerate_ls(ctx, 8, atom_names(2))]
     cases += [(C_ENGINE, ctx, t) for _, t in enumerate_c(ctx, 8, atom_names(2))]
@@ -293,8 +293,13 @@ def test_leftmost_innermost_matches_a_post_order_walk():
     for q in _bracket_queries(4, 2):  # the terms along a trace have redexes at many depths
         cases += [(C_ENGINE, None, u) for _, u in trace(q.source, lo, 8)]
     cases.append((C_ENGINE, None, parse_c("K (K x y) (K (K x y) z)")))
+    return cases
+
+
+def test_leftmost_innermost_matches_a_post_order_walk():
+    """LI contracts the first redex in post-order, highest priority first."""
     picked = 0
-    for engine, c, t in cases:
+    for engine, c, t in _pick_cases():
         found = engine.find(c, t)
         want = None
         for p in _postorder_paths(t):
@@ -304,6 +309,24 @@ def test_leftmost_innermost_matches_a_post_order_walk():
                 want = min(here, key=lambda r: order.index(r.rule))
                 break
         assert pick_redex(engine, c, t, Strategy.LEFTMOST_INNERMOST) == want, t
+        picked += want is not None
+    assert picked > 100
+
+
+def test_rightmost_outermost_is_the_last_redex_no_other_contains():
+    """RO contracts, among the redexes with no redex at a proper prefix of
+    their path, the one last in pre-order, highest priority first."""
+    overlaps = ("C x y * C z w", "z (C x y * C z w) (K x y)", "K x y (C x y * C z w)")  # c_r, c_l
+    picked = 0
+    for engine, c, t in _pick_cases() + [(C_ENGINE, None, parse_c(o)) for o in overlaps]:
+        found = engine.find(c, t)
+        outer = [r.path for r in found
+                 if not any(len(o.path) < len(r.path) and r.path[:len(o.path)] == o.path for o in found)]
+        want = None
+        if outer:  # tuples compare in pre-order: a path before its extensions
+            order = LS_RULES if engine is LS_ENGINE else ccl.C_RULES
+            want = min((r for r in found if r.path == max(outer)), key=lambda r: order.index(r.rule))
+        assert pick_redex(engine, c, t, Strategy.RIGHTMOST_OUTERMOST) == want, t
         picked += want is not None
     assert picked > 100
 
@@ -397,6 +420,22 @@ def test_reaches_falls_back_to_the_leftmost_innermost_trace():
     li = _steps(C_ENGINE, None, q.source, Strategy.LEFTMOST_INNERMOST, q.max_steps)
     ok, witness = reaches(C_ENGINE, None, q, node_budget=1)  # too small for a search
     assert ok and witness == [step for step, _ in li][:len(witness)]
+    assert _replay(C_ENGINE, q.source, witness) == q.target
+
+
+def test_reaches_falls_back_to_the_rightmost_outermost_trace():
+    """(l_x x x x) (K x) reaches K x (K x) (K x) along the rightmost-outermost
+    trace, which contracts the rightmost I (K x) first, so that each copy is
+    K x before the head K fires; the leftmost traces fire the head K x
+    (I (K x)) early and end at x (K x)."""
+    u, v = parse_c("x x x"), parse_c("K x")
+    q = ReachabilityQuery(App(bracket_abstract("x", u), v), ccl.substitute_c(u, "x", v), 50)
+    assert q.source == parse_c("S (S I I) I (K x)") and q.target == parse_c("K x (K x) (K x)")
+    for strategy in (Strategy.LEFTMOST_OUTERMOST, Strategy.LEFTMOST_INNERMOST):
+        assert q.target not in [t for _, t in _steps(C_ENGINE, None, q.source, strategy, q.max_steps)]
+    ro = _steps(C_ENGINE, None, q.source, Strategy.RIGHTMOST_OUTERMOST, q.max_steps)
+    ok, witness = reaches(C_ENGINE, None, q, node_budget=1)  # too small for a search
+    assert ok and witness == [step for step, _ in ro][:8]
     assert _replay(C_ENGINE, q.source, witness) == q.target
 
 
