@@ -18,7 +18,9 @@ table checks each explicit instantiation for metavariables once.
 
 ``simp`` is the combinatory analogue of the lambda side's triv rule and is
 equally non-local: a typable term of type bottom with a ``(C (K U) (K V))``
-subterm at a non-root path contracts, as a whole, to ``U * V``. Rule
+subterm at a non-root path contracts, as a whole, to ``U * V``. Only the
+star rule concludes bottom, so the walks type a term only when its root
+is a star, and test no node for the simp shape otherwise. Rule
 matching ignores instantiations (reduction is syntactic) and dispatches on
 the spine head: the head combinator of an application, or of each side of
 a star. App and CStar nodes keep their structural hash after the first use.
@@ -386,16 +388,17 @@ def iter_redexes_c(ctx: Optional[Context], t: CTerm) -> Iterator[CRedex]:
     """Every redex of t, lazily: pre-order by path, then rule priority.
 
     simp needs a typing derivation of the whole term with conclusion
-    bottom, so it is only offered when a context is given, and t is typed
-    once, when the walk first meets a simp-shaped node below the root.
+    bottom, which only a star root has, so it is only offered when a
+    context is given and t is a star; t is typed once, when the walk first
+    meets a simp-shaped node.
     """
-    typable = None
+    typable = None if ctx is not None and type(t) is CStar else False
     stack = [((), t)] if isinstance(t, _Compound) else []
     while stack:
         path, node = stack.pop()
         for rule in _local_rules(node):
             yield CRedex(rule, path)
-        if ctx is not None and path and _simp_shaped(node):
+        if typable is not False and _simp_shaped(node):
             if typable is None:
                 typable = _typable_bottom(ctx, t)
             if typable:
@@ -469,20 +472,22 @@ def first_step_c(ctx: Optional[Context], t: CTerm) -> Optional[tuple[CRedex, CTe
     ``(r, reduce_at_c(t, r))`` for ``r = next(iter_redexes_c(ctx, t))``, or
     None at a normal form.
 
-    The walk is iter_redexes_c's, with its simp condition; at the first
-    node a rule matches it contracts by that rule's ``_CONTRACT`` entry,
-    read at call time, and rebuilds the spine above it.
+    The walk is iter_redexes_c's, with its simp condition: only a star t
+    with a context is typed, and only then is a node tested for the simp
+    shape. At the first node a rule matches it contracts by that rule's
+    ``_CONTRACT`` entry, read at call time, and rebuilds the spine above it.
     """
     if not isinstance(t, _Compound):
         return None
-    typable, stack = None, []  # stack: the right children still to visit
+    typable = None if ctx is not None and type(t) is CStar else False
+    stack = []  # the right children still to visit
     path, node = (), t
     while True:
         rules = _local_rules(node)
         if rules:
             above, _ = _descend(t, path)
             return CRedex(rules[0], path), _plug(above, path, _CONTRACT[rules[0]](node))
-        if ctx is not None and path and _simp_shaped(node):
+        if typable is not False and _simp_shaped(node):
             if typable is None:
                 typable = _typable_bottom(ctx, t)
             if typable:

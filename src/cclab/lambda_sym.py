@@ -10,7 +10,9 @@ triv redex at path p when the subterm there is ``Lam(y, A, v)`` with v a
 star, y not free in v, p not the root, and no enclosing binder of p
 capturing a free variable of v (otherwise t could not be decomposed as
 u[x:=v] with a lone bottom-typed x under that lambda). Contracting
-replaces the WHOLE term by v.
+replaces the WHOLE term by v. Only a star concludes bottom (an abstraction
+has a negation, a pair a conjunction, an injection its disjunction, and a
+variable has no subterm), so t is typed only when its root is a star.
 
 Each node keeps its free variables once free_vars has computed them (the
 ``_fv`` slot), so repeated queries on a term cost one attribute read. The
@@ -263,11 +265,11 @@ def iter_redexes(ctx: Optional[Context], t: LsTerm) -> Iterator[LsRedex]:
     Each node is matched against the eight syntactic rules by its class and
     the classes of its children; a Var child is never visited, since a
     variable has no redex. triv needs the whole term well-typed with type
-    bottom, so it is only offered when a context is given, last at its
-    node, and t is typed once, when the walk first meets a triv-shaped node
-    below the root.
+    bottom, so it is only offered when a context is given and t is a star,
+    last at its node; t is typed once, when the walk first meets a
+    triv-shaped node. A root of any other class cannot have type bottom.
     """
-    typed_bottom = None
+    typed_bottom = None if ctx is not None and type(t) is Star else False
     stack = [((), t, ())]  # path, node, variables bound above the node
     while stack:
         path, node, binders = stack.pop()
@@ -296,7 +298,7 @@ def iter_redexes(ctx: Optional[Context], t: LsTerm) -> Iterator[LsRedex]:
                     yield LsRedex("eta", path)
                 if type(l) is Var and l.name == y and y not in free_vars(r):
                     yield LsRedex("eta_perp", path)
-                if (path and ctx is not None and y not in free_vars(body)
+                if (typed_bottom is not False and y not in free_vars(body)
                         and free_vars(body).isdisjoint(binders)):
                     if typed_bottom is None:
                         try:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cclab import ccl
 from cclab.ccl import (
     C_RULES,
     IDENT,
@@ -20,6 +21,7 @@ from cclab.ccl import (
     classify,
     elaborate,
     find_redexes_c,
+    first_step_c,
     ground_type_of,
     infer_c,
     is_identity,
@@ -30,7 +32,7 @@ from cclab.ccl import (
 )
 from cclab.gen import atom_names, enumerate_c, random_c, standard_context
 from cclab.node import StaleRedex, children, rebuild, replace_at, subterm_at, term_size
-from cclab.syntax import parse_c, print_c
+from cclab.syntax import parse_c, parse_context, print_c
 from cclab.types import BOTTOM, Atom, Conj, Disj, MetaVar, NegAtom, TypingError
 
 a, na = Atom("a"), NegAtom("a")
@@ -359,6 +361,14 @@ def _reference_reduct(rule, node):
     return None
 
 
+def _simp_pattern(node):
+    """node is C (K u) (K v), by structural pattern."""
+    match node:
+        case App(App(Comb("C", _), App(Comb("K", _), _)), App(Comb("K", _), _)):
+            return True
+    return False
+
+
 def _check_local_rules(t):
     """Try every local rule at every path of t, in pre-order and rule order:
     the matches must be the untyped redex list, reduce_at_c must give the
@@ -383,14 +393,13 @@ def test_find_redexes_c_agrees_with_brute_force_matching():
 
     The structural patterns of _reference_reduct decide which local rules
     match; walking the paths in pre-order and the rules in C_RULES order
-    gives the expected list order. simp needs typing and is checked as the
-    only surplus, in its place: last among the redexes at its path.
+    gives the expected list order. The expected simps come from the rule's
+    definition: a C (K u) (K v) below the root of a term that solves to
+    bottom, each last among the redexes at its path.
     """
     from cclab.gen import enumerate_pre_terms, enumerate_star_terms
     from cclab.translate import bracket_abstract
     from cclab.verify import _c_corpus
-
-    from cclab.syntax import parse_context
 
     ctx = standard_context(2)
     names = ("x", "y")
@@ -405,25 +414,52 @@ def test_find_redexes_c_agrees_with_brute_force_matching():
     # simp needs a bottom-typed term larger than the enumerated corpus
     witness_ctx = parse_context("y : ~a, z : a, y' : ~b, z' : b, u : a, v : ~a")
     for src in ("C (K y) (K z) * C (K y') (K z')", "C (K y) (K z) * u",
-                "u * K (C (K y) (K z)) v", "C (K (C (K y) (K z) * u)) (K z) * u"):
+                "u * K (C (K y) (K z)) v", "C (K (C (K y) (K z) * u)) (K z) * u",
+                "K (C (K y) (K z)) v", "v (C (K y) (K z))"):  # the last two: not stars
         cases.append((witness_ctx, parse_c(src)))
-    simps, rules, both_c = 0, Counter(), 0
+    simps, unoffered, rules, both_c = 0, 0, Counter(), 0
     for ctx, t in cases:
         position = {p: i for i, p in enumerate(_preorder_paths(t))}
         oracle = _check_local_rules(t)
         rules.update(rule for rule, _ in oracle)
         both_c += ("c_l", ()) in oracle and ("c_r", ()) in oracle
-        typed = [(r.rule, r.path) for r in find_redexes_c(ctx, t)]
-        surplus = [x for x in typed if x not in oracle]
-        assert all(rule == "simp" for rule, _ in surplus)
-        assert typed == sorted(oracle + surplus,
-                               key=lambda x: (position[x[1]], C_RULES.index(x[0])))
-        for rule, p in surplus:
+        try:
+            bottom = ccl._solve(ctx, t)[0] == BOTTOM
+        except TypingError:
+            bottom = False
+        shaped = [p for p in position if p and _simp_pattern(subterm_at(t, p))]
+        expected = [("simp", p) for p in shaped if bottom]
+        for rule, p in expected:
             reduce_at_c(t, CRedex(rule, p))
-        simps += len(surplus)
+        typed = [(r.rule, r.path) for r in find_redexes_c(ctx, t)]
+        assert typed == sorted(oracle + expected,
+                               key=lambda x: (position[x[1]], C_RULES.index(x[0]))), print_c(t)
+        simps += len(expected)
+        unoffered += bool(shaped) and not bottom
     assert simps  # the corpus exercises simp
+    assert unoffered  # and a simp shape in a term that is not of type bottom
     assert set(rules) == set(LOCAL), rules  # and every local rule
     assert both_c  # and c_r with c_l at one node
+
+
+def test_only_a_star_root_is_typed_for_simp(monkeypatch):
+    """An application root cannot have type bottom, so neither walk tests a
+    node for the simp shape or types the term; a star root is typed once."""
+    calls = Counter()
+    for name in ("_typable_bottom", "_simp_shaped"):
+        def counting(*args, _name=name, _f=getattr(ccl, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(ccl, name, counting)
+    ctx = parse_context("y : ~a, z : a, v : ~a, u : a")
+    for src in ("K (C (K y) (K z)) v", "v (C (K y) (K z))"):
+        t = parse_c(src)
+        assert "simp" not in [r.rule for r in find_redexes_c(ctx, t)]
+        assert first_step_c(ctx, t) == first_step_c(None, t)
+    assert calls == Counter()
+    t = parse_c("u * K (C (K y) (K z)) v")
+    assert CRedex("simp", (1, 0, 1)) in find_redexes_c(ctx, t)
+    assert calls["_typable_bottom"] == 1
 
 
 # The arguments each head takes on the left-hand side of its rules.

@@ -384,14 +384,36 @@ def _preorder_paths(t, at=()):
         yield from _preorder_paths(c, at + (i,))
 
 
+def _expected_trivs(ctx, t):
+    """The triv redexes of t by the rule's definition, without the walk: at
+    a path below the root, Lam(y, _, v) with v a star, y not free in v, no
+    binder above capturing a free variable of v, and t of type bottom."""
+    try:
+        if infer(ctx, t) != BOTTOM:
+            return []
+    except TypingError:
+        return []
+    found, stack = [], [((), t, frozenset())]  # path, node, binders above it
+    while stack:
+        p, node, binders = stack.pop()
+        if (p and type(node) is Lam and type(node.body) is Star
+                and node.var not in free_vars(node.body)
+                and free_vars(node.body).isdisjoint(binders)):
+            found.append(("triv", p))
+        inner = binders | {node.var} if type(node) is Lam else binders
+        stack += [(p + (i,), c, inner) for i, c in enumerate(children(node))]
+    return found
+
+
 def _check_redexes_by_brute_force(ctx, t):
     """Try every syntactic rule at every path of t with reduce_at.
 
     reduce_at re-matches patterns on its own before contracting, so it
-    serves as an independent oracle for the eight syntactic rules; triv
-    needs typing and is checked as the only possible surplus, last at its
-    path. Returns the syntactic matches as (rule, path), in pre-order by
-    path and then priority: the expected order of find_redexes(None, t).
+    serves as an independent oracle for the eight syntactic rules; the
+    expected trivs come from _expected_trivs, each last at its path, and
+    each must contract. Returns the syntactic matches as (rule, path), in
+    pre-order by path and then priority: the expected order of
+    find_redexes(None, t).
     """
     position = {p: i for i, p in enumerate(_preorder_paths(t))}
     ordered = []
@@ -404,14 +426,13 @@ def _check_redexes_by_brute_force(ctx, t):
             ordered.append((rule, p))
     untyped = [(r.rule, r.path) for r in find_redexes(None, t)]
     assert untyped == ordered, print_ls(t)
-    typed = [(r.rule, r.path) for r in find_redexes(ctx, t)]
-    surplus = set(typed) - set(untyped)
-    assert all(rule == "triv" for rule, _ in surplus)
-    for rule, p in surplus:
+    trivs = _expected_trivs(ctx, t)
+    for rule, p in trivs:
         reduce_at(t, LsRedex(rule, p))
+    typed = [(r.rule, r.path) for r in find_redexes(ctx, t)]
     assert typed == sorted(
-        ordered + list(surplus), key=lambda x: (position[x[1]], LS_RULES.index(x[0]))
-    )
+        ordered + trivs, key=lambda x: (position[x[1]], LS_RULES.index(x[0]))
+    ), print_ls(t)
     return ordered
 
 
@@ -424,8 +445,30 @@ def test_find_redexes_agrees_with_brute_force_matching():
     terms = [t for _, t in enumerate_ls(ctx, 10, atom_names(2))]
     # translated combinators: larger terms, with redexes on both sides of a star
     terms += [psi(t, ctx) for _, t in enumerate_c(ctx, 3, atom_names(2))]
-    for t in terms:
+    # one triv shape under a root of each class: only the star has type bottom
+    witnesses = [parse_ls(src) for src in (
+        r"<p, \y:b. v * u>", r"s1(\y:b. v * u : ~b | b)",
+        r"\x:b. <p, \y:b. v * u> * s1(q : ~b | b)", r"<p, \y:b. v * u> * s1(q : ~b | b)")]
+    assert [_expected_trivs(ctx, t) for t in witnesses] == [[], [], [], [("triv", (0, 1))]]
+    for t in terms + witnesses:
         _check_redexes_by_brute_force(ctx, t)
+    assert any(_expected_trivs(ctx, t) for t in terms)  # the corpus has trivs too
+
+
+def test_only_a_star_root_is_typed_for_triv(monkeypatch):
+    """A root that is not a star cannot have type bottom, so the walk types
+    no such root and offers no triv under it; a star root is typed once."""
+    import cclab.lambda_sym as ls
+
+    typed = []  # every term infer is asked about, the recursive calls too
+    monkeypatch.setattr(ls, "infer", lambda c, u: typed.append(u) or infer(c, u))
+    ctx = standard_context(2)
+    pair = Pair(Var("p"), Lam("y", b, Star(Var("v"), Var("u"))))
+    assert find_redexes(ctx, pair) == []
+    assert not any(u is pair for u in typed)
+    star = Star(pair, Inj1(Var("q"), Disj(nb, b)))
+    assert LsRedex("triv", (0, 1)) in find_redexes(ctx, star)
+    assert [u for u in typed if u is star] == [star]
 
 
 def _untyped_ls(rng: Random, depth: int):

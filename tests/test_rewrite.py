@@ -293,6 +293,8 @@ def _pick_cases():
     for q in _bracket_queries(4, 2):  # the terms along a trace have redexes at many depths
         cases += [(C_ENGINE, None, u) for _, u in trace(q.source, lo, 8)]
     cases.append((C_ENGINE, None, parse_c("K (K x y) (K (K x y) z)")))
+    overlaps = ("C x y * C z w", "z (C x y * C z w) (K x y)", "K x y (C x y * C z w)")  # c_r, c_l
+    cases += [(C_ENGINE, None, parse_c(o)) for o in overlaps]
     return cases
 
 
@@ -316,9 +318,8 @@ def test_leftmost_innermost_matches_a_post_order_walk():
 def test_rightmost_outermost_is_the_last_redex_no_other_contains():
     """RO contracts, among the redexes with no redex at a proper prefix of
     their path, the one last in pre-order, highest priority first."""
-    overlaps = ("C x y * C z w", "z (C x y * C z w) (K x y)", "K x y (C x y * C z w)")  # c_r, c_l
     picked = 0
-    for engine, c, t in _pick_cases() + [(C_ENGINE, None, parse_c(o)) for o in overlaps]:
+    for engine, c, t in _pick_cases():
         found = engine.find(c, t)
         outer = [r.path for r in found
                  if not any(len(o.path) < len(r.path) and r.path[:len(o.path)] == o.path for o in found)]
