@@ -29,7 +29,8 @@ a star. App and CStar nodes keep their structural hash after the first use.
 nodes in ``iter_redexes_c``'s pre-order, with the same simp condition, and
 contracts at the first node a rule matches, so a trace never walks a term
 once to find its redex and again to contract it. ``reduce_at_c`` contracts
-a redex given from outside and checks it first.
+a redex given from outside and checks it first. Like them, ``substitute_c``
+copies only the path to each occurrence of ``x`` and shares the rest.
 
 Each node class names its child fields in ``KIDS``; paths, sizes and
 rebuilding come from ``node``, and ``reduce_at_c`` raises its ``StaleRedex``.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
-from .node import StaleRedex, children, rebuild, replace_at
+from .node import StaleRedex, children, replace_at
 from .types import (
     BOTTOM,
     Bottom,
@@ -169,14 +170,15 @@ def term_vars(t: CTerm) -> frozenset[str]:
 
 
 def substitute_c(t: CTerm, x: str, v: CTerm) -> CTerm:
-    """t[x := v]. No binders on this side, so purely textual."""
-    match t:
-        case CVar(y):
-            return v if y == x else t
-        case CVar() | Comb():
-            return t
-        case _:
-            return rebuild(t, [substitute_c(c, x, v) for c in children(t)])
+    """t[x := v], textual as no binder can capture; t itself when x is absent."""
+    c = type(t)
+    if c is App:
+        f, a = substitute_c(t.fun, x, v), substitute_c(t.arg, x, v)
+        return t if f is t.fun and a is t.arg else App(f, a)
+    if c is CStar:
+        l, r = substitute_c(t.left, x, v), substitute_c(t.right, x, v)
+        return t if l is t.left and r is t.right else CStar(l, r)
+    return v if c is CVar and t.name == x else t
 
 
 def contains_star(t: CTerm) -> bool:

@@ -357,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("term")
     _add_calculus(sp)
     _add_ctx(sp)
-    sp.add_argument("--strategy", choices=("lo", "li", "omega"), default="lo",
-                    help="redex choice: leftmost-outermost, leftmost-innermost, "
-                         "or outside lambda scopes only (default: lo)")
+    sp.add_argument("--strategy", choices=[s.value for s in Strategy], default="lo",
+                    help="redex choice: leftmost-outermost, leftmost-innermost, rightmost-"
+                         "outermost, or outside lambda scopes only (default: lo)")
     sp.add_argument("--fuel", type=_non_negative, default=1000,
                     help=f"maximum number of steps, at most {MAX_FUEL} (default: 1000)")
     sp.add_argument("--trace", action="store_true",

@@ -301,6 +301,43 @@ def test_size_and_vars():
     assert term_size(IDENT) == 5
 
 
+def _substitute_by_rebuild(t, x, v):
+    """The reference t[x := v]: every compound node copied through rebuild."""
+    if type(t) is CVar:
+        return v if t.name == x else t
+    if type(t) is Comb:
+        return t
+    return rebuild(t, [_substitute_by_rebuild(c, x, v) for c in children(t)])
+
+
+def _shares_off_the_paths_to_x(t, s):
+    """Every subterm of t with no x below it is the same object in s."""
+    if "x" not in term_vars(t):
+        return s is t
+    return type(t) is CVar or (type(s) is type(t) and all(
+        map(_shares_off_the_paths_to_x, children(t), children(s))))
+
+
+def test_substitute_c_copies_only_the_paths_to_x():
+    """On the bracket-reduction corpora: the bodies are the pre-terms and
+    star-terms of size <= 6 over x, y, the arguments the pre-terms of size <= 3."""
+    from cclab.gen import enumerate_pre_terms, enumerate_star_terms
+
+    names = ("x", "y")
+    bodies = enumerate_pre_terms(names, 6) + enumerate_star_terms(names, 6)
+    args = enumerate_pre_terms(names, 3)
+    untouched = 0
+    for t in bodies:
+        has_x = "x" in term_vars(t)
+        untouched += not has_x
+        for v in args:
+            s = substitute_c(t, "x", v)
+            assert s == _substitute_by_rebuild(t, "x", v)
+            assert (s is t) == (not has_x)
+            assert _shares_off_the_paths_to_x(t, s)
+    assert 0 < untouched < len(bodies)
+
+
 def test_equal_terms_hash_equal_whatever_their_origin():
     def built():
         return CStar(App(App(Comb("K"), CVar("x")), CVar("y")), App(Comb("S"), CVar("y")))

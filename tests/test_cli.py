@@ -22,8 +22,9 @@ import cclab
 from cclab import ccl, cli, verify
 from cclab.cli import main
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
-from cclab.rewrite import NODE_BUDGET
-from cclab.syntax import ParseError, lex, parse_claims, parse_term_auto, print_c, print_ls
+from cclab.rewrite import C_ENGINE, NODE_BUDGET, Strategy, normalize
+from cclab.syntax import (ParseError, lex, parse_c, parse_claims, parse_term_auto, print_c,
+                           print_ls)
 
 
 def run(capsys, *argv):
@@ -321,6 +322,20 @@ def test_reduce_innermost_strategy(capsys):
     assert rc == 0
     first_rule = out.splitlines()[0].split(".")[1].split("@")[0].strip()
     assert first_rule == "s"  # the inner I y fires before the outer k
+
+
+@pytest.mark.parametrize("strategy, first_step", [
+    ("ro", "  1. k         @ /1  K x y * u"),
+    ("lo", "  1. k         @ /0  x * K u v"),
+])
+def test_reduce_outermost_strategies_start_on_either_side_of_a_star(capsys, strategy, first_step):
+    src = "K x y * K u v"
+    rc, out, _ = run(capsys, "reduce", "--ccl", src, "--strategy", strategy, "--trace")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == first_step and lines[-2:] == ["x * u", "2 steps"]
+    res = normalize(C_ENGINE, None, parse_c(src), Strategy(strategy))
+    assert (print_c(res.term), res.steps) == ("x * u", 2)
 
 
 # ---------------------------------------------------------------- step
