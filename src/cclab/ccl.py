@@ -26,7 +26,7 @@ the spine head: the head combinator of an application, or of each side of
 a star. App and CStar nodes keep their structural hash after the first use.
 
 ``first_step_c`` is the leftmost-outermost step in one walk: it visits
-nodes in ``iter_redexes_c``'s pre-order, with the same simp condition, and
+nodes in ``find_redexes_c``'s pre-order, with the same simp condition, and
 contracts at the first node a rule matches, so a trace never walks a term
 once to find its redex and again to contract it. ``reduce_at_c`` contracts
 a redex given from outside and checks it first. Like them, ``substitute_c``
@@ -44,7 +44,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .node import StaleRedex, children, replace_at
 from .types import (
@@ -386,35 +386,39 @@ def _simp_shaped(node: CTerm) -> bool:
             and _head(node.arg, 1) == "K")
 
 
-def iter_redexes_c(ctx: Optional[Context], t: CTerm) -> Iterator[CRedex]:
-    """Every redex of t, lazily: pre-order by path, then rule priority.
+def find_redexes_c(ctx: Optional[Context], t: CTerm) -> list[CRedex]:
+    """Every redex of t, pre-order by path, then rule priority.
 
     simp needs a typing derivation of the whole term with conclusion
     bottom, which only a star root has, so it is only offered when a
     context is given and t is a star; t is typed once, when the walk first
     meets a simp-shaped node.
     """
+    out, stack = [], []  # the redexes; the right children still to visit
+    if not isinstance(t, _Compound):
+        return out
     typable = None if ctx is not None and type(t) is CStar else False
-    stack = [((), t)] if isinstance(t, _Compound) else []
-    while stack:
-        path, node = stack.pop()
+    path, node = (), t
+    while True:
         for rule in _local_rules(node):
-            yield CRedex(rule, path)
+            out.append(CRedex(rule, path))
         if typable is not False and _simp_shaped(node):
             if typable is None:
                 typable = _typable_bottom(ctx, t)
             if typable:
-                yield CRedex("simp", path)
-        left, right = (node.fun, node.arg) if type(node) is App else (node.left, node.right)
+                out.append(CRedex("simp", path))
+        if type(node) is App:
+            left, right = node.fun, node.arg
+        else:
+            left, right = node.left, node.right
         if isinstance(right, _Compound):
             stack.append((path + (1,), right))
         if isinstance(left, _Compound):
-            stack.append((path + (0,), left))
-
-
-def find_redexes_c(ctx: Optional[Context], t: CTerm) -> list[CRedex]:
-    """Every redex of t, in the order of iter_redexes_c."""
-    return list(iter_redexes_c(ctx, t))
+            path, node = path + (0,), left
+        elif stack:
+            path, node = stack.pop()
+        else:
+            return out
 
 
 # The reduct of each local rule at a node it matches.
@@ -471,10 +475,10 @@ def reduce_at_c(t: CTerm, redex: CRedex) -> CTerm:
 
 def first_step_c(ctx: Optional[Context], t: CTerm) -> Optional[tuple[CRedex, CTerm]]:
     """The leftmost-outermost step of t, found and contracted in one walk:
-    ``(r, reduce_at_c(t, r))`` for ``r = next(iter_redexes_c(ctx, t))``, or
-    None at a normal form.
+    ``(r, reduce_at_c(t, r))`` for the first redex ``r`` of
+    ``find_redexes_c(ctx, t)``, or None at a normal form.
 
-    The walk is iter_redexes_c's, with its simp condition: only a star t
+    The walk is find_redexes_c's, with its simp condition: only a star t
     with a context is typed, and only then is a node tested for the simp
     shape. At the first node a rule matches it contracts by that rule's
     ``_CONTRACT`` entry, read at call time, and rebuilds the spine above it.

@@ -23,7 +23,7 @@ alpha_eq compares two terms in one lockstep walk, and skips a closed
 subterm that both sides share as one object; canonical() builds the
 renamed representative the search engines key their visited sets by.
 
-iter_redexes matches the eight syntactic rules inline, dispatching on the
+find_redexes matches the eight syntactic rules inline, dispatching on the
 class of each node and of its children, and never visits a Var child,
 since a variable has no redex.
 
@@ -37,7 +37,7 @@ for the ``_fv`` slot; their generated hash is that of their compared fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .node import StaleRedex, children, rebuild, replace_at, subterm_at
 from .types import BOTTOM, Bottom, Conj, Disj, MType, Ty, TypingError, negate
@@ -259,45 +259,44 @@ def infer(ctx: Context, t: LsTerm) -> Ty:
     raise TypeError(f"not a term: {t!r}")
 
 
-def iter_redexes(ctx: Optional[Context], t: LsTerm) -> Iterator[LsRedex]:
-    """Every redex of t, lazily: pre-order by path, then rule priority.
+def find_redexes(ctx: Optional[Context], t: LsTerm, first: bool = False) -> list[LsRedex]:
+    """Every redex of t, pre-order by path, then rule priority; with first,
+    only the first, and the walk stops there.
 
-    Each node is matched against the eight syntactic rules by its class and
-    the classes of its children; a Var child is never visited, since a
-    variable has no redex. triv needs the whole term well-typed with type
-    bottom, so it is only offered when a context is given and t is a star,
-    last at its node; t is typed once, when the walk first meets a
-    triv-shaped node. A root of any other class cannot have type bottom.
+    The walk steps into the left (or only) child and stacks right ones.
+    triv needs the whole term well-typed with type bottom, which only a
+    star can have, so it is only offered, last at its node, when a context
+    is given and t is a star; only then are binders collected, and t is
+    typed once, when the walk first meets a triv-shaped node.
     """
+    out, stack = [], []  # the redexes; the right children still to visit
     typed_bottom = None if ctx is not None and type(t) is Star else False
-    stack = [((), t, ())]  # path, node, variables bound above the node
-    while stack:
-        path, node, binders = stack.pop()
+    path, node, binders = (), t, ()  # binders: the variables bound above node
+    while True:
         cls = type(node)
         if cls is Star or cls is Pair:
             l, r = node.left, node.right
             lc, rc = type(l), type(r)
             if cls is Star:
                 if lc is Lam:
-                    yield LsRedex("beta", path)
+                    out.append(LsRedex("beta", path))
                 if rc is Lam:
-                    yield LsRedex("beta_perp", path)
+                    out.append(LsRedex("beta_perp", path))
                 if lc is Pair and (rc is Inj1 or rc is Inj2):
-                    yield LsRedex("pi1" if rc is Inj1 else "pi2", path)
+                    out.append(LsRedex("pi1" if rc is Inj1 else "pi2", path))
                 elif rc is Pair and (lc is Inj1 or lc is Inj2):
-                    yield LsRedex("pi1_perp" if lc is Inj1 else "pi2_perp", path)
+                    out.append(LsRedex("pi1_perp" if lc is Inj1 else "pi2_perp", path))
             if rc is not Var:
                 stack.append((path + (1,), r, binders))
-            if lc is not Var:
-                stack.append((path + (0,), l, binders))
+            down = l if lc is not Var else None
         elif cls is Lam:
             y, body = node.var, node.body
             if type(body) is Star:
                 l, r = body.left, body.right
                 if type(r) is Var and r.name == y and y not in free_vars(l):
-                    yield LsRedex("eta", path)
+                    out.append(LsRedex("eta", path))
                 if type(l) is Var and l.name == y and y not in free_vars(r):
-                    yield LsRedex("eta_perp", path)
+                    out.append(LsRedex("eta_perp", path))
                 if (typed_bottom is not False and y not in free_vars(body)
                         and free_vars(body).isdisjoint(binders)):
                     if typed_bottom is None:
@@ -306,17 +305,20 @@ def iter_redexes(ctx: Optional[Context], t: LsTerm) -> Iterator[LsRedex]:
                         except TypingError:
                             typed_bottom = False
                     if typed_bottom:
-                        yield LsRedex("triv", path)
-            if type(body) is not Var:
-                stack.append((path + (0,), body, binders + (y,)))
-        elif cls is not Var:  # Inj1 or Inj2
-            if type(node.body) is not Var:
-                stack.append((path + (0,), node.body, binders))
-
-
-def find_redexes(ctx: Optional[Context], t: LsTerm) -> list[LsRedex]:
-    """Every redex of t, in the order of iter_redexes."""
-    return list(iter_redexes(ctx, t))
+                        out.append(LsRedex("triv", path))
+            down = body if type(body) is not Var else None
+            if typed_bottom is not False:
+                binders += (y,)
+        else:  # Inj1 or Inj2, or a Var root
+            down = node.body if cls is not Var and type(node.body) is not Var else None
+        if first and out:
+            return out[:1]
+        if down is not None:
+            path, node = path + (0,), down
+        elif stack:
+            path, node, binders = stack.pop()
+        else:
+            return out
 
 
 def reduce_at(t: LsTerm, redex: LsRedex) -> LsTerm:

@@ -1,21 +1,21 @@
 """Calculus-generic reduction: strategies, graphs, reachability, SN checks.
 
 Both calculi are non-confluent by design, so "reduces to" means reaching a
-term in the reduction graph. Each calculus yields its redexes lazily, by
-pre-order position of the path and then rule priority; leftmost-outermost
+term in the reduction graph. Each calculus lists its redexes in one walk,
+by pre-order position of the path and then rule priority; leftmost-outermost
 is the first, leftmost-innermost the first in post-order, rightmost-outermost
 the last that no other redex contains, and omega (lambda side only) skips
 those under a lambda. Every search is built on ``trace``, which follows a
 step function, a term to its next ``(redex, reduct)`` or None, and
 ``search``, which expands each alpha class once, breadth-first. The
 leftmost-outermost step is ``Engine.first``: on the combinator side one
-walk that finds and contracts the redex together, on the lambda side the
-first redex contracted by ``step``. ``stepping`` turns any other pick of a
-redex into a step function. ``reaches`` tries four traces in order, lo,
-li, ro and the macro spine, each deciding a hit by ``Engine.same``
-(alpha-equality, one walk), then ``search``: only searches build
-``Engine.canon`` keys. ``check_sn`` is ``search`` followed by a longest
-path in topological order (Kahn's algorithm).
+walk that finds and contracts the redex together, on the lambda side a
+walk that stops at the first redex, then ``step``. ``stepping`` turns any
+other pick of a redex into a step function. ``reaches`` tries four
+traces in order, lo, li, ro and the macro spine, each deciding a hit by
+``Engine.same`` (alpha-equality, one walk), then ``search``: only
+searches build ``Engine.canon`` keys. ``check_sn`` is ``search``
+followed by a longest path in topological order (Kahn's algorithm).
 
 Because reduction is finitely branching and (for typed terms) strongly
 normalizing, exhaustive exploration modulo alpha-equivalence terminates.
@@ -24,7 +24,7 @@ for another budget, so a looping input ends there within seconds, not on
 the recursion limit. No suite comes near it: at full size a search holds at
 most 34 classes in ``reaches``, 4 in ``check_sn`` and 9 in ``explore``.
 
-An ``Engine`` holds what differs between the calculi: the redex finders,
+An ``Engine`` holds what differs between the calculi: the redex finder,
 the step (which checks the redex it is handed), the leftmost-outermost
 step, the alpha key and test, the printer and the typer. Paths into
 terms of either calculus are read with ``node.subterm_at``.
@@ -53,8 +53,7 @@ NODE_BUDGET = 4_000  # alpha classes; the default of every search, see the modul
 @dataclass(frozen=True, slots=True)
 class Engine:
     name: str
-    find: Callable  # (ctx, t) -> list of every redex, in the order of redexes
-    redexes: Callable  # (ctx, t) -> the same redexes, lazily
+    find: Callable  # (ctx, t) -> every redex, pre-order by path, then rule priority
     step: Callable  # (t, redex) -> its reduct; raises StaleRedex on a redex that does not fit
     first: Callable  # (ctx, t) -> leftmost-outermost (redex, reduct) or None; one walk on ccl
     canon: Callable  # t -> the key of its alpha class, for the search's visited set
@@ -64,14 +63,13 @@ class Engine:
 
 
 def _ls_first(ctx: Optional[Context], t: lambda_sym.LsTerm):
-    r = next(lambda_sym.iter_redexes(ctx, t), None)
-    return None if r is None else (r, lambda_sym.reduce_at(t, r))
+    found = lambda_sym.find_redexes(ctx, t, first=True)
+    return (found[0], lambda_sym.reduce_at(t, found[0])) if found else None
 
 
 LS_ENGINE = Engine(
     name="ls",
     find=lambda_sym.find_redexes,
-    redexes=lambda_sym.iter_redexes,
     step=lambda_sym.reduce_at,
     first=_ls_first,
     canon=lambda_sym.canonical,
@@ -83,7 +81,6 @@ LS_ENGINE = Engine(
 C_ENGINE = Engine(
     name="ccl",
     find=ccl.find_redexes_c,
-    redexes=ccl.iter_redexes_c,
     step=ccl.reduce_at_c,
     first=ccl.first_step_c,
     canon=lambda t: t,  # no binders, terms are their own alpha class
@@ -115,36 +112,33 @@ class FuelExhausted(Exception):
         super().__init__(f"no normal form within {steps} steps")
 
 
-def omega_redexes(engine: Engine, ctx: Optional[Context], t: Term) -> Iterator[Redex]:
-    """Redexes not in the scope of a lambda (proper ancestors only), lazily."""
-    for r in engine.redexes(ctx, t):
-        if not any(isinstance(subterm_at(t, r.path[:k]), lambda_sym.Lam)
-                   for k in range(len(r.path))):
-            yield r
+def omega_redexes(engine: Engine, ctx: Optional[Context], t: Term) -> list[Redex]:
+    """Redexes not in the scope of a lambda (proper ancestors only)."""
+    return [r for r in engine.find(ctx, t) if not any(
+        isinstance(subterm_at(t, r.path[:k]), lambda_sym.Lam) for k in range(len(r.path)))]
 
 
 def pick_redex(engine: Engine, ctx: Optional[Context], t: Term,
                strategy: Strategy) -> Optional[Redex]:
     """The redex strategy contracts next in t, or None at a normal form."""
-    if strategy is Strategy.LEFTMOST_OUTERMOST:
-        return next(engine.redexes(ctx, t), None)
+    if strategy is Strategy.OMEGA and engine.name != "ls":
+        raise ValueError("omega strategy only applies to the lambda side")
+    found = omega_redexes(engine, ctx, t) if strategy is Strategy.OMEGA else engine.find(ctx, t)
+    best = None
     if strategy is Strategy.LEFTMOST_INNERMOST:
-        best = None  # post-order keeps pre-order but puts a path after its extensions
-        for r in engine.redexes(ctx, t):
+        # post-order keeps pre-order but puts a path after its extensions
+        for r in found:
             if best is None or len(r.path) > len(best.path) and r.path[:len(best.path)] == best.path:
                 best = r  # inside best's subterm, so before it
             elif r.path != best.path:  # an equal path has a lower rule priority
                 break  # past best's subterm: after it, as is every later redex
         return best
     if strategy is Strategy.RIGHTMOST_OUTERMOST:
-        best = None
-        for r in engine.redexes(ctx, t):
+        for r in found:
             if best is None or r.path[:len(best.path)] != best.path:  # not in best's subterm,
                 best = r  # nor at its path, where best's rule has the higher priority
         return best
-    if engine.name != "ls":
-        raise ValueError("omega strategy only applies to the lambda side")
-    return next(omega_redexes(engine, ctx, t), None)
+    return found[0] if found else None  # leftmost-outermost, or omega's first
 
 
 def _macro_spine(t: Term, at: tuple = ()) -> list[tuple]:
@@ -175,16 +169,17 @@ def _macro_pick(engine: Engine, ctx: Optional[Context], source: Term) -> Callabl
     This is the reduction order the simulation argument prescribes: feed
     each macro its argument pair, then let the projections dig the
     components out, leaving inner macros intact. A spine position without
-    a beta redex is skipped.
+    a beta redex is skipped. Each pick finds t's redexes once.
     """
     spine = iter(_macro_spine(source))
 
     def pick(t):
+        found = engine.find(ctx, t)
         for path in spine:
-            for r in engine.redexes(ctx, t):
+            for r in found:
                 if r.path == path and r.rule in ("beta", "beta_perp"):
                     return r
-        return next((r for r in engine.redexes(ctx, t) if r.rule in _CLEANUP_RULES), None)
+        return next((r for r in found if r.rule in _CLEANUP_RULES), None)
 
     return pick
 
@@ -280,11 +275,11 @@ def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
         if depth_budget is not None and depth >= depth_budget:
             graph.truncated, graph.reason = True, "depth budget"
             continue
-        normal = True
-        redexes = engine.redexes(ctx, t) if root_redexes is None else root_redexes
+        redexes = engine.find(ctx, t) if root_redexes is None else root_redexes
         root_redexes = None
+        if not redexes:
+            graph.normal_forms.append(key)
         for r in redexes:
-            normal = False
             u = engine.step(t, r)
             u_key = engine.canon(u)
             if u_key not in graph.nodes:
@@ -294,8 +289,6 @@ def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
                 else:
                     graph.truncated, graph.reason = True, "node budget"
             yield Edge(key, r.rule, r.path, u_key)
-        if normal:
-            graph.normal_forms.append(key)
 
 
 def explore(engine: Engine, ctx: Optional[Context], t: Term, node_budget: int = NODE_BUDGET,

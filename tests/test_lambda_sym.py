@@ -452,6 +452,7 @@ def test_find_redexes_agrees_with_brute_force_matching():
     assert [_expected_trivs(ctx, t) for t in witnesses] == [[], [], [], [("triv", (0, 1))]]
     for t in terms + witnesses:
         _check_redexes_by_brute_force(ctx, t)
+        assert find_redexes(ctx, t, first=True) == find_redexes(ctx, t)[:1], print_ls(t)
     assert any(_expected_trivs(ctx, t) for t in terms)  # the corpus has trivs too
 
 

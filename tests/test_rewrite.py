@@ -348,7 +348,7 @@ def _steps(engine, ctx, t, strategy, fuel):
 
 def test_first_step_is_the_first_redex_and_its_reduct():
     """Engine.first is (r, step(t, r)) for the first redex r the finder
-    yields, and None at a normal form; the combinator side finds and
+    lists, and None at a normal form; the combinator side finds and
     contracts in one walk, simp included."""
     ctx = standard_context(2)
     cases = [(LS_ENGINE, ctx, t) for _, t in _ls_corpus(7)]
@@ -361,7 +361,7 @@ def test_first_step_is_the_first_redex_and_its_reduct():
     cases.append((C_ENGINE, simp_ctx, parse_c("x (C (K y) (K z)) * u")))
     rules, normal = set(), 0
     for engine, c, t in cases:
-        r = next(engine.redexes(c, t), None)
+        r = next(iter(engine.find(c, t)), None)
         assert engine.first(c, t) == (None if r is None else (r, engine.step(t, r))), t
         if r is None:
             normal += 1
@@ -370,6 +370,22 @@ def test_first_step_is_the_first_redex_and_its_reduct():
     assert normal > 100
     assert rules == set(ccl.C_RULES), rules
     assert C_ENGINE.first(simp_ctx, cases[-1][2]) == (CRedex("simp", (0, 1)), parse_c("y * z"))
+
+
+def test_lambda_first_step_stops_at_its_redex(monkeypatch):
+    """The lambda leftmost-outermost step walks no further than its redex:
+    it never meets the triv-shaped node to the right of it, so it never
+    types the term, while the full list offers triv there and types it."""
+    from cclab import lambda_sym
+
+    infer, typed = lambda_sym.infer, []
+    monkeypatch.setattr(lambda_sym, "infer", lambda c, u: typed.append(u) or infer(c, u))
+    ctx = parse_context("u : a, v : ~a")
+    t = parse_ls(r"(\x:~a. x * u) * \y:a. u * v")
+    assert LS_ENGINE.first(ctx, t)[0] == LsRedex("beta", ())
+    assert typed == []
+    assert LsRedex("triv", (1,)) in lambda_sym.find_redexes(ctx, t)
+    assert typed
 
 
 def test_first_step_contracts_by_the_rule_table(monkeypatch):

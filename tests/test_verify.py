@@ -167,7 +167,7 @@ def test_omega_simulation_guard_excludes_redexes_at_size_9():
     ctx = standard_context(2)
     total, guarded = 0, Counter()
     for _, t in verify._ls_corpus(9):
-        for r in verify.LS_ENGINE.redexes(ctx, t):
+        for r in verify.LS_ENGINE.find(ctx, t):
             total += 1
             if any(isinstance(subterm_at(t, r.path[:k]), Lam) for k in range(len(r.path))):
                 guarded[r.rule] += 1
