@@ -32,10 +32,10 @@ once to find its redex and again to contract it. ``reduce_at_c`` contracts
 a redex given from outside and checks it first. Like them, ``substitute_c``
 copies only the path to each occurrence of ``x`` and shares the rest.
 
-Each node class names its child fields in ``KIDS``; paths, sizes and
-rebuilding come from ``node``, and ``reduce_at_c`` raises its ``StaleRedex``.
-Nodes and redexes are slotted dataclasses, not frozen ones, and never
-written after construction except for the ``_hash`` slot.
+Each node class names its child fields in ``KIDS``; paths, sizes,
+rebuilding and the ``Redex`` record come from ``node``, and ``reduce_at_c``
+raises its ``StaleRedex``. Nodes are slotted dataclasses, not frozen ones,
+and never written after construction except for the ``_hash`` slot.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Optional
 
-from .node import StaleRedex, children, replace_at
+from .node import Redex, StaleRedex, children, replace_at
 from .types import (
     BOTTOM,
     Bottom,
     Conj,
+    Context,
     Disj,
     MetaVar,
     MType,
@@ -134,12 +135,6 @@ class TermClass(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CRedex:
-    rule: str
-    path: tuple[int, ...]
-
-
 class AmbiguousTypeError(TypingError):
     """Typable, but scheme parameters remain unconstrained; supply inst."""
 
@@ -203,9 +198,6 @@ def is_identity(t: CTerm) -> bool:
         case App(App(Comb("S", _), Comb("K", _)), Comb("K", _)):
             return True
     return False
-
-
-Context = Mapping[str, Ty]
 
 
 class _Inference:
@@ -386,7 +378,7 @@ def _simp_shaped(node: CTerm) -> bool:
             and _head(node.arg, 1) == "K")
 
 
-def find_redexes_c(ctx: Optional[Context], t: CTerm) -> list[CRedex]:
+def find_redexes_c(ctx: Optional[Context], t: CTerm) -> list[Redex]:
     """Every redex of t, pre-order by path, then rule priority.
 
     simp needs a typing derivation of the whole term with conclusion
@@ -401,12 +393,12 @@ def find_redexes_c(ctx: Optional[Context], t: CTerm) -> list[CRedex]:
     path, node = (), t
     while True:
         for rule in _local_rules(node):
-            out.append(CRedex(rule, path))
+            out.append(Redex(rule, path))
         if typable is not False and _simp_shaped(node):
             if typable is None:
                 typable = _typable_bottom(ctx, t)
             if typable:
-                out.append(CRedex("simp", path))
+                out.append(Redex("simp", path))
         if type(node) is App:
             left, right = node.fun, node.arg
         else:
@@ -461,7 +453,7 @@ def _plug(above: list[CTerm], path: tuple[int, ...], new: CTerm) -> CTerm:
     return new
 
 
-def reduce_at_c(t: CTerm, redex: CRedex) -> CTerm:
+def reduce_at_c(t: CTerm, redex: Redex) -> CTerm:
     """Contract redex in t in one walk down its path and back up; a redex
     that does not match t raises StaleRedex."""
     path = redex.path
@@ -473,7 +465,7 @@ def reduce_at_c(t: CTerm, redex: CRedex) -> CTerm:
     return _plug(above, path, _CONTRACT[redex.rule](node))
 
 
-def first_step_c(ctx: Optional[Context], t: CTerm) -> Optional[tuple[CRedex, CTerm]]:
+def first_step_c(ctx: Optional[Context], t: CTerm) -> Optional[tuple[Redex, CTerm]]:
     """The leftmost-outermost step of t, found and contracted in one walk:
     ``(r, reduce_at_c(t, r))`` for the first redex ``r`` of
     ``find_redexes_c(ctx, t)``, or None at a normal form.
@@ -492,12 +484,12 @@ def first_step_c(ctx: Optional[Context], t: CTerm) -> Optional[tuple[CRedex, CTe
         rules = _local_rules(node)
         if rules:
             above, _ = _descend(t, path)
-            return CRedex(rules[0], path), _plug(above, path, _CONTRACT[rules[0]](node))
+            return Redex(rules[0], path), _plug(above, path, _CONTRACT[rules[0]](node))
         if typable is not False and _simp_shaped(node):
             if typable is None:
                 typable = _typable_bottom(ctx, t)
             if typable:
-                return CRedex("simp", path), CStar(node.fun.arg.arg, node.arg.arg)
+                return Redex("simp", path), CStar(node.fun.arg.arg, node.arg.arg)
         if type(node) is App:
             left, right = node.fun, node.arg
         else:

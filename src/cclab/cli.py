@@ -169,12 +169,12 @@ def cmd_reduce(args) -> int:
     if args.format == "json":
         _emit({"ok": True, "calculus": calc, "term": eng.show(res.term),
                "steps": res.steps,
-               "trace": [{"rule": rule, "path": list(path), "term": eng.show(u)}
-                         for rule, path, u in res.trace]})
+               "trace": [{"rule": r.rule, "path": list(r.path), "term": eng.show(u)}
+                         for r, u in res.trace]})
         return 0
     if args.trace:
-        for i, (rule, path, u) in enumerate(res.trace, 1):
-            print(f"{i:3d}. {rule:9s} @ {_fmt_path(path)}  {eng.show(u)}")
+        for i, (r, u) in enumerate(res.trace, 1):
+            print(f"{i:3d}. {r.rule:9s} @ {_fmt_path(r.path)}  {eng.show(u)}")
     print(eng.show(res.term))
     print(f"{res.steps} step{'' if res.steps == 1 else 's'}")
     return 0

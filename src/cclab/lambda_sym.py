@@ -28,19 +28,20 @@ class of each node and of its children, and never visits a Var child,
 since a variable has no redex.
 
 Each node class names its child fields in ``KIDS`` (annotations and binder
-names are not children); paths, sizes and rebuilding come from ``node``,
-and ``reduce_at`` raises its ``StaleRedex``. Nodes and redexes are slotted
-dataclasses, not frozen ones, and never written after construction except
-for the ``_fv`` slot; their generated hash is that of their compared fields.
+names are not children); paths, sizes, rebuilding and the ``Redex`` record
+come from ``node``, and ``reduce_at`` raises its ``StaleRedex``. Nodes are
+slotted dataclasses, not frozen ones, and never written after construction
+except for the ``_fv`` slot; their generated hash is that of their compared
+fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
-from .node import StaleRedex, children, rebuild, replace_at, subterm_at
-from .types import BOTTOM, Bottom, Conj, Disj, MType, Ty, TypingError, negate
+from .node import Redex, StaleRedex, children, rebuild, replace_at, subterm_at
+from .types import BOTTOM, Bottom, Conj, Context, Disj, MType, Ty, TypingError, negate
 
 
 class LsTerm:
@@ -91,8 +92,6 @@ class Inj2(LsTerm):
     ann: MType  # the full disjunction; body occupies the right disjunct
 
 
-Context = Mapping[str, Ty]
-
 LS_RULES = (
     "beta",
     "beta_perp",
@@ -104,12 +103,6 @@ LS_RULES = (
     "pi2_perp",
     "triv",
 )
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class LsRedex:
-    rule: str
-    path: tuple[int, ...]
 
 
 def free_vars(t: LsTerm) -> frozenset[str]:
@@ -259,7 +252,7 @@ def infer(ctx: Context, t: LsTerm) -> Ty:
     raise TypeError(f"not a term: {t!r}")
 
 
-def find_redexes(ctx: Optional[Context], t: LsTerm, first: bool = False) -> list[LsRedex]:
+def find_redexes(ctx: Optional[Context], t: LsTerm, first: bool = False) -> list[Redex]:
     """Every redex of t, pre-order by path, then rule priority; with first,
     only the first, and the walk stops there.
 
@@ -279,13 +272,13 @@ def find_redexes(ctx: Optional[Context], t: LsTerm, first: bool = False) -> list
             lc, rc = type(l), type(r)
             if cls is Star:
                 if lc is Lam:
-                    out.append(LsRedex("beta", path))
+                    out.append(Redex("beta", path))
                 if rc is Lam:
-                    out.append(LsRedex("beta_perp", path))
+                    out.append(Redex("beta_perp", path))
                 if lc is Pair and (rc is Inj1 or rc is Inj2):
-                    out.append(LsRedex("pi1" if rc is Inj1 else "pi2", path))
+                    out.append(Redex("pi1" if rc is Inj1 else "pi2", path))
                 elif rc is Pair and (lc is Inj1 or lc is Inj2):
-                    out.append(LsRedex("pi1_perp" if lc is Inj1 else "pi2_perp", path))
+                    out.append(Redex("pi1_perp" if lc is Inj1 else "pi2_perp", path))
             if rc is not Var:
                 stack.append((path + (1,), r, binders))
             down = l if lc is not Var else None
@@ -294,9 +287,9 @@ def find_redexes(ctx: Optional[Context], t: LsTerm, first: bool = False) -> list
             if type(body) is Star:
                 l, r = body.left, body.right
                 if type(r) is Var and r.name == y and y not in free_vars(l):
-                    out.append(LsRedex("eta", path))
+                    out.append(Redex("eta", path))
                 if type(l) is Var and l.name == y and y not in free_vars(r):
-                    out.append(LsRedex("eta_perp", path))
+                    out.append(Redex("eta_perp", path))
                 if (typed_bottom is not False and y not in free_vars(body)
                         and free_vars(body).isdisjoint(binders)):
                     if typed_bottom is None:
@@ -305,7 +298,7 @@ def find_redexes(ctx: Optional[Context], t: LsTerm, first: bool = False) -> list
                         except TypingError:
                             typed_bottom = False
                     if typed_bottom:
-                        out.append(LsRedex("triv", path))
+                        out.append(Redex("triv", path))
             down = body if type(body) is not Var else None
             if typed_bottom is not False:
                 binders += (y,)
@@ -321,7 +314,7 @@ def find_redexes(ctx: Optional[Context], t: LsTerm, first: bool = False) -> list
             return out
 
 
-def reduce_at(t: LsTerm, redex: LsRedex) -> LsTerm:
+def reduce_at(t: LsTerm, redex: Redex) -> LsTerm:
     """Contract one redex. Raises StaleRedex if the pattern is not there."""
     node = subterm_at(t, redex.path)
     match redex.rule, node:

@@ -4,7 +4,8 @@ Each node class names its child fields, in path order, in ``KIDS`` (a
 leaf's base class has ``()``), and this layer reads nodes only through
 those names: the uniform children/rebuild pair of Mitchell and Runciman,
 "Uniform boilerplate and list processing" (Haskell Workshop 2007). A
-rebuilt node has no cached free variables or hash.
+rebuilt node has no cached free variables or hash. One ``Redex`` record
+serves as the reduction step of both calculi.
 
 A node holds only fields that equality and hashing compare, all of them
 positional; source positions live on parse errors alone, as byte spans.
@@ -18,6 +19,15 @@ rejects any other write to a node field in the package source.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Redex:
+    """One reduction step of either calculus: rule, applied at path."""
+    rule: str
+    path: tuple[int, ...]
 
 
 class StaleRedex(Exception):

@@ -27,7 +27,9 @@ most 34 classes in ``reaches``, 4 in ``check_sn`` and 9 in ``explore``.
 An ``Engine`` holds what differs between the calculi: the redex finder,
 the step (which checks the redex it is handed), the leftmost-outermost
 step, the alpha key and test, the printer and the typer. Paths into
-terms of either calculus are read with ``node.subterm_at``.
+terms of either calculus are read with ``node.subterm_at``. Every step
+recorded here, in a ``normalize`` trace, an ``Edge`` or a ``reaches``
+witness, is a ``node.Redex``, so ``Engine.step`` replays it on either side.
 """
 
 from __future__ import annotations
@@ -37,16 +39,14 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import ccl, lambda_sym
-from .node import subterm_at
+from .node import Redex, subterm_at
 from .syntax import print_c, print_ls
-from .types import Ty
+from .types import Context
 
 Term = Union[lambda_sym.LsTerm, ccl.CTerm]
-Context = Mapping[str, Ty]
-Redex = Union[lambda_sym.LsRedex, ccl.CRedex]
 NODE_BUDGET = 4_000  # alpha classes; the default of every search, see the module doc
 
 
@@ -210,7 +210,7 @@ def trace(t: Term, step: Callable, fuel: int) -> Iterator[tuple[Redex, Term]]:
 class NormalizeResult:
     term: Term
     steps: int
-    trace: list[tuple[str, tuple[int, ...], Term]]
+    trace: list[tuple[Redex, Term]]
 
 
 def normalize(engine: Engine, ctx: Optional[Context], t: Term,
@@ -220,12 +220,12 @@ def normalize(engine: Engine, ctx: Optional[Context], t: Term,
         step = partial(engine.first, ctx)
     else:
         step = stepping(engine, lambda u: pick_redex(engine, ctx, u, strategy))
-    log: list[tuple[str, tuple[int, ...], Term]] = []
+    log: list[tuple[Redex, Term]] = []
     steps, cur = 0, t
     for r, cur in trace(t, step, fuel):
         steps += 1
         if want_trace:
-            log.append((r.rule, r.path, cur))
+            log.append((r, cur))
     if steps < fuel or step(cur) is None:
         return NormalizeResult(cur, steps, log)
     raise FuelExhausted(cur, fuel)
@@ -233,8 +233,7 @@ def normalize(engine: Engine, ctx: Optional[Context], t: Term,
 
 class Edge(NamedTuple):  # a tuple, cheap to build: search makes one per contraction
     source: Term  # canonical
-    rule: str
-    path: tuple[int, ...]
+    redex: Redex
     target: Term  # canonical
 
 
@@ -288,7 +287,7 @@ def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
                     frontier.append((u, u_key, depth + 1))
                 else:
                     graph.truncated, graph.reason = True, "node budget"
-            yield Edge(key, r.rule, r.path, u_key)
+            yield Edge(key, r, u_key)
 
 
 def explore(engine: Engine, ctx: Optional[Context], t: Term, node_budget: int = NODE_BUDGET,
@@ -308,10 +307,10 @@ class ReachabilityQuery:
 
 
 def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
-            node_budget: int = NODE_BUDGET) -> tuple[bool, Optional[list]]:
+            node_budget: int = NODE_BUDGET) -> tuple[bool, Optional[list[Redex]]]:
     """Is q.target reachable from q.source within q.max_steps reductions?
 
-    Returns (answer, witness); the witness is a list of (rule, path) steps.
+    Returns (answer, witness); the witness lists the steps, each a Redex.
     No single strategy is complete for a non-confluent system, so this is
     a portfolio, cheapest first, of four traces: leftmost-outermost (it
     usually passes straight through the targets the simulation lemmas
@@ -332,18 +331,17 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
     for step in steps():
         witness = []
         for r, u in trace(q.source, step, q.max_steps):
-            witness.append((r.rule, r.path))
+            witness.append(r)
             if engine.same(u, q.target):
                 return True, witness
 
-    source_c, target_c = engine.canon(q.source), engine.canon(q.target)
-    graph = ReductionGraph(engine, source_c, {source_c: q.source})
+    graph, target_c = ReductionGraph.rooted_at(engine, q.source), engine.canon(q.target)
     parent: dict = {graph.root: None}
     for e in search(graph, ctx, node_budget, depth_budget=q.max_steps):
         if e.target == target_c:
             witness = []
             while e is not None:
-                witness.append((e.rule, e.path))
+                witness.append(e.redex)
                 e = parent[e.source]
             return True, witness[::-1]
         if graph.reason == "node budget":
@@ -425,9 +423,9 @@ def to_dot(graph: ReductionGraph) -> str:
             attrs.append("peripheries=2")
         lines.append(f"  {ids[k]} [{', '.join(attrs)}];")
     for e in sorted(
-        graph.edges, key=lambda e: (printed[e.source], e.rule, e.path, printed[e.target])
+        graph.edges, key=lambda e: (printed[e.source], e.redex.rule, e.redex.path, printed[e.target])
     ):
-        label = _dot_quote(e.rule)
+        label = _dot_quote(e.redex.rule)
         lines.append(f"  {ids[e.source]} -> {ids[e.target]} [label={label}];")
     if graph.truncated:
         lines.append(f"  truncated [label={_dot_quote('truncated: ' + (graph.reason or ''))}, shape=note];")

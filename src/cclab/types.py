@@ -22,7 +22,7 @@ carries its message alone: only parse errors point at source bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 from .node import children, rebuild
 
@@ -96,6 +96,7 @@ class Bottom:
 BOTTOM = Bottom()
 
 Ty = Union[MType, Bottom]
+Context = Mapping[str, Ty]  # a typing context: variable -> type
 
 
 _NEG_TABLE_SIZE = 4096

@@ -14,7 +14,6 @@ from cclab.ccl import (
     AmbiguousTypeError,
     App,
     Comb,
-    CRedex,
     CStar,
     CVar,
     TermClass,
@@ -31,7 +30,7 @@ from cclab.ccl import (
     term_vars,
 )
 from cclab.gen import atom_names, enumerate_c, random_c, standard_context
-from cclab.node import StaleRedex, children, rebuild, replace_at, subterm_at, term_size
+from cclab.node import Redex, StaleRedex, children, rebuild, replace_at, subterm_at, term_size
 from cclab.syntax import parse_c, parse_context, print_c
 from cclab.types import BOTTOM, Atom, Conj, Disj, MetaVar, NegAtom, TypingError
 
@@ -284,14 +283,14 @@ def test_subject_reduction_spot_checks():
 
 def test_stale_redex():
     with pytest.raises(StaleRedex):
-        reduce_at_c(CVar("x"), CRedex("k", ()))
+        reduce_at_c(CVar("x"), Redex("k", ()))
     body = App(App(Comb("C"), App(Comb("K"), CVar("v"))), App(Comb("K"), CVar("u")))
     with pytest.raises(StaleRedex):  # simp never applies at the root
-        reduce_at_c(body, CRedex("simp", ()))
+        reduce_at_c(body, Redex("simp", ()))
     with pytest.raises(StaleRedex):
-        reduce_at_c(CStar(CVar("p"), body), CRedex("simp", (0,)))
+        reduce_at_c(CStar(CVar("p"), body), Redex("simp", (0,)))
     with pytest.raises(StaleRedex):
-        reduce_at_c(CStar(CVar("p"), body), CRedex("simp", (1, 0, 0)))
+        reduce_at_c(CStar(CVar("p"), body), Redex("simp", (1, 0, 0)))
 
 
 def test_size_and_vars():
@@ -345,8 +344,8 @@ def test_equal_terms_hash_equal_whatever_their_origin():
     src = "K x y * S y"
     parsed = parse_c(src)
     substituted = substitute_c(parse_c("K z y * S y"), "z", CVar("x"))
-    reduced = reduce_at_c(parse_c("K (K x y * S y) x"), CRedex("k", ()))
-    rebuilt = reduce_at_c(parse_c("K x y * S (K y x)"), CRedex("k", (1, 1)))
+    reduced = reduce_at_c(parse_c("K (K x y * S y) x"), Redex("k", ()))
+    rebuilt = reduce_at_c(parse_c("K x y * S (K y x)"), Redex("k", (1, 1)))
     first = built()
     h = hash(first)
     warm_parts = built()
@@ -417,9 +416,9 @@ def _check_local_rules(t):
             reduct = _reference_reduct(rule, subterm_at(t, p))
             if reduct is None:
                 with pytest.raises(StaleRedex):
-                    reduce_at_c(t, CRedex(rule, p))
+                    reduce_at_c(t, Redex(rule, p))
             else:
-                assert reduce_at_c(t, CRedex(rule, p)) == replace_at(t, p, reduct)
+                assert reduce_at_c(t, Redex(rule, p)) == replace_at(t, p, reduct)
                 oracle.append((rule, p))
     assert [(r.rule, r.path) for r in find_redexes_c(None, t)] == oracle, t
     return oracle
@@ -467,7 +466,7 @@ def test_find_redexes_c_agrees_with_brute_force_matching():
         shaped = [p for p in position if p and _simp_pattern(subterm_at(t, p))]
         expected = [("simp", p) for p in shaped if bottom]
         for rule, p in expected:
-            reduce_at_c(t, CRedex(rule, p))
+            reduce_at_c(t, Redex(rule, p))
         typed = [(r.rule, r.path) for r in find_redexes_c(ctx, t)]
         assert typed == sorted(oracle + expected,
                                key=lambda x: (position[x[1]], C_RULES.index(x[0]))), print_c(t)
@@ -495,7 +494,7 @@ def test_only_a_star_root_is_typed_for_simp(monkeypatch):
         assert first_step_c(ctx, t) == first_step_c(None, t)
     assert calls == Counter()
     t = parse_c("u * K (C (K y) (K z)) v")
-    assert CRedex("simp", (1, 0, 1)) in find_redexes_c(ctx, t)
+    assert Redex("simp", (1, 0, 1)) in find_redexes_c(ctx, t)
     assert calls["_typable_bottom"] == 1
 
 

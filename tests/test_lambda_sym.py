@@ -21,7 +21,6 @@ from cclab.lambda_sym import (
     Inj1,
     Inj2,
     Lam,
-    LsRedex,
     Pair,
     Star,
     Var,
@@ -33,7 +32,7 @@ from cclab.lambda_sym import (
     reduce_at,
     substitute,
 )
-from cclab.node import StaleRedex, children, subterm_at, term_size
+from cclab.node import Redex, StaleRedex, children, subterm_at, term_size
 from cclab.syntax import parse_ls, print_ls
 from cclab.translate import psi_comb
 from cclab.types import BOTTOM, Atom, Bottom, Conj, Disj, NegAtom, TypingError, print_type
@@ -365,7 +364,7 @@ def test_subject_reduction_spot_checks():
 def test_stale_redex():
     t = Star(Var("u"), Var("v"))
     with pytest.raises(StaleRedex):
-        reduce_at(t, LsRedex("beta", ()))
+        reduce_at(t, Redex("beta", ()))
     with pytest.raises(StaleRedex):
         subterm_at(t, (0, 0))
 
@@ -420,7 +419,7 @@ def _check_redexes_by_brute_force(ctx, t):
     for p in position:
         for rule in _SYNTACTIC:
             try:
-                reduce_at(t, LsRedex(rule, p))
+                reduce_at(t, Redex(rule, p))
             except StaleRedex:
                 continue
             ordered.append((rule, p))
@@ -428,7 +427,7 @@ def _check_redexes_by_brute_force(ctx, t):
     assert untyped == ordered, print_ls(t)
     trivs = _expected_trivs(ctx, t)
     for rule, p in trivs:
-        reduce_at(t, LsRedex(rule, p))
+        reduce_at(t, Redex(rule, p))
     typed = [(r.rule, r.path) for r in find_redexes(ctx, t)]
     assert typed == sorted(
         ordered + trivs, key=lambda x: (position[x[1]], LS_RULES.index(x[0]))
@@ -468,7 +467,7 @@ def test_only_a_star_root_is_typed_for_triv(monkeypatch):
     assert find_redexes(ctx, pair) == []
     assert not any(u is pair for u in typed)
     star = Star(pair, Inj1(Var("q"), Disj(nb, b)))
-    assert LsRedex("triv", (0, 1)) in find_redexes(ctx, star)
+    assert Redex("triv", (0, 1)) in find_redexes(ctx, star)
     assert [u for u in typed if u is star] == [star]
 
 

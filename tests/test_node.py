@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 
 from cclab import ccl, lambda_sym, types
-from cclab.ccl import App, Comb, CRedex, CStar, CTerm, CVar
+from cclab.ccl import App, Comb, CStar, CTerm, CVar
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context, types_by_size
-from cclab.lambda_sym import Inj1, Inj2, Lam, LsRedex, LsTerm, Pair, Star, Var, free_vars
-from cclab.node import StaleRedex, children, rebuild, replace_at, subterm_at, term_size
+from cclab.lambda_sym import Inj1, Inj2, Lam, LsTerm, Pair, Star, Var, free_vars
+from cclab.node import Redex, StaleRedex, children, rebuild, replace_at, subterm_at, term_size
 from cclab.syntax import parse_c, parse_ls
 from cclab.types import BOTTOM, Atom, Bottom, Conj, Disj, MetaVar, MType, NegAtom
 
@@ -129,12 +129,18 @@ def test_a_path_past_a_leaf_is_stale_everywhere():
         with pytest.raises(StaleRedex):
             replace_at(t, leaf + (0,), t)
     with pytest.raises(StaleRedex):
-        lambda_sym.reduce_at(parse_ls("x * y"), LsRedex("beta", (0, 0)))
+        lambda_sym.reduce_at(parse_ls("x * y"), Redex("beta", (0, 0)))
     with pytest.raises(StaleRedex):
-        ccl.reduce_at_c(parse_c("K x y"), CRedex("k", (1, 0)))
+        ccl.reduce_at_c(parse_c("K x y"), Redex("k", (1, 0)))
 
 
-REDEXES = [LsRedex("beta", (0, 1)), CRedex("k", (1,))]
+def test_both_calculi_list_the_one_redex_class():
+    assert ccl.Redex is lambda_sym.Redex is Redex
+    assert lambda_sym.find_redexes(None, parse_ls("(\\x:a. y * z) * w")) == [Redex("beta", ())]
+    assert ccl.find_redexes_c(None, parse_c("K x y")) == [Redex("k", ())]
+
+
+REDEXES = [Redex("k", (1,))]
 
 
 def _hash_key(t) -> tuple:
@@ -164,7 +170,7 @@ def test_classes_with_the_same_fields_never_compare_equal():
     x, y, cx, cy, ab = Var("x"), Var("y"), CVar("x"), CVar("y"), Disj(a, b)
     for s, t in [(Pair(x, y), Star(x, y)), (Inj1(x, ab), Inj2(x, ab)),
                  (App(cx, cy), CStar(cx, cy)), (Atom("a"), NegAtom("a")),
-                 (Conj(a, b), Disj(a, b)), (LsRedex("k", ()), CRedex("k", ()))]:
+                 (Conj(a, b), Disj(a, b))]:
         assert s != t and t != s
 
 
@@ -177,7 +183,7 @@ def test_classes_with_the_same_fields_never_compare_equal():
 # field; the slots test makes every other attribute write to a node fail,
 # except the two caches, ``_fv`` (free_vars) and ``_hash`` (_Compound).
 
-NODE_CLASSES = {Bottom, LsRedex, CRedex} | {
+NODE_CLASSES = {Bottom, Redex} | {
     c for m in (types, lambda_sym, ccl) for c in vars(m).values()
     if isinstance(c, type) and issubclass(c, (MType, LsTerm, CTerm))
 }
@@ -224,7 +230,7 @@ def _node_writes(source: str, node_classes: set[str]) -> list[str]:
 
 def test_no_source_writes_a_node_after_construction():
     names = {c.__name__ for c in NODE_CLASSES}
-    assert {"Var", "Star", "App", "_Compound", "Atom", "MType", "Bottom", "CRedex"} <= names
+    assert {"Var", "Star", "App", "_Compound", "Atom", "MType", "Bottom", "Redex"} <= names
     assert {"left", "body", "fun", "ann", "inst", "ident", "path", "span"} <= FIELDS
     assert len(SOURCES) > 10
     for path in SOURCES:

@@ -4,11 +4,11 @@ import operator
 import pytest
 
 from cclab import ccl
-from cclab.ccl import App, CRedex, CStar
+from cclab.ccl import App, CStar
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, enumerate_pre_terms
 from cclab.gen import enumerate_star_terms, standard_context
-from cclab.lambda_sym import LS_RULES, Lam, LsRedex, Pair, Star, Var, alpha_eq, substitute
-from cclab.node import children
+from cclab.lambda_sym import LS_RULES, Lam, Pair, Star, Var, alpha_eq, substitute
+from cclab.node import Redex, children
 from cclab.rewrite import (
     C_ENGINE,
     LS_ENGINE,
@@ -43,7 +43,7 @@ def test_normalize_identity_application():
     res = normalize(C_ENGINE, None, t, want_trace=True)
     assert res.term == parse_c("x")
     assert res.steps == 2
-    assert [r for r, _, _ in res.trace] == ["s", "k"]
+    assert [r.rule for r, _ in res.trace] == ["s", "k"]
 
 
 def test_normalize_normal_form_zero_steps():
@@ -66,8 +66,26 @@ def test_li_and_lo_agree_on_result_here_but_not_trace():
     lo = normalize(C_ENGINE, None, t, Strategy.LEFTMOST_OUTERMOST, want_trace=True)
     li = normalize(C_ENGINE, None, t, Strategy.LEFTMOST_INNERMOST, want_trace=True)
     assert lo.term == li.term == parse_c("x")
-    assert [r for r, _, _ in lo.trace] != [r for r, _, _ in li.trace]
-    assert [r for r, _, _ in li.trace][0] == "s"  # innermost redex first
+    assert [r.rule for r, _ in lo.trace] != [r.rule for r, _ in li.trace]
+    assert li.trace[0][0].rule == "s"  # innermost redex first
+
+
+@pytest.mark.parametrize("engine, src", [(LS_ENGINE, "(\\x:~a. x * \\y:a. y * z) * \\y':a. y * y'"),
+                                         (C_ENGINE, "C (K y) (K z) * C (K y') (K z')")])
+def test_normalize_trace_replays_its_redexes(engine, src):
+    """Under every strategy, each trace entry is a Redex and the term that
+    engine.step makes of it, simp included."""
+    ctx = parse_context("y : ~a, z : a, y' : ~b, z' : b")
+    t = parse_ls(src) if engine is LS_ENGINE else parse_c(src)
+    for strategy in Strategy:
+        if strategy is Strategy.OMEGA and engine is C_ENGINE:
+            continue
+        res = normalize(engine, ctx, t, strategy, want_trace=True)
+        cur = t
+        for r, u in res.trace:
+            assert type(r) is Redex and engine.step(cur, r) == u, strategy
+            cur = u
+        assert len(res.trace) == res.steps > 0 and cur == res.term
 
 
 def test_normalize_untyped_loop_exhausts_fuel():
@@ -111,7 +129,7 @@ def test_explore_nonconfluence_lambda_side():
     t2 = parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'")
     g2 = explore(LS_ENGINE, ctx, t2)
     assert sorted(g2.normal_form_strings()) == ["y * z", "y' * z'"]
-    assert any(e.rule == "triv" for e in g2.edges)
+    assert any(e.redex.rule == "triv" for e in g2.edges)
 
 
 def test_explore_nonconfluence_combinatory_side():
@@ -122,7 +140,7 @@ def test_explore_nonconfluence_combinatory_side():
     ctx = parse_context("y : ~a, z : a, y' : ~b, z' : b")
     g2 = explore(C_ENGINE, ctx, t)
     assert sorted(g2.normal_form_strings()) == ["y * z", "y' * z'"]
-    assert any(e.rule == "simp" for e in g2.edges)
+    assert any(e.redex.rule == "simp" for e in g2.edges)
 
 
 def test_explore_normal_form_is_single_node():
@@ -137,7 +155,7 @@ def test_explore_graph_soundness():
     g = explore(LS_ENGINE, ctx, t)
     for e in g.edges:
         src = g.nodes[e.source]
-        got = LS_ENGINE.step(src, LsRedex(e.rule, e.path))
+        got = LS_ENGINE.step(src, e.redex)
         assert LS_ENGINE.canon(got) == e.target
 
 
@@ -156,7 +174,7 @@ def test_explore_budget_truncation():
 def test_reaches_basics():
     src, tgt = parse_c("K x y"), parse_c("x")
     ok, witness = reaches(C_ENGINE, None, ReachabilityQuery(src, tgt, 50, True))
-    assert ok and [r for r, _ in witness] == ["k"]
+    assert ok and witness == [Redex("k", ())]
 
     same = parse_c("x")
     ok, witness = reaches(C_ENGINE, None, ReachabilityQuery(same, same, 50, False))
@@ -171,7 +189,7 @@ def test_reaches_needs_branching_search():
     tgt = parse_ls("y' * z'")
     ok, witness = reaches(LS_ENGINE, None, ReachabilityQuery(t, tgt, 50, True))
     assert ok
-    assert [r for r, _ in witness] == ["beta_perp"]
+    assert witness == [Redex("beta_perp", ())]
 
 
 def test_reaches_alpha_matching():
@@ -333,17 +351,16 @@ def test_rightmost_outermost_is_the_last_redex_no_other_contains():
 
 
 def _replay(engine, t, witness):
-    """The end of witness's (rule, path) steps from t, each an engine step."""
-    redex = LsRedex if engine is LS_ENGINE else CRedex
-    for rule, path in witness:
-        t = engine.step(t, redex(rule, path))
+    """The end of witness's redexes from t, each an engine step."""
+    for r in witness:
+        t = engine.step(t, r)
     return t
 
 
 def _steps(engine, ctx, t, strategy, fuel):
-    """The (rule, path) steps and the terms along strategy's trace from t."""
+    """The redexes and the terms along strategy's trace from t."""
     step = stepping(engine, lambda u: pick_redex(engine, ctx, u, strategy))
-    return [((r.rule, r.path), u) for r, u in trace(t, step, fuel)]
+    return list(trace(t, step, fuel))
 
 
 def test_first_step_is_the_first_redex_and_its_reduct():
@@ -369,7 +386,7 @@ def test_first_step_is_the_first_redex_and_its_reduct():
             rules.add(r.rule)
     assert normal > 100
     assert rules == set(ccl.C_RULES), rules
-    assert C_ENGINE.first(simp_ctx, cases[-1][2]) == (CRedex("simp", (0, 1)), parse_c("y * z"))
+    assert C_ENGINE.first(simp_ctx, cases[-1][2]) == (Redex("simp", (0, 1)), parse_c("y * z"))
 
 
 def test_lambda_first_step_stops_at_its_redex(monkeypatch):
@@ -382,9 +399,9 @@ def test_lambda_first_step_stops_at_its_redex(monkeypatch):
     monkeypatch.setattr(lambda_sym, "infer", lambda c, u: typed.append(u) or infer(c, u))
     ctx = parse_context("u : a, v : ~a")
     t = parse_ls(r"(\x:~a. x * u) * \y:a. u * v")
-    assert LS_ENGINE.first(ctx, t)[0] == LsRedex("beta", ())
+    assert LS_ENGINE.first(ctx, t)[0] == Redex("beta", ())
     assert typed == []
-    assert LsRedex("triv", (1,)) in lambda_sym.find_redexes(ctx, t)
+    assert Redex("triv", (1,)) in lambda_sym.find_redexes(ctx, t)
     assert typed
 
 
@@ -392,8 +409,8 @@ def test_first_step_contracts_by_the_rule_table(monkeypatch):
     """The one-walk step reads ccl._CONTRACT when it is called, so a broken
     contraction shows on the leftmost-outermost trace."""
     monkeypatch.setitem(ccl._CONTRACT, "k", lambda n: n.arg)  # K u v -> v
-    assert C_ENGINE.first(None, parse_c("K x y")) == (CRedex("k", ()), parse_c("y"))
-    assert C_ENGINE.first(None, parse_c("z (K x y)")) == (CRedex("k", (1,)), parse_c("z y"))
+    assert C_ENGINE.first(None, parse_c("K x y")) == (Redex("k", ()), parse_c("y"))
+    assert C_ENGINE.first(None, parse_c("z (K x y)")) == (Redex("k", (1,)), parse_c("z y"))
 
 
 def test_reaches_witnesses_replay_to_the_target():
@@ -419,9 +436,10 @@ def test_reaches_witnesses_replay_to_the_target():
     for engine, ctx, q, budget in cases:
         ok, witness = reaches(engine, ctx, q, node_budget=budget)
         assert ok, engine.show(q.source)
+        assert all(type(r) is Redex for r in witness), witness
         assert engine.canon(_replay(engine, q.source, witness)) == engine.canon(q.target)
         lo = _steps(engine, ctx, q.source, Strategy.LEFTMOST_OUTERMOST, q.max_steps)
-        searched += witness != [step for step, _ in lo][:len(witness)]
+        searched += witness != [r for r, _ in lo][:len(witness)]
     assert searched  # some witnesses come from a later trace or the search, not the first
 
 
@@ -436,7 +454,7 @@ def test_reaches_falls_back_to_the_leftmost_innermost_trace():
     assert q.target not in [t for _, t in lo]
     li = _steps(C_ENGINE, None, q.source, Strategy.LEFTMOST_INNERMOST, q.max_steps)
     ok, witness = reaches(C_ENGINE, None, q, node_budget=1)  # too small for a search
-    assert ok and witness == [step for step, _ in li][:len(witness)]
+    assert ok and witness == [r for r, _ in li][:len(witness)]
     assert _replay(C_ENGINE, q.source, witness) == q.target
 
 
@@ -452,7 +470,7 @@ def test_reaches_falls_back_to_the_rightmost_outermost_trace():
         assert q.target not in [t for _, t in _steps(C_ENGINE, None, q.source, strategy, q.max_steps)]
     ro = _steps(C_ENGINE, None, q.source, Strategy.RIGHTMOST_OUTERMOST, q.max_steps)
     ok, witness = reaches(C_ENGINE, None, q, node_budget=1)  # too small for a search
-    assert ok and witness == [step for step, _ in ro][:8]
+    assert ok and witness == [r for r, _ in ro][:8]
     assert _replay(C_ENGINE, q.source, witness) == q.target
 
 

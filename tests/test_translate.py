@@ -280,7 +280,7 @@ def test_phi_simulation_smoke_eta():
     lhs = phi(t, CTX)
     rhs = phi(parse_ls("v"), CTX)
     ok, witness = reaches(C_ENGINE, CTX, ReachabilityQuery(lhs, rhs, 50, True))
-    assert ok and [r for r, _ in witness] == ["e_r"]
+    assert ok and [r.rule for r in witness] == ["e_r"]
 
 
 def test_psi_simulation_smoke_k():
