@@ -140,7 +140,10 @@ def test_both_calculi_list_the_one_redex_class():
     assert ccl.find_redexes_c(None, parse_c("K x y")) == [Redex("k", ())]
 
 
-REDEXES = [Redex("k", (1,))]
+# one redex of each calculus, named for its calculus as the cases were
+# when each calculus had its own redex class
+REDEXES = [pytest.param(Redex("k", (1,)), id="CRedex"),
+           pytest.param(Redex("beta", (0,)), id="LsRedex")]
 
 
 def _hash_key(t) -> tuple:
