@@ -219,7 +219,7 @@ def cmd_graph(args) -> int:
     ctx = _merge_ctx(args.ctx)
     g = explore(eng, ctx, t, node_budget=args.node_budget,
                 depth_budget=args.depth_budget)
-    if g.truncated:
+    if g.reason:
         print(f"truncated: {g.reason}", file=sys.stderr)
     print(to_dot(g))
     return 0

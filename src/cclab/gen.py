@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from random import Random
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .ccl import SCHEME_ARITY, App, Comb, CStar, CTerm, CVar, scheme_type
 from .lambda_sym import Inj1, Inj2, Lam, LsTerm, Pair, Star, Var
@@ -252,6 +252,20 @@ def enumerate_star_terms(names: Iterable[str], max_size: int) -> list[CTerm]:
     return [t for ty, t in _untyped_table(names, max_size) if ty is BOTTOM]
 
 
+def _draw(pool: list, max_size: int, rng: Random, star: Callable) -> tuple:
+    """The last step of both samplers, from a pool of (type, term, size):
+    half the time star the largest grown term with a dual that fits; else
+    pick a grown term, and failing that a leaf."""
+    grown = [e for e in pool if e[2] > 1]
+    if grown and rng.random() < 0.5:
+        ty, t, sz = max(grown, key=lambda e: e[2])
+        duals = [e for e in pool if e[0] == negate(ty) and e[2] + sz + 1 <= max_size]
+        if duals:
+            return BOTTOM, star(t, rng.choice(duals)[1])
+    ty, t, _ = rng.choice(grown or pool)
+    return ty, t
+
+
 def random_c(
     ctx: dict[str, Ty], atoms: Iterable[str], max_size: int, rng: Random
 ) -> Optional[tuple[Ty, CTerm]]:
@@ -265,7 +279,6 @@ def random_c(
         return None
     pool: list[tuple[Ty, CTerm, int]] = [(ty, CVar(x), 1) for x, ty in ctx.items()]
     pool += [(scheme_type(c.which, c.inst), c, 1) for c in combinator_variants(atoms)]
-    grown: list[tuple[Ty, CTerm, int]] = []
     for _ in range(16 * max_size):
         fns = [e for e in pool if isinstance(e[0], Disj)]
         if not fns:
@@ -276,21 +289,8 @@ def random_c(
         if not args:
             continue
         at, a, asz = rng.choice(args)
-        entry = (ft.right, App(f, a), fs + asz + 1)
-        pool.append(entry)
-        grown.append(entry)
-    if grown and rng.random() < 0.5:
-        # try to cap the largest piece with a dual for a star
-        ty, t, sz = max(grown, key=lambda e: e[2])
-        duals = [e for e in pool if e[0] == negate(ty) and e[2] + sz + 1 <= max_size]
-        if duals:
-            dt, d, dsz = rng.choice(duals)
-            return BOTTOM, CStar(t, d)
-    if grown:
-        ty, t, _ = rng.choice(grown)
-        return ty, t
-    ty, t, _ = rng.choice(pool)
-    return ty, t
+        pool.append((ft.right, App(f, a), fs + asz + 1))
+    return _draw(pool, max_size, rng, CStar)
 
 
 def random_ls(
@@ -326,12 +326,4 @@ def random_ls(
                 w = 1 + term_size(lt) + 2 + dsz
                 if w <= max_size:  # lsz bounds term_size(lt) only in atom contexts
                     pool.append((negate(lt), Lam(x, lt, body), w))
-    best = [e for e in pool if e[2] > 1]
-    if best and rng.random() < 0.5:
-        ty, t, sz = max(best, key=lambda e: e[2])
-        duals = [e for e in pool if e[0] == negate(ty) and e[2] + sz + 1 <= max_size]
-        if duals:
-            dt, d, _ = rng.choice(duals)
-            return BOTTOM, Star(t, d)
-    ty, t, _ = rng.choice(best or pool)
-    return ty, t
+    return _draw(pool, max_size, rng, Star)

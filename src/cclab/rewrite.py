@@ -19,10 +19,11 @@ followed by a longest path in topological order (Kahn's algorithm).
 
 Because reduction is finitely branching and (for typed terms) strongly
 normalizing, exhaustive exploration modulo alpha-equivalence terminates.
-Every search stops at ``NODE_BUDGET`` alpha classes unless its caller asks
-for another budget, so a looping input ends there within seconds, not on
-the recursion limit. No suite comes near it: at full size a search holds at
-most 34 classes in ``reaches``, 4 in ``check_sn`` and 9 in ``explore``.
+Every search stops at ``NODE_BUDGET`` alpha classes, read when it is
+called; only ``explore`` takes another budget, for ``cclab graph``. So a
+looping input ends there within seconds, not on the recursion limit. No
+suite comes near it: at full size a search holds at most 34 classes in
+``reaches``, 4 in ``check_sn`` and 9 in ``explore``.
 
 An ``Engine`` holds what differs between the calculi: the redex finder,
 the step (which checks the redex it is handed), the leftmost-outermost
@@ -47,7 +48,7 @@ from .syntax import print_c, print_ls
 from .types import Context
 
 Term = Union[lambda_sym.LsTerm, ccl.CTerm]
-NODE_BUDGET = 4_000  # alpha classes; the default of every search, see the module doc
+NODE_BUDGET = 4_000  # alpha classes; the budget of every search, see the module doc
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,8 +245,7 @@ class ReductionGraph:
     nodes: dict  # canonical -> representative term
     edges: list[Edge] = field(default_factory=list)
     normal_forms: list = field(default_factory=list)  # canonical, in discovery order
-    truncated: bool = False
-    reason: Optional[str] = None
+    reason: Optional[str] = None  # the budget that cut the search, if one did
 
     @classmethod
     def rooted_at(cls, engine: Engine, t: Term) -> "ReductionGraph":
@@ -264,7 +264,7 @@ def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
     Yields an Edge for every contraction of an expanded term; a target
     missing from graph.nodes is one the node budget kept out. Terms at
     depth_budget are not expanded. Normal forms go to graph.normal_forms,
-    and a budget that cuts the search sets graph.truncated and graph.reason.
+    and a budget that cuts the search sets graph.reason.
     root_redexes, when given, are the root's redexes, already found.
     """
     engine = graph.engine
@@ -272,7 +272,7 @@ def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
     while frontier:
         t, key, depth = frontier.popleft()
         if depth_budget is not None and depth >= depth_budget:
-            graph.truncated, graph.reason = True, "depth budget"
+            graph.reason = "depth budget"
             continue
         redexes = engine.find(ctx, t) if root_redexes is None else root_redexes
         root_redexes = None
@@ -286,7 +286,7 @@ def search(graph: ReductionGraph, ctx: Optional[Context], node_budget: int,
                     graph.nodes[u_key] = u
                     frontier.append((u, u_key, depth + 1))
                 else:
-                    graph.truncated, graph.reason = True, "node budget"
+                    graph.reason = "node budget"
             yield Edge(key, r, u_key)
 
 
@@ -306,8 +306,8 @@ class ReachabilityQuery:
     require_nonempty: bool = False
 
 
-def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
-            node_budget: int = NODE_BUDGET) -> tuple[bool, Optional[list[Redex]]]:
+def reaches(engine: Engine, ctx: Optional[Context],
+            q: ReachabilityQuery) -> tuple[bool, Optional[list[Redex]]]:
     """Is q.target reachable from q.source within q.max_steps reductions?
 
     Returns (answer, witness); the witness lists the steps, each a Redex.
@@ -337,7 +337,7 @@ def reaches(engine: Engine, ctx: Optional[Context], q: ReachabilityQuery,
 
     graph, target_c = ReductionGraph.rooted_at(engine, q.source), engine.canon(q.target)
     parent: dict = {graph.root: None}
-    for e in search(graph, ctx, node_budget, depth_budget=q.max_steps):
+    for e in search(graph, ctx, NODE_BUDGET, depth_budget=q.max_steps):
         if e.target == target_c:
             witness = []
             while e is not None:
@@ -358,8 +358,7 @@ class SNResult:
     reason: Optional[str] = None
 
 
-def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
-             node_budget: int = NODE_BUDGET) -> SNResult:
+def check_sn(engine: Engine, ctx: Optional[Context], t: Term) -> SNResult:
     """Does every reduction sequence from t end, and how long is the longest?
 
     A root with no redex is one class, settled without canonicalising it.
@@ -369,15 +368,13 @@ def check_sn(engine: Engine, ctx: Optional[Context], t: Term,
     is relaxed along that order. The root is keyed by itself; a reduct
     alpha-equal to it closes a cycle among canonical keys.
     """
-    if node_budget < 1:
-        return SNResult(False, None, 0, "node budget exceeded")
     root_redexes = engine.find(ctx, t)
     if not root_redexes:
         return SNResult(True, 0, 1)
     graph = ReductionGraph(engine, t, {t: t})
     ids, succ, indegree = {t: 0}, [[]], [0]  # class -> number; by number
-    for e in search(graph, ctx, node_budget, root_redexes=root_redexes):
-        if graph.truncated:
+    for e in search(graph, ctx, NODE_BUDGET, root_redexes=root_redexes):
+        if graph.reason:
             return SNResult(False, None, len(graph.nodes), "node budget exceeded")
         j = ids.setdefault(e.target, len(succ))
         if j == len(succ):
@@ -427,7 +424,7 @@ def to_dot(graph: ReductionGraph) -> str:
     ):
         label = _dot_quote(e.redex.rule)
         lines.append(f"  {ids[e.source]} -> {ids[e.target]} [label={label}];")
-    if graph.truncated:
-        lines.append(f"  truncated [label={_dot_quote('truncated: ' + (graph.reason or ''))}, shape=note];")
+    if graph.reason:
+        lines.append(f"  truncated [label={_dot_quote('truncated: ' + graph.reason)}, shape=note];")
     lines.append("}")
     return "\n".join(lines)

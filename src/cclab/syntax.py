@@ -29,9 +29,9 @@ The lexer is one scan (_scan): a single findall of a compiled regular
 expression gives each token's text, and a token's kind is its text's
 (symbols, combinators, one-character names and numbers) or else its
 first character's. The parser reads the scan's kinds and texts by index
-and builds no object per token. Offsets are built only for an error and
-for lex's Token tuples (_spans, a finditer of the same expression); they
-are byte offsets into the UTF-8 source. Numbers are ASCII digits only.
+and builds no object per token. Offsets are built only for an error
+(_spans, a finditer of the same expression); they are byte offsets into
+the UTF-8 source. Numbers are ASCII digits only.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 from string import ascii_lowercase, digits
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .ccl import App, Comb, CStar, CTerm, CVar, IDENT, SCHEME_ARITY
 from .lambda_sym import Inj1, Inj2, Lam, LsTerm, Pair, Star, Var
@@ -73,13 +73,6 @@ class ParseError(Exception):
         if self.span is not None:
             out += f" (bytes {self.span[0]}..{self.span[1]})"
         return out
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    start: int  # byte offsets into the UTF-8 source
-    end: int
 
 
 _SYMBOLS = {
@@ -123,7 +116,7 @@ def _scan(src: str) -> tuple[list, list, str, int]:
 
 
 def _spans(src: str) -> list[tuple[int, int]]:
-    """The byte spans of src's tokens, then EOF's; only errors and lex ask."""
+    """The byte spans of src's tokens, then EOF's; only errors ask."""
     spans = [m.span(1) for m in _TOKEN.finditer(src)]
     spans.append((len(src), len(src)))
     if src.isascii():
@@ -131,11 +124,6 @@ def _spans(src: str) -> list[tuple[int, int]]:
     # character offsets to byte offsets (surrogates count 3)
     offs = list(accumulate((len(ch.encode("utf-8", "surrogatepass")) for ch in src), initial=0))
     return [(offs[i], offs[j]) for i, j in spans]
-
-
-def lex(src: str) -> list[Token]:
-    kinds, texts = _scan(src)[:2]
-    return [Token(k, x, *span) for k, x, span in zip(kinds, texts, _spans(src))]
 
 
 # Deeper input is refused with a ParseError rather than left to exhaust

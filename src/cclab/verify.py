@@ -288,7 +288,7 @@ def suite_phi_typing(max_size: int = 8) -> Checks:
 
 
 @suite("bracket-reduction", "lemma4.4")
-def suite_bracket_reduction(u_size: int = 6, v_size: int = 3, max_steps: int = 50) -> Checks:
+def suite_bracket_reduction(u_size: int = 6, v_size: int = 3) -> Checks:
     """Bracket abstraction computes substitution, untyped.
 
     Pre-terms are applied: (l_x U) V. Star-terms instead meet their
@@ -306,7 +306,7 @@ def suite_bracket_reduction(u_size: int = 6, v_size: int = 3, max_steps: int = 5
             rhs = substitute_c(u, "x", v)
             sources = (CStar(lu, v), CStar(v, lu)) if starred else (App(lu, v),)
             ok = all(
-                reaches(C_ENGINE, None, ReachabilityQuery(s, rhs, max_steps, False))[0]
+                reaches(C_ENGINE, None, ReachabilityQuery(s, rhs, 50, False))[0]
                 for s in sources
             )
             yield ok, lambda: shape.format(print_c(u), print_c(v)) + " missed its substitution"
@@ -333,7 +333,7 @@ def suite_phi_substitution(u_size: int = 6, v_size: int = 5) -> Checks:
 
 
 @suite("omega-simulation", "thm4.7")
-def suite_omega_simulation(max_size: int = 8, max_steps: int = 50) -> Checks:
+def suite_omega_simulation(max_size: int = 8) -> Checks:
     """Reductions outside every lambda are simulated through phi."""
     ctx = standard_context(2)
     n_terms = 0
@@ -343,7 +343,7 @@ def suite_omega_simulation(max_size: int = 8, max_steps: int = 50) -> Checks:
             reduct = reduce_at(t, redex)
             ok, _ = reaches(
                 C_ENGINE, ctx,
-                ReachabilityQuery(phi(t, ctx), phi(reduct, ctx), max_steps, True),
+                ReachabilityQuery(phi(t, ctx), phi(reduct, ctx), 50, True),
             )
             yield ok, lambda: f"{print_ls(t)}: {redex.rule} at {redex.path} not simulated"
     return [f"{n_terms} typable terms scanned for unguarded redexes"]
@@ -494,7 +494,7 @@ def _table_rows() -> list[tuple[str, dict, LsTerm, LsTerm]]:
 
 
 @suite("rule-simulation", "thm5.6")
-def suite_rule_simulation(max_steps: int = 100) -> Checks:
+def suite_rule_simulation() -> Checks:
     """Every combinatory rule, and the worked reduction table behind it,
     is simulated by the lambda-side translation."""
     for rule, ctx, lhs in _rule_instances():
@@ -508,11 +508,11 @@ def suite_rule_simulation(max_steps: int = 100) -> Checks:
         except TypingError as e:
             yield False, lambda: f"{rule}: psi of the reduct {print_c(rhs)} raised {type(e).__name__}: {e}"
             continue
-        query = ReachabilityQuery(psi(lhs, ctx), target, max_steps, require_nonempty=True)
+        query = ReachabilityQuery(psi(lhs, ctx), target, 100, require_nonempty=True)
         ok, _ = reaches(LS_ENGINE, ctx, query)
         yield ok, lambda: f"{rule}: psi({print_c(lhs)}) does not simulate"
     for label, ctx, lhs, target in _table_rows():
-        query = ReachabilityQuery(lhs, target, max_steps, require_nonempty=True)
+        query = ReachabilityQuery(lhs, target, 100, require_nonempty=True)
         ok, _ = reaches(LS_ENGINE, ctx, query)
         yield ok, lambda: f"{label} does not reach its stated reduct"
     return [

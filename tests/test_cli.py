@@ -23,7 +23,7 @@ from cclab import ccl, cli, verify
 from cclab.cli import main
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, standard_context
 from cclab.rewrite import C_ENGINE, NODE_BUDGET, Strategy, normalize
-from cclab.syntax import (ParseError, lex, parse_c, parse_claims, parse_term_auto, print_c,
+from cclab.syntax import (ParseError, _spans, parse_c, parse_claims, parse_term_auto, print_c,
                            print_ls)
 
 
@@ -710,7 +710,7 @@ def _mutants() -> tuple[str, ...]:
                          (enumerate_c(ctx, 6, names), print_c)):
         for _, t in corpus:
             src = show(t)
-            pieces = [src.encode()[tk.start:tk.end].decode() for tk in lex(src)[:-1]]
+            pieces = [src.encode()[start:end].decode() for start, end in _spans(src)[:-1]]
             for i in range(len(pieces) - 1):
                 out.setdefault(" ".join(pieces[:i] + pieces[i + 1:]))
                 out.setdefault(" ".join(pieces[:i] + [pieces[i + 1], pieces[i]] + pieces[i + 2:]))

@@ -3,7 +3,7 @@ import operator
 
 import pytest
 
-from cclab import ccl
+from cclab import ccl, rewrite
 from cclab.ccl import App, CStar
 from cclab.gen import atom_names, enumerate_c, enumerate_ls, enumerate_pre_terms
 from cclab.gen import enumerate_star_terms, standard_context
@@ -104,24 +104,27 @@ def test_check_sn_finds_the_cycle():
     assert res.reason == "reduction cycle found"
 
 
-def test_check_sn_terminating():
+def test_check_sn_terminating(monkeypatch):
     assert check_sn(C_ENGINE, None, parse_c("x")).max_path == 0
     res = check_sn(C_ENGINE, None, parse_c("I x"))
     assert res.terminating and res.max_path == 2
-    cut = check_sn(C_ENGINE, None, parse_c("I x"), node_budget=2)
-    assert not cut.terminating and cut.reason == "node budget exceeded"
     # An infinite reduction graph ends on the node budget, not the recursion limit.
     omega = parse_c("S I I (S I I)")
-    assert check_sn(C_ENGINE, None, omega, node_budget=1000) == SNResult(
-        False, None, 1000, "node budget exceeded")
     assert check_sn(C_ENGINE, None, omega) == SNResult(
         False, None, NODE_BUDGET, "node budget exceeded")
+    # check_sn reads rewrite.NODE_BUDGET when it is called
+    monkeypatch.setattr(rewrite, "NODE_BUDGET", 1000)
+    assert check_sn(C_ENGINE, None, omega) == SNResult(
+        False, None, 1000, "node budget exceeded")
+    monkeypatch.setattr(rewrite, "NODE_BUDGET", 2)
+    cut = check_sn(C_ENGINE, None, parse_c("I x"))
+    assert not cut.terminating and cut.reason == "node budget exceeded"
 
 
 def test_explore_nonconfluence_lambda_side():
     t = parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'")
     g = explore(LS_ENGINE, None, t)
-    assert not g.truncated
+    assert g.reason is None
     assert sorted(g.normal_form_strings()) == ["y * z", "y' * z'"]
 
     # with a context the triv shortcuts appear but the normal forms stay put
@@ -161,13 +164,13 @@ def test_explore_graph_soundness():
 
 def test_explore_budget_truncation():
     g = explore(C_ENGINE, None, parse_c("K x (K y z)"), node_budget=1)
-    assert g.truncated and g.reason == "node budget"
+    assert g.reason == "node budget"
     g = explore(C_ENGINE, None, parse_c("S I I (S I I)"))  # each reduct is a new class
-    assert g.truncated and g.reason == "node budget" and len(g.nodes) == NODE_BUDGET
+    assert g.reason == "node budget" and len(g.nodes) == NODE_BUDGET
     # an untyped loop is a single alpha class: explores fully, no truncation
     omega2 = Lam("x", a, Star(Var("x"), Var("x")))
     g2 = explore(LS_ENGINE, None, Star(omega2, omega2))
-    assert not g2.truncated
+    assert g2.reason is None
     assert len(g2.nodes) == 1 and g2.normal_forms == []
 
 
@@ -206,7 +209,7 @@ def test_engine_same_is_alpha_eq_on_the_lambda_side_and_eq_on_combinators():
     assert LS_ENGINE.same is alpha_eq and C_ENGINE.same is operator.eq
 
 
-def test_a_query_a_trace_answers_builds_no_alpha_key():
+def test_a_query_a_trace_answers_builds_no_alpha_key(monkeypatch):
     """Only the breadth-first search keys terms by engine.canon: an
     application query (the first trace) and the s rule's simulation (the
     macro-spine trace, after the other two) never call it."""
@@ -218,12 +221,14 @@ def test_a_query_a_trace_answers_builds_no_alpha_key():
     target = Lam(lhs.var, lhs.ann, substitute(lam.body, "x", Pair(Var("u"), Var(lhs.var))))
     rule, ctx, source = next(inst for inst in _rule_instances() if inst[0] == "s")
     rhs = ccl.reduce_at_c(source, next(r for r in ccl.find_redexes_c(ctx, source) if r.rule == rule))
-    for c, q in [(None, ReachabilityQuery(lhs, target, 10)),
-                 (ctx, ReachabilityQuery(psi(source, ctx), psi(rhs, ctx), 100, True))]:
-        assert reaches(engine, c, q, node_budget=0)[0] and keyed == []
     tgt = parse_ls("y' * z'")  # on no trace: the search keys every class it meets
     q = ReachabilityQuery(parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'"), tgt, 50, True)
     assert reaches(engine, None, q)[0] and keyed
+    keyed.clear()
+    monkeypatch.setattr(rewrite, "NODE_BUDGET", 0)  # no room for a search
+    for c, q in [(None, ReachabilityQuery(lhs, target, 10)),
+                 (ctx, ReachabilityQuery(psi(source, ctx), psi(rhs, ctx), 100, True))]:
+        assert reaches(engine, c, q)[0] and keyed == []
 
 
 def test_omega_redexes_exclude_under_lambda():
@@ -418,23 +423,23 @@ def test_reaches_witnesses_replay_to_the_target():
     the target; so are rule-simulation's, within its 4,000 classes."""
     small = [(ty, t) for ty, t in enumerate_ls(standard_context(2), 3, atom_names(2))
              if not isinstance(ty, Bottom)]
-    cases = [(C_ENGINE, None, q, 200_000) for q in _bracket_queries(4, 2)]
+    cases = [(C_ENGINE, None, q) for q in _bracket_queries(4, 2)]
     for tu, u in small:
         for tv, v in small:
             pr, conj = Pair(u, v), Conj(tu, tv)
-            cases.append((LS_ENGINE, None, ReachabilityQuery(pi_macro(1, pr, conj), u, 20), 200_000))
-            cases.append((LS_ENGINE, None, ReachabilityQuery(pi_macro(2, pr, conj), v, 20), 200_000))
+            cases.append((LS_ENGINE, None, ReachabilityQuery(pi_macro(1, pr, conj), u, 20)))
+            cases.append((LS_ENGINE, None, ReachabilityQuery(pi_macro(2, pr, conj), v, 20)))
     cases.append((LS_ENGINE, None, ReachabilityQuery(
-        parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'"), parse_ls("y' * z'"), 50, True), 200_000))
+        parse_ls("(\\x:a. y * z) * \\x':~a. y' * z'"), parse_ls("y' * z'"), 50, True)))
     for rule, ctx, lhs in _rule_instances():
         rhs = ccl.reduce_at_c(lhs, next(r for r in ccl.find_redexes_c(ctx, lhs) if r.rule == rule))
-        cases.append((LS_ENGINE, ctx, ReachabilityQuery(psi(lhs, ctx), psi(rhs, ctx), 100, True), 4000))
+        cases.append((LS_ENGINE, ctx, ReachabilityQuery(psi(lhs, ctx), psi(rhs, ctx), 100, True)))
     for _, ctx, lhs, target in _table_rows():
-        cases.append((LS_ENGINE, ctx, ReachabilityQuery(lhs, target, 100, True), 4000))
+        cases.append((LS_ENGINE, ctx, ReachabilityQuery(lhs, target, 100, True)))
     assert len(cases) == 1600 + 2 * len(small) ** 2 + 1 + 23
     searched = 0
-    for engine, ctx, q, budget in cases:
-        ok, witness = reaches(engine, ctx, q, node_budget=budget)
+    for engine, ctx, q in cases:
+        ok, witness = reaches(engine, ctx, q)
         assert ok, engine.show(q.source)
         assert all(type(r) is Redex for r in witness), witness
         assert engine.canon(_replay(engine, q.source, witness)) == engine.canon(q.target)
@@ -443,7 +448,7 @@ def test_reaches_witnesses_replay_to_the_target():
     assert searched  # some witnesses come from a later trace or the search, not the first
 
 
-def test_reaches_falls_back_to_the_leftmost_innermost_trace():
+def test_reaches_falls_back_to_the_leftmost_innermost_trace(monkeypatch):
     """(l_x x x) (K x) reaches K x (K x) along the leftmost-innermost trace,
     which reduces the argument I (K x) first; leftmost-outermost fires the
     outer K x (I (K x)) and ends at x."""
@@ -453,12 +458,13 @@ def test_reaches_falls_back_to_the_leftmost_innermost_trace():
     lo = _steps(C_ENGINE, None, q.source, Strategy.LEFTMOST_OUTERMOST, q.max_steps)
     assert q.target not in [t for _, t in lo]
     li = _steps(C_ENGINE, None, q.source, Strategy.LEFTMOST_INNERMOST, q.max_steps)
-    ok, witness = reaches(C_ENGINE, None, q, node_budget=1)  # too small for a search
+    monkeypatch.setattr(rewrite, "NODE_BUDGET", 1)  # too small for a search
+    ok, witness = reaches(C_ENGINE, None, q)
     assert ok and witness == [r for r, _ in li][:len(witness)]
     assert _replay(C_ENGINE, q.source, witness) == q.target
 
 
-def test_reaches_falls_back_to_the_rightmost_outermost_trace():
+def test_reaches_falls_back_to_the_rightmost_outermost_trace(monkeypatch):
     """(l_x x x x) (K x) reaches K x (K x) (K x) along the rightmost-outermost
     trace, which contracts the rightmost I (K x) first, so that each copy is
     K x before the head K fires; the leftmost traces fire the head K x
@@ -469,7 +475,8 @@ def test_reaches_falls_back_to_the_rightmost_outermost_trace():
     for strategy in (Strategy.LEFTMOST_OUTERMOST, Strategy.LEFTMOST_INNERMOST):
         assert q.target not in [t for _, t in _steps(C_ENGINE, None, q.source, strategy, q.max_steps)]
     ro = _steps(C_ENGINE, None, q.source, Strategy.RIGHTMOST_OUTERMOST, q.max_steps)
-    ok, witness = reaches(C_ENGINE, None, q, node_budget=1)  # too small for a search
+    monkeypatch.setattr(rewrite, "NODE_BUDGET", 1)  # too small for a search
+    ok, witness = reaches(C_ENGINE, None, q)
     assert ok and witness == [r for r, _ in ro][:8]
     assert _replay(C_ENGINE, q.source, witness) == q.target
 
@@ -482,18 +489,18 @@ def test_search_expands_breadth_first():
         assert depth[e.source] >= last
         last = depth[e.source]
         depth.setdefault(e.target, last + 1)
-    assert last > 3 and graph.normal_forms and not graph.truncated
+    assert last > 3 and graph.normal_forms and graph.reason is None
 
 
 def test_search_budgets_mark_the_graph_truncated():
     t = App(bracket_abstract("x", parse_c("x x")), parse_c("I y"))
     graph = ReductionGraph.rooted_at(C_ENGINE, t)
     edges = list(search(graph, None, 10))
-    assert graph.truncated and graph.reason == "node budget" and len(graph.nodes) == 10
+    assert graph.reason == "node budget" and len(graph.nodes) == 10
     assert any(e.target not in graph.nodes for e in edges)
     graph = ReductionGraph.rooted_at(C_ENGINE, t)
     edges = list(search(graph, None, 1000, depth_budget=1))
-    assert graph.truncated and graph.reason == "depth budget"
+    assert graph.reason == "depth budget"
     assert {e.source for e in edges} == {graph.root}
 
 
@@ -524,7 +531,7 @@ def test_check_sn_agrees_with_the_explored_graph():
     def agrees(engine, t):
         res = check_sn(engine, ctx, t)
         graph = explore(engine, ctx, t)
-        assert res.terminating and not graph.truncated
+        assert res.terminating and graph.reason is None
         assert (res.max_path, res.classes_seen) == (_longest_path(graph), len(graph.nodes))
         return bool(graph.edges)
 
@@ -539,8 +546,6 @@ def test_check_sn_agrees_with_the_explored_graph():
     corpus = [(engine, t) for engine, t in corpus if engine.find(ctx, t)]
     assert len(corpus) == 2856
     assert all(agrees(engine, t) for engine, t in corpus)
-    engine, t = corpus[0]
-    assert check_sn(engine, ctx, t, node_budget=0) == SNResult(False, None, 0, "node budget exceeded")
 
 
 @pytest.mark.parametrize("engine, src", [(LS_ENGINE, "\\x:a. u * v"), (C_ENGINE, "K u")])
@@ -549,4 +554,3 @@ def test_check_sn_settles_a_normal_form_root(engine, src):
     t = parse_ls(src) if engine is LS_ENGINE else parse_c(src)
     assert not engine.find(ctx, t)
     assert check_sn(engine, ctx, t) == SNResult(True, 0, 1)
-    assert check_sn(engine, ctx, t, node_budget=0) == SNResult(False, None, 0, "node budget exceeded")

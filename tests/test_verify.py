@@ -7,7 +7,7 @@ reporting machinery (registry, aliases, failure capping) has to behave.
 
 import pytest
 
-from cclab import ccl, verify
+from cclab import ccl, syntax, translate, verify
 from cclab.ccl import App, CStar
 from cclab.verify import ALIASES, SUITES, SuiteResult, resolve_suite, run_suite
 
@@ -187,32 +187,54 @@ MATRIX_ARGS = {
     "psi-substitution": (3, 3),
 }
 
-# (rule, broken contraction, suites that must fail under it)
+
+def _contract(rule, contract):
+    """The patch that makes ccl contract rule's redexes by contract."""
+    return lambda mp: mp.setitem(ccl._CONTRACT, rule, contract)
+
+
+_fold, _print_c = translate._fold, syntax._print_c
+
+
+def _fold_s_swapped(x, a, na, ctx_c, u):
+    """translate._fold with S handed its two wrapped arguments swapped."""
+    ty, lu = _fold(x, a, na, ctx_c, u)  # recurses through this mutant
+    if isinstance(u, App) and lu is not None:  # lu is S (l_x f) (l_x arg)
+        lu = App(App(lu.fun.fun, lu.arg), lu.fun.arg)
+    return ty, lu
+
+
+# (id, patch of the working code, suites that must fail under it)
 MUTANTS = [
-    (None, None, set()),
-    ("k", lambda n: n.arg,  # K u v -> v
+    ("working", None, set()),
+    ("k", _contract("k", lambda n: n.arg),  # K u v -> v
      {"subject-reduction-cc", "bracket-reduction", "rule-simulation", "non-confluence"}),
-    ("c_r", lambda n: CStar(App(n.left.arg, n.right), App(n.left.fun.arg, n.right)),
+    ("c_r", _contract("c_r", lambda n: CStar(App(n.left.arg, n.right), App(n.left.fun.arg, n.right))),
      {"bracket-reduction", "rule-simulation", "non-confluence"}),  # C u v * w -> v w * u w
-    ("pq2", lambda n: CStar(n.left.fun.arg, n.right.arg),  # P u v * Q2 w -> u * w
+    ("pq2", _contract("pq2", lambda n: CStar(n.left.fun.arg, n.right.arg)),  # P u v * Q2 w -> u * w
      {"rule-simulation"}),
+    ("bracket_s", lambda mp: mp.setattr(translate, "_fold", _fold_s_swapped),
+     {"bracket-reduction", "bracket-typing"}),
+    # an argument is printed at the application level, so f (g x) prints as f g x
+    ("print_arg", lambda mp: mp.setattr(syntax, "_print_c", lambda t, lvl: _print_c(t, min(lvl, 1))),
+     {"round-trip"}),
 ]
 
 
-@pytest.mark.parametrize("rule, contract, killers", MUTANTS, ids=["working", "k", "c_r", "pq2"])
-def test_mutation_matrix(monkeypatch, rule, contract, killers):
-    """Working code fails no suite, and each broken contraction fails at
-    least the suites named for it, within the default node budget."""
-    if rule:
-        monkeypatch.setitem(ccl._CONTRACT, rule, contract)
+@pytest.mark.parametrize("patch, killers", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS])
+def test_mutation_matrix(monkeypatch, patch, killers):
+    """Working code fails no suite, and each mutant fails at least the
+    suites named for it, within the default node budget."""
+    if patch:
+        patch(monkeypatch)
     failed = {name for name, run in SUITES.items() if not run(*MATRIX_ARGS.get(name, ())).passed}
-    assert failed >= killers if rule else not failed, failed
+    assert failed >= killers if patch else not failed, failed
 
 
 def test_an_ill_typed_reduct_fails_its_instance_and_names_it(monkeypatch):
     """A reduct the typer rejects is one failed instance that names the
     term, the redex and the error; the suite goes on to its other instances."""
-    monkeypatch.setitem(ccl._CONTRACT, "pq2", MUTANTS[3][1])
+    MUTANTS[3][1](monkeypatch)  # pq2
     r = verify.suite_subject_reduction_cc()
     assert r.instances == 1600
     assert ("P[a, ~a] u v * Q2[~a, a] u: pq2 at () changed # to UnificationError: "
